@@ -13,6 +13,7 @@ signatures as 64-byte r||s with s normalized to the low half of the order.
 from __future__ import annotations
 
 import hashlib
+import threading
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import hashes
@@ -98,11 +99,14 @@ def _batch_inverse(values: list[int]) -> list[int]:
 
 
 # Comb table: _COMB[w][v] = affine point of (v << 8w) * G for v in 1..255.
-# Built lazily on first scalar-base multiplication (~100 ms, ~2 MB).
+# Built lazily on first scalar-base multiplication (~100 ms, ~2 MB) and
+# published whole by one assignment under _COMB_LOCK, so threads racing on
+# the first call build it once and later readers take no lock.
 _COMB: list[list[Affine | None]] = []
+_COMB_LOCK = threading.Lock()
 
 
-def _build_comb() -> None:
+def _build_comb() -> list[list[Affine | None]]:
     rows: list[list[_Jacobian]] = []
     base: Affine = (GX, GY)
     for _ in range(32):
@@ -118,6 +122,7 @@ def _build_comb() -> None:
     flat = [pt[2] for row in rows for pt in row[1:]]
     inverses = _batch_inverse(flat)
     k = 0
+    table: list[list[Affine | None]] = []
     for row in rows:
         out: list[Affine | None] = [None] * 256
         for v in range(1, 256):
@@ -126,20 +131,28 @@ def _build_comb() -> None:
             k += 1
             zi2 = zi * zi % P
             out[v] = (x * zi2 % P, y * zi2 % P * zi % P)
-        _COMB.append(out)
+        table.append(out)
+    return table
+
+
+def _comb_table() -> list[list[Affine | None]]:
+    global _COMB
+    with _COMB_LOCK:
+        if not _COMB:
+            _COMB = _build_comb()
+        return _COMB
 
 
 def scalar_base_mult(k: int) -> Affine:
     """k*G as an affine point; k must be in [1, N-1]."""
     if not 0 < k < N:
         raise ValueError("scalar out of range")
-    if not _COMB:
-        _build_comb()
+    comb = _COMB or _comb_table()
     acc = _JAC_INF
     for w in range(32):
         v = (k >> (8 * w)) & 0xFF
         if v:
-            entry = _COMB[w][v]
+            entry = comb[w][v]
             assert entry is not None
             acc = _jac_add_affine(acc, entry)
     result = _jac_to_affine(acc)

@@ -60,6 +60,10 @@ HDR_SERVER_KEY_ID = "Vcr-Server-Key-Id"
 
 ACCESS_INFO = b"vcr-access-v1"
 
+# Largest POST body read; a longer declared Content-Length answers 413
+# (RFC 9110 §15.5.14) without reading it.
+MAX_BODY_BYTES = 1 << 20
+
 
 @dataclass
 class ClientDataRecord:
@@ -438,9 +442,25 @@ class _Handler(BaseHTTPRequestHandler):
             set_cookie=set_cookie,
         )
 
+    def _refuse(self, status: int, code: str) -> None:
+        """Answer without reading the body; the connection then closes, as
+        the unread body leaves it unusable."""
+        self._reply(
+            status,
+            json.dumps({"error": code}, separators=(",", ":")).encode(),
+            extra_headers={"Connection": "close"},
+        )
+
     def do_POST(self) -> None:
         path = urlsplit(self.path).path
-        length = int(self.headers.get("Content-Length", "0") or "0")
+        raw_length = self.headers.get("Content-Length", "0")
+        if not (raw_length.isascii() and raw_length.isdigit()):  # RFC 9110 §8.6
+            self._refuse(400, MalformedBody("bad Content-Length").code)
+            return
+        length = int(raw_length)
+        if length > MAX_BODY_BYTES:
+            self._refuse(413, "BodyTooLarge")
+            return
         body = self.rfile.read(length) if length else b""
         if path == WRAPPER_ENDPOINT:
             status, payload = self.vcr.handle_wrapper_request(body)

@@ -11,6 +11,7 @@ key from which every session key is re-derived by the verifier.
 from __future__ import annotations
 
 import threading
+from collections import deque
 from dataclasses import dataclass, replace
 from enum import IntEnum
 
@@ -351,31 +352,47 @@ class VerifiedRequest:
 class ReplayCache:
     """Digests seen within the freshness window; atomic check-and-insert.
 
-    Entries older than the tolerance are evicted on the way in: a digest
-    that old can no longer pass the timestamp check, so keeping it buys
-    nothing.
+    Each digest is kept until ``max(arrival, timestamp) + tolerance``: until
+    then the request's own timestamp can still pass the freshness check, so
+    dropping the digest earlier would let the same bytes in twice. Since
+    ``verify_vcr`` accepts timestamps up to a tolerance ahead, that is at
+    most ``2 * tolerance`` after arrival. Entries expire in admission order,
+    the way Kerberos's authenticator replay cache does (RFC 4120 §3.2.3):
+    eviction pops from the oldest end while the oldest entry has expired,
+    so admission is amortised O(1). A future-stamped entry at that end can
+    hold later, already-expired entries back, at most until 2 * tolerance
+    after their arrival; that costs memory only, since their timestamps can
+    no longer pass the freshness check.
+
+    The cache is memory only: a restarted server forgets every digest, so
+    a request admitted before a restart can be replayed while still fresh.
     """
 
     def __init__(self, tolerance: int = DEFAULT_TOLERANCE_SECONDS) -> None:
         if tolerance <= 0:
             raise ValueError("tolerance must be positive")
         self.tolerance = tolerance
-        self._entries: dict[bytes, int] = {}
+        self._entries: dict[bytes, int] = {}  # digest -> expiry
+        self._order: deque[bytes] = deque()  # digests in admission order
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def admit(self, digest: bytes, now: int) -> None:
-        """Record the digest or raise ReplayDetected; never admits twice."""
+    def admit(self, digest: bytes, now: int, timestamp: int | None = None) -> None:
+        """Record the digest or raise ReplayDetected; never admits twice.
+
+        ``timestamp`` is the request's own; without it the entry is keyed on
+        arrival time ``now``.
+        """
+        expires = (now if timestamp is None else max(now, timestamp)) + self.tolerance
         with self._lock:
-            cutoff = now - self.tolerance
-            stale = [d for d, seen in self._entries.items() if seen < cutoff]
-            for d in stale:
-                del self._entries[d]
+            while self._order and self._entries[self._order[0]] < now:
+                del self._entries[self._order.popleft()]
             if digest in self._entries:
                 raise ReplayDetected(digest.hex()[:16])
-            self._entries[digest] = now
+            self._entries[digest] = expires
+            self._order.append(digest)
 
 
 def build_vcr(
@@ -506,7 +523,7 @@ def verify_vcr(
         if not curve.verify_digest(pubkey, digest, signature):
             raise BadRequestSignature("request signature invalid")
 
-    cache.admit(digest, now)
+    cache.admit(digest, now, request.timestamp)
     return VerifiedRequest(
         client_ids=tuple(w.client_id for w in request.wrappers),
         action=request.action,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import uuid
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from . import curve
 from .encoding import (
@@ -106,11 +107,11 @@ class ServerKey:
 
     secret: int
 
-    @property
+    @cached_property
     def public_point(self) -> bytes:
         return curve.pubkey_bytes(self.secret)
 
-    @property
+    @cached_property
     def key_id(self) -> bytes:
         return curve.sha256(self.public_point)[:KEY_ID_BYTES]
 

@@ -1,8 +1,11 @@
 """Derivation correctness against the independent reference oracle."""
 
 import random
+import sys
+import threading
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric import ec
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -314,3 +317,36 @@ def test_display_base58_charset(master):
 
 def test_repr_hides_secret(master):
     assert "e8f32e72" not in repr(master)
+
+
+def test_concurrent_first_scalar_base_mult_builds_one_table(monkeypatch):
+    # Threads racing on the first call must leave exactly one 32-row comb
+    # table and compute correct points.
+    def expected(k):
+        numbers = ec.derive_private_key(k, ec.SECP256K1()).public_key().public_numbers()
+        return (numbers.x, numbers.y)
+
+    monkeypatch.setattr(curve, "_COMB", [])
+    scalars = [random.Random(i).randrange(1, curve.N) for i in range(4)]
+    barrier = threading.Barrier(len(scalars))
+    results = {}
+
+    def first_call(k):
+        barrier.wait(timeout=30)
+        results[k] = curve.scalar_base_mult(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=first_call, args=(k,)) for k in scalars]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(curve._COMB) == 32
+    assert results == {k: expected(k) for k in scalars}
+    k = random.Random("after").randrange(1, curve.N)
+    assert curve.scalar_base_mult(k) == expected(k)

@@ -1,7 +1,9 @@
 """Reference server: cookie flow, endpoints, fulfillment, budgets."""
 
 import json
+import socket
 import time
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -12,6 +14,7 @@ from vcrkit.keyhier import DerivationPath, derive_path, neuter
 from vcrkit.sealing import HybridCiphertext, hybrid_decrypt
 from vcrkit.server import (
     ACCESS_INFO,
+    MAX_BODY_BYTES,
     ClientDataRecord,
     EndpointAdvertisement,
     VcrServer,
@@ -485,6 +488,45 @@ def test_post_only_endpoints(loopback):
     vcr_server, _, origin = loopback
     assert _get(origin, vcr_server.advertisement.wrapper_endpoint).status == 405
     assert _get(origin, vcr_server.advertisement.vcr_endpoint).status == 405
+
+
+def _post_declaring_length(origin, path, content_length):
+    """POST headers with a hand-written Content-Length and no body; returns
+    (status, error code). The server must answer and then close."""
+    parts = urlsplit(origin)
+    head = (
+        f"POST {path} HTTP/1.1\r\nHost: {parts.netloc}\r\n"
+        f"Content-Length: {content_length}\r\n\r\n"
+    )
+    with socket.create_connection((parts.hostname, parts.port), timeout=10) as sock:
+        sock.sendall(head.encode("latin-1"))
+        raw = b""
+        while chunk := sock.recv(65536):
+            raw += chunk
+    header, _, body = raw.partition(b"\r\n\r\n")
+    return int(header.split(b" ", 2)[1]), json.loads(body)["error"]
+
+
+@pytest.mark.parametrize("value", ["abc", "", "1.5", "0x10", "\u00b2"])
+def test_non_numeric_content_length_is_malformed(loopback, value):
+    vcr_server, _, origin = loopback
+    path = vcr_server.advertisement.vcr_endpoint
+    assert _post_declaring_length(origin, path, value) == (400, "MalformedBody")
+
+
+def test_negative_content_length_is_malformed(loopback):
+    vcr_server, _, origin = loopback
+    path = vcr_server.advertisement.vcr_endpoint
+    assert _post_declaring_length(origin, path, "-5") == (400, "MalformedBody")
+
+
+def test_oversized_content_length_is_refused_unread(loopback):
+    vcr_server, _, origin = loopback
+    path = vcr_server.advertisement.wrapper_endpoint
+    status = _post_declaring_length(origin, path, MAX_BODY_BYTES + 1)
+    assert status == (413, "BodyTooLarge")
+    # Still serving afterwards.
+    assert _get(origin, "/").status == 200
 
 
 def test_snapshot_roundtrip(tmp_path):

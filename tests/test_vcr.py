@@ -1,10 +1,13 @@
 """Request signing/verification, replay windows, roommate and unified flows."""
 
 import random
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vcrkit import curve
 from vcrkit.errors import (
@@ -204,6 +207,81 @@ def test_concurrent_duplicates_admit_exactly_one(master, server_key, local_signe
         results = list(pool.map(lambda _: attempt(), range(16)))
     assert results.count("ok") == 1
     assert results.count("replay") == 15
+
+
+@pytest.mark.parametrize(
+    "later,outcome",
+    [
+        (TOL + 1, ReplayDetected),
+        (2 * TOL, ReplayDetected),
+        (2 * TOL + 1, StaleTimestamp),
+    ],
+)
+def test_future_stamped_request_never_readmits(
+    master, server_key, local_signer, later, outcome
+):
+    # Stamped a full tolerance ahead, the request stays fresh until
+    # NOW + 2*TOL, so its digest must be kept that long, not only a
+    # tolerance past its arrival.
+    cache = ReplayCache(TOL)
+    request = _signed_access(master, server_key, local_signer, now=NOW + TOL)
+    verify_vcr(server_key.public_point, request, NOW, cache)
+    with pytest.raises(outcome):
+        verify_vcr(server_key.public_point, request, NOW + later, cache)
+
+
+MODEL_TOL = 10
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 7),  # digest, from a small pool so repeats happen
+            st.integers(0, 3 * MODEL_TOL),  # clock step since the last call
+            st.integers(-MODEL_TOL, MODEL_TOL) | st.none(),  # timestamp skew
+        ),
+        max_size=80,
+    )
+)
+def test_replay_cache_against_brute_force_model(steps):
+    """``admit`` against a list of every admission, with a non-decreasing
+    clock and timestamps inside the freshness window as verify_vcr ensures."""
+    cache = ReplayCache(MODEL_TOL)
+    admitted: list[tuple[bytes, int, int]] = []  # (digest, arrival, expires)
+    now = NOW
+    for pick, step, skew in steps:
+        now += step
+        digest = bytes([pick]) * 32
+        timestamp = None if skew is None else now + skew
+        mine = [(t, exp) for d, t, exp in admitted if d == digest]
+        try:
+            if timestamp is None:
+                cache.admit(digest, now)
+            else:
+                cache.admit(digest, now, timestamp)
+        except ReplayDetected:
+            # Only a digest admitted within the last 2*tolerance is refused;
+            # a digest never seen before is always admitted.
+            assert any(t >= now - 2 * MODEL_TOL for t, _ in mine)
+        else:
+            assert not any(exp >= now for _, exp in mine)
+            expires = now if timestamp is None else max(now, timestamp)
+            admitted.append((digest, now, expires + MODEL_TOL))
+        recent = sum(1 for _, t, _ in admitted if t >= now - 2 * MODEL_TOL)
+        assert len(cache) <= recent
+
+
+def test_replay_admit_stays_cheap_at_100k_live_entries():
+    cache = ReplayCache(TOL)
+    for i in range(100_000):
+        cache.admit(i.to_bytes(32, "big"), NOW)
+    start = time.perf_counter()
+    for i in range(100_000, 101_000):
+        cache.admit(i.to_bytes(32, "big"), NOW + TOL)
+    elapsed = time.perf_counter() - start
+    assert len(cache) == 101_000
+    assert elapsed < 0.5, f"1000 admits at 100k live entries took {elapsed:.3f}s"
 
 
 class _MemberSigner:
