@@ -10,13 +10,25 @@ signing needs the trusted-device signer.
 from __future__ import annotations
 
 import json
-import os
 import threading
 from dataclasses import dataclass, field
 from urllib.parse import urlsplit
 
-from . import curve, encoding, httpwire
-from .encoding import WireMode, optional, require, wire_key
+from . import curve, encoding, files, httpwire
+from .encoding import (
+    BOOL,
+    STR,
+    TIME,
+    Field,
+    Message,
+    WireMode,
+    converted,
+    fixed,
+    integer,
+    list_of,
+    map_of,
+    nested,
+)
 from .errors import (
     AlreadyProvisioned,
     BadSignature,
@@ -32,8 +44,15 @@ from .errors import (
 )
 from .keyhier import DerivationPath, ExtendedPublicKey, derive_child_pub
 from .sealing import HybridCiphertext, hybrid_decrypt
-from .server import ACCESS_INFO, ClientDataRecord, EndpointAdvertisement
+from .server import (
+    ACCESS_INFO,
+    VISIT,
+    AccessResponse,
+    ClientDataRecord,
+    EndpointAdvertisement,
+)
 from .vcr import (
+    XPUB,
     ActionKind,
     VcrAction,
     VcrRequest,
@@ -43,6 +62,7 @@ from .vcr import (
     sign_vcr,
 )
 from .wrapper import (
+    POINT_BYTES,
     ClientId,
     MultiSigPolicy,
     Wrapper,
@@ -63,9 +83,37 @@ def _cookie_index_key(cookie_name: str, cookie_value: str) -> str:
     return curve.sha256(len(name).to_bytes(4, "big") + name + value).hex()
 
 
+def _history_to_verbose(record: "SessionRecord") -> list:
+    encode = VISIT.encode[WireMode.VERBOSE]
+    return [encode((ts, record.server_origin + path)) for ts, path in record.history]
+
+
+def _history_from_verbose(raw, values: dict) -> list[tuple[int, str]]:
+    decode, origin = VISIT.decode[WireMode.VERBOSE], values["server_origin"]
+    return [(ts, url.removeprefix(origin)) for ts, url in map(decode, raw)]
+
+
 @dataclass
-class SessionRecord:
-    """One session with one server: cookie, key path, wrapper, history."""
+class SessionRecord(Message):
+    """One session with one server: cookie, key path, wrapper, history.
+
+    VERBOSE history entries carry full URLs; decoding strips the record's
+    origin back off, so both modes parse to the same record.
+    """
+
+    FIELDS = (
+        Field("server_origin", STR),
+        Field("endpoints", nested(EndpointAdvertisement)),
+        Field("client_id", nested(ClientId)),
+        Field("derivation_path", converted(STR, DerivationPath.parse, str), "path"),
+        Field("wrapper", nested(Wrapper)),
+        Field("created_at", TIME),
+        Field(
+            "history",
+            list_of(VISIT, list),
+            verbose=(_history_to_verbose, _history_from_verbose),
+        ),
+    )
 
     server_origin: str
     endpoints: EndpointAdvertisement
@@ -88,66 +136,32 @@ class SessionRecord:
     def is_unified(self) -> bool:
         return len(self.path.segments) == 3
 
-    def to_wire_dict(self, mode: WireMode) -> dict:
-        from .encoding import time_to_wire
 
-        if mode is WireMode.OPTIMIZED:
-            history = [[int(ts), path] for ts, path in self.history]
-        else:
-            history = [
-                {
-                    "visit_time": time_to_wire(ts, mode),
-                    "visit_url": self.server_origin + path,
-                }
-                for ts, path in self.history
-            ]
-        return {
-            wire_key("server_origin", mode): self.server_origin,
-            wire_key("endpoints", mode): self.endpoints.to_wire_dict(mode),
-            wire_key("client_id", mode): self.client_id.to_wire_dict(mode),
-            wire_key("derivation_path", mode): str(self.path),
-            wire_key("wrapper", mode): self.wrapper.to_wire_dict(mode),
-            wire_key("created_at", mode): time_to_wire(self.created_at, mode),
-            wire_key("history", mode): history,
-        }
-
-    @classmethod
-    def from_wire_dict(cls, data: dict, mode: WireMode) -> "SessionRecord":
-        from .encoding import time_from_wire
-
-        origin = str(require(data, "server_origin", mode))
-        raw_history = require(data, "history", mode)
-        try:
-            if mode is WireMode.OPTIMIZED:
-                history = [(int(ts), str(path)) for ts, path in raw_history]
-            else:
-                history = []
-                for item in raw_history:
-                    url = str(item["visit_url"])
-                    path = url[len(origin):] if url.startswith(origin) else url
-                    history.append((time_from_wire(item["visit_time"], mode), path))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedMessage(f"bad history: {exc}") from None
-        return cls(
-            server_origin=origin,
-            endpoints=EndpointAdvertisement.from_wire_dict(
-                require(data, "endpoints", mode), mode
-            ),
-            client_id=ClientId.from_wire_dict(require(data, "client_id", mode), mode),
-            path=DerivationPath.parse(str(require(data, "derivation_path", mode))),
-            wrapper=Wrapper.from_wire_dict(require(data, "wrapper", mode), mode),
-            created_at=time_from_wire(require(data, "created_at", mode), mode),
-            history=history,
-        )
-
-
-class AgentStore:
+class AgentStore(Message):
     """Device key, session list, cookie index and pinned server keys.
 
     Single-writer: every mutation happens under one lock. The cookie index
     maps a hash of the (name, value) cookie pair to a position in the
     session list and is rebuilt on import rather than serialized.
     """
+
+    FIELDS = (
+        Field("version", integer(), optional=True),
+        Field("device_id", integer()),
+        Field("device_xpub", XPUB),
+        Field("next_session", integer(), "next_j"),
+        Field("server_counters", map_of(integer(), key=int), optional=True),
+        Field("server_ids", map_of(integer()), optional=True),
+        Field("sessions", list_of(nested(SessionRecord), list)),
+        Field(
+            "pinned_keys",
+            map_of(fixed(POINT_BYTES)),
+            "pinned_server_keys",
+            optional=True,
+        ),
+        Field("retired", BOOL, optional=True),
+    )
+    version = STORE_VERSION  # written into every store file, not checked on load
 
     def __init__(self) -> None:
         self.device_id: int | None = None
@@ -238,61 +252,18 @@ class AgentStore:
 
     # --- persistence ------------------------------------------------------------
 
-    def to_wire_dict(self, mode: WireMode) -> dict:
-        from .encoding import bin_to_wire
-
-        xpub = self.require_provisioned()
-        return {
-            wire_key("version", mode): STORE_VERSION,
-            wire_key("device_id", mode): self.device_id,
-            wire_key("device_xpub", mode): bin_to_wire(xpub.serialize(), mode),
-            wire_key("next_session", mode): self.next_j,
-            wire_key("server_counters", mode): {
-                str(k): v for k, v in self.server_counters.items()
-            },
-            wire_key("server_ids", mode): dict(self.server_ids),
-            wire_key("sessions", mode): [
-                s.to_wire_dict(mode) for s in self.sessions
-            ],
-            wire_key("pinned_keys", mode): {
-                origin: bin_to_wire(key, mode)
-                for origin, key in self.pinned_server_keys.items()
-            },
-            wire_key("retired", mode): self.retired,
-        }
-
     @classmethod
-    def from_wire_dict(cls, data: dict, mode: WireMode) -> "AgentStore":
-        from .encoding import bin_from_wire
-
+    def _from_fields(cls, values: dict) -> "AgentStore":
         store = cls()
-        store.device_id = int(require(data, "device_id", mode))
-        store.device_xpub = ExtendedPublicKey.deserialize(
-            bin_from_wire(require(data, "device_xpub", mode), mode)
-        )
-        store.next_j = int(require(data, "next_session", mode))
-        store.server_counters = {
-            int(k): int(v)
-            for k, v in optional(data, "server_counters", mode, {}).items()
-        }
-        store.server_ids = {
-            str(k): int(v) for k, v in optional(data, "server_ids", mode, {}).items()
-        }
-        store.sessions = [
-            SessionRecord.from_wire_dict(raw, mode)
-            for raw in require(data, "sessions", mode)
-        ]
-        store.pinned_server_keys = {
-            str(origin): bin_from_wire(key, mode)
-            for origin, key in optional(data, "pinned_keys", mode, {}).items()
-        }
-        store.retired = bool(optional(data, "retired", mode, False))
+        values.pop("version", None)
+        vars(store).update(values)
         for position in range(len(store.sessions)):
             store._index_session(position)
         return store
 
     def export(self, mode: WireMode = WIRE_MODE) -> bytes:
         """Serialize the store; contains the device *public* key only."""
+        self.require_provisioned()
         return encoding.to_wire(self, mode).encode("utf-8")
 
     @classmethod
@@ -303,7 +274,7 @@ class AgentStore:
                 store = encoding.from_wire(cls, data.decode("utf-8"), mode)
                 store._check_consistency()
                 return store
-            except (MalformedMessage, UnicodeDecodeError, ValueError, KeyError) as exc:
+            except (MalformedMessage, UnicodeDecodeError) as exc:
                 last_error = exc
         raise CorruptStore(str(last_error))
 
@@ -354,11 +325,7 @@ class Agent:
 
     def save(self) -> None:
         if self.store_path:
-            data = self.store.export(WIRE_MODE)
-            tmp = f"{self.store_path}.tmp"
-            with open(tmp, "wb") as fh:
-                fh.write(data)
-            os.replace(tmp, self.store_path)
+            files.write_private(self.store_path, self.store.export(WIRE_MODE))
 
     # --- pinning ----------------------------------------------------------------
 
@@ -606,8 +573,5 @@ class Agent:
             plaintext = hybrid_decrypt(response_secret, box, ACCESS_INFO)
             payload = json.loads(plaintext.decode("utf-8"))
             outcome.payload = payload
-        raw_records = payload.get(wire_key("records", WIRE_MODE), [])
-        outcome.records = [
-            ClientDataRecord.from_wire_dict(raw, WIRE_MODE) for raw in raw_records
-        ]
+        outcome.records = AccessResponse.from_wire_dict(payload, WIRE_MODE).records
         return outcome

@@ -17,7 +17,7 @@ import time
 
 import click
 
-from . import curve, encoding
+from . import curve, encoding, files
 from .agent import Agent, AgentStore
 from .bench import DEFAULT_RUNS, run_bench
 from .encoding import WireMode
@@ -381,9 +381,7 @@ def serve(listen: str, tolerance: int, key_file: str | None, snapshot: str | Non
                 server_key = ServerKey(secret=int(fh.read().strip(), 16))
         else:
             server_key = ServerKey.generate()
-            with open(key_file, "w", encoding="utf-8") as fh:
-                fh.write(f"{server_key.secret:064x}\n")
-            os.chmod(key_file, 0o600)
+            files.write_private(key_file, f"{server_key.secret:064x}\n".encode())
     vcr_server = VcrServer(
         server_key=server_key, tolerance=tolerance, snapshot_path=snapshot
     )
@@ -431,8 +429,7 @@ def export(store: str, out: str, mode: str) -> None:
     """Write the store (device public key and wrappers only) to a file."""
     agent = _agent(store)
     data = agent.store.export(WireMode(mode))
-    with open(out, "wb") as fh:
-        fh.write(data)
+    files.write_private(out, data)
     click.echo(json.dumps({"ok": True, "bytes": len(data), "out": out}))
 
 

@@ -13,17 +13,29 @@ Two distinct encodings live here:
   urlsafe base64, and history entries as URL paths only. VERBOSE keeps long
   names, ISO-8601 timestamps, hex binaries and full URLs. Both decode to
   equal in-memory messages; nothing on the JSON path is ever signed.
+
+Each message is described once: a ``Message`` subclass lists its fields in
+wire order as ``FIELDS``, each with a kind (``STR``, ``TIME``, ``BIN``,
+``integer``, ``fixed``, ``nested``, ``list_of``, ``map_of``, ...). Both JSON
+modes and the canonical writer and reader are derived from that list; the
+per-mode key tables are built once, when the class is defined.
 """
 
 from __future__ import annotations
 
-import base64
 import binascii
 import json
+from dataclasses import KW_ONLY, dataclass
 from datetime import datetime, timezone
 from enum import Enum
+from functools import partial
 
-from .errors import MalformedMessage, UnencodableField
+from .errors import (
+    InvalidPublicKey,
+    MalformedMessage,
+    MalformedWrapper,
+    UnencodableField,
+)
 
 MAX_FIELD_BYTES = 1 << 20
 MAX_LIST_ITEMS = 1 << 16
@@ -192,27 +204,50 @@ class CanonicalReader:
             raise MalformedMessage("trailing bytes after canonical message")
 
 
-# --- JSON wire helpers -------------------------------------------------------
+# --- field kinds -------------------------------------------------------------
 
-def bin_to_wire(data: bytes, mode: WireMode) -> str:
-    if mode is WireMode.OPTIMIZED:
-        return base64.urlsafe_b64encode(data).rstrip(b"=").decode("ascii")
-    return data.hex()
+def _same(value):
+    return value
 
 
-def bin_from_wire(text: str, mode: WireMode) -> bytes:
-    try:
-        if mode is WireMode.OPTIMIZED:
-            pad = "=" * (-len(text) % 4)
-            return base64.urlsafe_b64decode(text + pad)
-        return bytes.fromhex(text)
-    except (binascii.Error, ValueError) as exc:
-        raise MalformedMessage(f"bad binary field: {exc}") from None
+def _modes(optimized, verbose=None) -> dict:
+    return {WireMode.OPTIMIZED: optimized, WireMode.VERBOSE: verbose or optimized}
 
 
-def time_to_wire(ts: int, mode: WireMode):
-    if mode is WireMode.OPTIMIZED:
-        return int(ts)
+def _lift(table: dict, make) -> dict:
+    """Per-mode functions built by ``make`` from ``table``'s."""
+    return {mode: make(fn) for mode, fn in table.items()}
+
+
+class Kind:
+    """How one field value is written: ``write(w, value)`` and ``read(r)``
+    for the canonical form (None for kinds that have none), and per JSON
+    mode ``encode[mode](value)`` and ``decode[mode](raw)``."""
+
+    def __init__(self, write=None, read=None, encode=None, decode=None) -> None:
+        self.write = write
+        self.read = read
+        self.encode = encode or _modes(_same)
+        self.decode = decode or _modes(_same)
+
+
+# Unpadded urlsafe base64, straight through binascii: the base64 module's
+# wrappers cost more than the conversion for these short fields.
+_TO_URLSAFE = bytes.maketrans(b"+/", b"-_")
+_FROM_URLSAFE = bytes.maketrans(b"-_", b"+/")
+
+
+def _b64_encode(data: bytes) -> str:
+    encoded = binascii.b2a_base64(data, newline=False).rstrip(b"=")
+    return encoded.translate(_TO_URLSAFE).decode("ascii")
+
+
+def _b64_decode(text: str) -> bytes:
+    data = text.encode("ascii").translate(_FROM_URLSAFE)
+    return binascii.a2b_base64(data + b"=" * (-len(data) % 4))
+
+
+def _iso_from_unix(ts: int) -> str:
     return (
         datetime.fromtimestamp(int(ts), tz=timezone.utc)
         .isoformat()
@@ -220,16 +255,343 @@ def time_to_wire(ts: int, mode: WireMode):
     )
 
 
+def _unix_from_iso(value) -> int:
+    return int(datetime.fromisoformat(str(value).replace("Z", "+00:00")).timestamp())
+
+
+STR = Kind(CanonicalWriter.vstr, CanonicalReader.vstr, decode=_modes(str))
+BOOL = Kind(decode=_modes(bool))
+# Unix seconds: a JSON integer in OPTIMIZED, ISO-8601 text in VERBOSE.
+TIME = Kind(
+    CanonicalWriter.u64,
+    CanonicalReader.u64,
+    _modes(int, _iso_from_unix),
+    _modes(int, _unix_from_iso),
+)
+# Length-prefixed bytes: unpadded urlsafe base64 in OPTIMIZED, hex in VERBOSE.
+BIN = Kind(
+    CanonicalWriter.vbytes,
+    CanonicalReader.vbytes,
+    _modes(_b64_encode, bytes.hex),
+    _modes(_b64_decode, bytes.fromhex),
+)
+
+
+def integer(bits: int = 64) -> Kind:
+    """Unsigned integer; canonical width of 8, 32 or 64 bits."""
+    return Kind(
+        getattr(CanonicalWriter, f"u{bits}"),
+        getattr(CanonicalReader, f"u{bits}"),
+        decode=_modes(int),
+    )
+
+
+def fixed(size: int, check=None) -> Kind:
+    """Bytes of one size. JSON is as for ``BIN`` and does not check the
+    size; ``check`` runs on canonical reads only."""
+
+    def read(r: CanonicalReader) -> bytes:
+        value = r.fixed(size)
+        if check is not None:
+            check(value)
+        return value
+
+    return Kind(lambda w, value: w.fixed(value, size), read, BIN.encode, BIN.decode)
+
+
+def choice(enum, words: dict) -> Kind:
+    """An IntEnum: a u8, its number in OPTIMIZED and its word in VERBOSE."""
+    by_word = {word: member for member, word in words.items()}
+    return Kind(
+        lambda w, value: w.u8(int(value)),
+        lambda r: enum(r.u8()),
+        _modes(int, words.__getitem__),
+        _modes(lambda raw: enum(int(raw)), lambda raw: by_word[str(raw)]),
+    )
+
+
+def converted(kind: Kind, parse, format) -> Kind:
+    """A value held as another type: ``parse`` builds it from ``kind``'s
+    value and ``format`` turns it back."""
+    return Kind(
+        lambda w, value: kind.write(w, format(value)),
+        lambda r: parse(kind.read(r)),
+        _lift(kind.encode, lambda encode: lambda value: encode(format(value))),
+        _lift(kind.decode, lambda decode: lambda raw: parse(decode(raw))),
+    )
+
+
+def maybe(kind: Kind) -> Kind:
+    """A value or None; canonically a presence byte, then the value."""
+
+    def write(w: CanonicalWriter, value) -> None:
+        w.u8(value is not None)
+        if value is not None:
+            kind.write(w, value)
+
+    return Kind(
+        write,
+        lambda r: kind.read(r) if r.u8() else None,
+        _lift(kind.encode, lambda encode: lambda v: None if v is None else encode(v)),
+        _lift(kind.decode, lambda decode: lambda v: None if v is None else decode(v)),
+    )
+
+
+def list_of(kind: Kind, container=tuple) -> Kind:
+    """A sequence held as ``container``; canonically a count, then items."""
+
+    def write(w: CanonicalWriter, value) -> None:
+        w.count(len(value))
+        for item in value:
+            kind.write(w, item)
+
+    return Kind(
+        write,
+        lambda r: container([kind.read(r) for _ in range(r.count())]),
+        _lift(kind.encode, lambda encode: lambda value: list(map(encode, value))),
+        _lift(kind.decode, lambda decode: lambda raw: container(map(decode, raw))),
+    )
+
+
+def map_of(kind: Kind, key=str) -> Kind:
+    """A dict whose keys are str on the wire; ``key`` converts them back."""
+    return Kind(
+        encode=_lift(
+            kind.encode,
+            lambda encode: lambda value: {str(k): encode(v) for k, v in value.items()},
+        ),
+        decode=_lift(
+            kind.decode,
+            lambda decode: lambda raw: {key(k): decode(v) for k, v in raw.items()},
+        ),
+    )
+
+
+def row(*columns: tuple[str, Kind]) -> Kind:
+    """A fixed tuple of named columns: a JSON array in OPTIMIZED, an object
+    keyed by the column names in VERBOSE."""
+    names = [name for name, _ in columns]
+    kinds = [kind for _, kind in columns]
+
+    def write(w: CanonicalWriter, value) -> None:
+        for kind, item in zip(kinds, value):
+            kind.write(w, item)
+
+    optimized, verbose = WireMode.OPTIMIZED, WireMode.VERBOSE
+    to_array = [kind.encode[optimized] for kind in kinds]
+    to_object = [kind.encode[verbose] for kind in kinds]
+    from_array = [kind.decode[optimized] for kind in kinds]
+    from_object = [kind.decode[verbose] for kind in kinds]
+    return Kind(
+        write,
+        lambda r: tuple([kind.read(r) for kind in kinds]),
+        _modes(
+            lambda value: [e(item) for e, item in zip(to_array, value)],
+            lambda value: {n: e(item) for n, e, item in zip(names, to_object, value)},
+        ),
+        _modes(
+            lambda raw: tuple(
+                [d(item) for d, item in zip(from_array, raw, strict=True)]
+            ),
+            lambda raw: tuple([d(raw[n]) for n, d in zip(names, from_object)]),
+        ),
+    )
+
+
+def nested(cls: type["Message"]) -> Kind:
+    """Another message; canonically its tag (if any), then its fields."""
+    return Kind(
+        lambda w, value: value._write_canonical(w),
+        cls._read_canonical,
+        {m: partial(_encode_fields, cls._wire_out[m]) for m in WireMode},
+        {
+            m: partial(_decode_fields, cls._wire_in[m], cls._from_fields)
+            for m in WireMode
+        },
+    )
+
+
+def bin_to_wire(data: bytes, mode: WireMode) -> str:
+    return BIN.encode[mode](data)
+
+
+def time_to_wire(ts: int, mode: WireMode):
+    return TIME.encode[mode](ts)
+
+
 def time_from_wire(value, mode: WireMode) -> int:
     try:
-        if mode is WireMode.OPTIMIZED:
-            return int(value)
-        return int(
-            datetime.fromisoformat(str(value).replace("Z", "+00:00")).timestamp()
-        )
+        return TIME.decode[mode](value)
     except (TypeError, ValueError) as exc:
         raise MalformedMessage(f"bad timestamp: {exc}") from None
 
+
+# --- messages ------------------------------------------------------------------
+
+@dataclass
+class Field:
+    """One message field, in wire order, and how it is written."""
+
+    name: str  # long wire name; WIRE_KEYS gives its letter
+    kind: Kind
+    attr: str = ""  # attribute holding the value, when it is not ``name``
+    _: KW_ONLY
+    optional: bool = False  # may be absent when decoding JSON
+    omit_empty: bool = False  # optional, and left out of the JSON when empty
+    signed: bool = True  # False on the trailing fields no signature covers
+    when: tuple | None = None  # (attr, value): canonical only if attr is value
+    flatten: str | None = None  # nested keys go here; names the one marking it
+    verbose: tuple | None = None  # VERBOSE hook: (encode, decode), see below
+
+    def __post_init__(self) -> None:
+        self.attr = self.attr or self.name
+
+    def json_entries(self, mode: WireMode) -> tuple:
+        """The field's encode and decode steps in ``mode``. A plain field
+        gives (key, attr, encode, omit_empty) and (attr, key, decode,
+        required). A flattened or hooked one gives steps that see the whole
+        message: (None, None, write(message, out), False) and (None, None,
+        read(data, values), False). A ``verbose`` hook's encode gets the
+        message; its decode gets the raw value and the fields decoded so
+        far."""
+        attr = self.attr
+        encode, decode = self.kind.encode[mode], self.kind.decode[mode]
+        if self.flatten:
+            present = wire_key(self.flatten, mode)
+
+            def write(message, out):
+                value = getattr(message, attr)
+                if value is not None:
+                    out.update(encode(value))
+
+            def read(data, values):
+                if data.get(present) is not None:
+                    values[attr] = decode(data)
+
+            return (None, None, write, False), (None, None, read, False)
+        key = wire_key(self.name, mode)
+        if self.verbose is None or mode is not WireMode.VERBOSE:
+            required = not (self.optional or self.omit_empty)
+            return (key, attr, encode, self.omit_empty), (attr, key, decode, required)
+        encode_all, decode_all = self.verbose
+
+        def write(message, out):
+            out[key] = encode_all(message)
+
+        def read(data, values):
+            values[attr] = decode_all(data[key], values)
+
+        return (None, None, write, False), (None, None, read, False)
+
+
+def _encode_fields(steps, message) -> dict:
+    out: dict = {}
+    for key, attr, encode, omit_empty in steps:
+        if key is None:
+            encode(message, out)
+            continue
+        value = getattr(message, attr)
+        if omit_empty and not value:
+            continue
+        out[key] = encode(value)
+    return out
+
+
+def _decode_fields(steps, build, data):
+    values: dict = {}
+    for attr, key, decode, required in steps:
+        if attr is None:
+            decode(data, values)
+        elif key in data:
+            values[attr] = decode(data[key])
+        elif required:
+            raise MalformedMessage(f"missing wire field {attr} ({key})")
+    return build(values)
+
+
+# Errors a field raises on JSON of the wrong shape or type; the decode entry
+# points turn them into the message-level error.
+_DECODE_ERRORS = (TypeError, ValueError, LookupError, AttributeError)
+# Canonical reads also check points and cookies as they build messages.
+_CANONICAL_ERRORS = (
+    MalformedMessage,
+    MalformedWrapper,
+    InvalidPublicKey,
+    *_DECODE_ERRORS,
+)
+
+
+class Message:
+    """Base of every wire message: subclasses list their ``FIELDS`` in wire
+    order and, when the message has a top-level canonical form, its ``TAG``.
+    ``CANONICAL_ERROR`` is what ``from_canonical`` raises on bad bytes."""
+
+    FIELDS: tuple[Field, ...] = ()
+    TAG: int | None = None
+    CANONICAL_ERROR: type[Exception] = MalformedMessage
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._wire_out, cls._wire_in = {}, {}
+        for mode in WireMode:
+            steps = [f.json_entries(mode) for f in cls.FIELDS]
+            cls._wire_out[mode] = tuple(out for out, _ in steps)
+            cls._wire_in[mode] = tuple(step for _, step in steps)
+
+    @classmethod
+    def _from_fields(cls, values: dict):
+        return cls(**values)
+
+    def to_wire_dict(self, mode: WireMode) -> dict:
+        return _encode_fields(self._wire_out[mode], self)
+
+    @classmethod
+    def from_wire_dict(cls, data, mode: WireMode):
+        try:
+            return _decode_fields(cls._wire_in[mode], cls._from_fields, data)
+        except _DECODE_ERRORS as exc:
+            raise MalformedMessage(f"bad {cls.__name__} wire form: {exc!r}") from None
+
+    def _write_canonical(self, w: CanonicalWriter, signed_only: bool = False) -> None:
+        if self.TAG is not None:
+            w.u8(self.TAG)
+        for f in self.FIELDS:
+            if signed_only and not f.signed:
+                break
+            if f.when is None or getattr(self, f.when[0]) is f.when[1]:
+                f.kind.write(w, getattr(self, f.attr))
+
+    @classmethod
+    def _read_canonical(cls, r: CanonicalReader):
+        if cls.TAG is not None and r.u8() != cls.TAG:
+            raise MalformedMessage(f"expected {cls.__name__} tag")
+        values: dict = {}
+        for f in cls.FIELDS:
+            if f.when is None or values[f.when[0]] is f.when[1]:
+                values[f.attr] = f.kind.read(r)
+        return cls._from_fields(values)
+
+    def to_canonical(self, signed_only: bool = False) -> bytes:
+        w = CanonicalWriter()
+        self._write_canonical(w, signed_only)
+        return w.getvalue()
+
+    def signed_canonical(self) -> bytes:
+        """Canonical bytes up to the first field marked ``signed=False``."""
+        return self.to_canonical(signed_only=True)
+
+    @classmethod
+    def from_canonical(cls, data: bytes):
+        r = CanonicalReader(data)
+        try:
+            message = cls._read_canonical(r)
+            r.expect_end()
+        except _CANONICAL_ERRORS as exc:
+            raise cls.CANONICAL_ERROR(str(exc)) from None
+        return message
+
+
+# --- entry points ------------------------------------------------------------
 
 def to_wire(message, mode: WireMode) -> str:
     """Compact JSON text of any message exposing to_wire_dict()."""
@@ -249,17 +611,3 @@ def from_wire(cls, text: str, mode: WireMode):
 def byte_size(message, mode: WireMode) -> int:
     """Wire size in bytes; the quantity the storage tables measure."""
     return len(to_wire(message, mode).encode("utf-8"))
-
-
-def require(data: dict, name: str, mode: WireMode):
-    """Fetch a wire field by long name, honoring the mode's key map."""
-    key = wire_key(name, mode)
-    if not isinstance(data, dict) or key not in data:
-        raise MalformedMessage(f"missing wire field {name} ({key})")
-    return data[key]
-
-
-def optional(data: dict, name: str, mode: WireMode, default=None):
-    if not isinstance(data, dict):
-        raise MalformedMessage("wire message is not an object")
-    return data.get(wire_key(name, mode), default)

@@ -17,16 +17,8 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 from . import curve
-from .encoding import (
-    TAG_SEALED,
-    CanonicalReader,
-    CanonicalWriter,
-    WireMode,
-    bin_from_wire,
-    bin_to_wire,
-    require,
-)
-from .errors import DecryptFailed, InvalidPublicKey, MalformedMessage
+from .encoding import BIN, TAG_SEALED, Field, Message, fixed
+from .errors import DecryptFailed, InvalidPublicKey
 
 NONCE_BYTES = 12
 POINT_BYTES = 33
@@ -42,52 +34,19 @@ def _derive_key(shared: bytes, ephemeral_pub: bytes, recipient_pub: bytes, info:
 
 
 @dataclass(frozen=True)
-class HybridCiphertext:
+class HybridCiphertext(Message):
     """Ephemeral public key, AEAD nonce and ciphertext (tag included)."""
+
+    TAG = TAG_SEALED
+    FIELDS = (
+        Field("ephemeral_pubkey", fixed(POINT_BYTES)),
+        Field("nonce", fixed(NONCE_BYTES)),
+        Field("ciphertext", BIN),
+    )
 
     ephemeral_pubkey: bytes
     nonce: bytes
     ciphertext: bytes
-
-    def to_canonical(self) -> bytes:
-        w = CanonicalWriter()
-        w.u8(TAG_SEALED)
-        w.fixed(self.ephemeral_pubkey, POINT_BYTES)
-        w.fixed(self.nonce, NONCE_BYTES)
-        w.vbytes(self.ciphertext)
-        return w.getvalue()
-
-    @classmethod
-    def from_canonical(cls, data: bytes) -> "HybridCiphertext":
-        r = CanonicalReader(data)
-        if r.u8() != TAG_SEALED:
-            raise MalformedMessage("expected sealed message tag")
-        box = cls(
-            ephemeral_pubkey=r.fixed(POINT_BYTES),
-            nonce=r.fixed(NONCE_BYTES),
-            ciphertext=r.vbytes(),
-        )
-        r.expect_end()
-        return box
-
-    def to_wire_dict(self, mode: WireMode) -> dict:
-        from .encoding import wire_key as k
-
-        return {
-            k("ephemeral_pubkey", mode): bin_to_wire(self.ephemeral_pubkey, mode),
-            k("nonce", mode): bin_to_wire(self.nonce, mode),
-            k("ciphertext", mode): bin_to_wire(self.ciphertext, mode),
-        }
-
-    @classmethod
-    def from_wire_dict(cls, data: dict, mode: WireMode) -> "HybridCiphertext":
-        return cls(
-            ephemeral_pubkey=bin_from_wire(
-                require(data, "ephemeral_pubkey", mode), mode
-            ),
-            nonce=bin_from_wire(require(data, "nonce", mode), mode),
-            ciphertext=bin_from_wire(require(data, "ciphertext", mode), mode),
-        )
 
 
 def hybrid_encrypt(recipient_pub: bytes, plaintext: bytes, info: bytes) -> HybridCiphertext:

@@ -19,8 +19,20 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlsplit
 
-from . import encoding
-from .encoding import WireMode, optional, require, wire_key
+from . import encoding, files
+from .encoding import (
+    STR,
+    TIME,
+    Field,
+    Message,
+    WireMode,
+    fixed,
+    list_of,
+    map_of,
+    nested,
+    row,
+    wire_key,
+)
 from .errors import (
     InvalidPublicKey,
     MalformedBody,
@@ -39,6 +51,8 @@ from .vcr import (
     verify_vcr,
 )
 from .wrapper import (
+    KEY_ID_BYTES,
+    POINT_BYTES,
     ClientId,
     MultiSigPolicy,
     ServerKey,
@@ -65,59 +79,44 @@ ACCESS_INFO = b"vcr-access-v1"
 MAX_BODY_BYTES = 1 << 20
 
 
+# One page visit: (unix time, URL path).
+VISIT = row(("visit_time", TIME), ("visit_url", STR))
+
+
 @dataclass
-class ClientDataRecord:
+class ClientDataRecord(Message):
     """Everything the server holds about one client id."""
+
+    FIELDS = (
+        Field("client_id", nested(ClientId)),
+        Field("visits", list_of(VISIT, list)),
+        Field("attributes", map_of(STR), optional=True),
+    )
 
     client_id: ClientId
     visits: list[tuple[int, str]] = field(default_factory=list)
     attributes: dict[str, str] = field(default_factory=dict)
 
-    def to_wire_dict(self, mode: WireMode) -> dict:
-        from .encoding import time_to_wire
 
-        if mode is WireMode.OPTIMIZED:
-            visits = [[int(ts), path] for ts, path in self.visits]
-        else:
-            visits = [
-                {"visit_time": time_to_wire(ts, mode), "visit_url": path}
-                for ts, path in self.visits
-            ]
-        return {
-            wire_key("client_id", mode): self.client_id.to_wire_dict(mode),
-            wire_key("visits", mode): visits,
-            wire_key("attributes", mode): dict(self.attributes),
-        }
+@dataclass
+class AccessResponse(Message):
+    """ACCESS success body; with a response key, the sealed payload."""
 
-    @classmethod
-    def from_wire_dict(cls, data: dict, mode: WireMode) -> "ClientDataRecord":
-        from .encoding import time_from_wire
+    FIELDS = (Field("records", list_of(nested(ClientDataRecord), list), optional=True),)
 
-        raw_visits = require(data, "visits", mode)
-        try:
-            if mode is WireMode.OPTIMIZED:
-                visits = [(int(ts), str(path)) for ts, path in raw_visits]
-            else:
-                visits = [
-                    (time_from_wire(v["visit_time"], mode), str(v["visit_url"]))
-                    for v in raw_visits
-                ]
-            attributes = {
-                str(k): str(v)
-                for k, v in optional(data, "attributes", mode, {}).items()
-            }
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedMessage(f"bad data record: {exc}") from None
-        return cls(
-            client_id=ClientId.from_wire_dict(require(data, "client_id", mode), mode),
-            visits=visits,
-            attributes=attributes,
-        )
+    records: list[ClientDataRecord] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
-class EndpointAdvertisement:
+class EndpointAdvertisement(Message):
     """What a page response tells the client about protocol support."""
+
+    FIELDS = (
+        Field("wrapper_endpoint", STR),
+        Field("vcr_endpoint", STR),
+        Field("server_pubkey", fixed(POINT_BYTES)),
+        Field("server_key_id", fixed(KEY_ID_BYTES)),
+    )
 
     wrapper_endpoint: str
     vcr_endpoint: str
@@ -157,41 +156,14 @@ class EndpointAdvertisement:
         except ValueError as exc:
             raise MalformedMessage(f"bad advertisement: {exc}") from None
 
-    def to_wire_dict(self, mode: WireMode) -> dict:
-        from .encoding import bin_to_wire
-
-        return {
-            wire_key("wrapper_endpoint", mode): self.wrapper_endpoint,
-            wire_key("vcr_endpoint", mode): self.vcr_endpoint,
-            wire_key("server_pubkey", mode): bin_to_wire(self.server_pubkey, mode),
-            wire_key("server_key_id", mode): bin_to_wire(self.server_key_id, mode),
-        }
-
-    @classmethod
-    def from_wire_dict(cls, data: dict, mode: WireMode) -> "EndpointAdvertisement":
-        from .encoding import bin_from_wire
-
-        return cls(
-            wrapper_endpoint=str(require(data, "wrapper_endpoint", mode)),
-            vcr_endpoint=str(require(data, "vcr_endpoint", mode)),
-            server_pubkey=bin_from_wire(require(data, "server_pubkey", mode), mode),
-            server_key_id=bin_from_wire(require(data, "server_key_id", mode), mode),
-        )
-
 
 def encrypt_access_response(
     records: list[ClientDataRecord], client_pub: bytes
 ) -> HybridCiphertext:
     """Encrypt the ACCESS payload to the request's metadata key: a fresh
     symmetric key per response, wrapped via ephemeral ECDH."""
-    payload = json.dumps(
-        {
-            wire_key("records", WIRE_MODE): [
-                r.to_wire_dict(WIRE_MODE) for r in records
-            ]
-        },
-        separators=(",", ":"),
-    ).encode()
+    body = AccessResponse(records).to_wire_dict(WIRE_MODE)
+    payload = json.dumps(body, separators=(",", ":")).encode()
     return hybrid_encrypt(client_pub, payload, ACCESS_INFO)
 
 
@@ -334,11 +306,7 @@ class VcrServer:
         if action.response_pubkey is not None:
             box = encrypt_access_response(snapshot, action.response_pubkey)
             return 200, box.to_wire_dict(WIRE_MODE)
-        return 200, {
-            wire_key("records", WIRE_MODE): [
-                r.to_wire_dict(WIRE_MODE) for r in snapshot
-            ]
-        }
+        return 200, AccessResponse(snapshot).to_wire_dict(WIRE_MODE)
 
     def _fulfill_modify(self, cookie_values, action) -> tuple[int, dict]:
         with self._lock:
@@ -373,8 +341,7 @@ class VcrServer:
             return
         with self._lock:
             payload = [r.to_wire_dict(WIRE_MODE) for r in self._records.values()]
-        with open(self.snapshot_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+        files.write_private(self.snapshot_path, json.dumps(payload).encode())
 
     def _load_snapshot(self) -> None:
         try:
@@ -453,6 +420,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:
         path = urlsplit(self.path).path
+        if "Transfer-Encoding" in self.headers:  # RFC 9112 §6.1: none implemented
+            self._refuse(501, "UnsupportedTransferEncoding")
+            return
         raw_length = self.headers.get("Content-Length", "0")
         if not (raw_length.isascii() and raw_length.isdigit()):  # RFC 9110 §8.6
             self._refuse(400, MalformedBody("bad Content-Length").code)

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from . import curve, errors
+from . import curve, errors, files
 from .errors import (
     DeviceRetired,
     Locked,
@@ -73,15 +73,6 @@ def _derive_file_key(passphrase: str, salt: bytes) -> bytes:
         maxmem=64 * 1024 * 1024,
         dklen=32,
     )
-
-
-def _atomic_write(path: str, data: bytes) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
 
 
 class SignerState:
@@ -174,7 +165,7 @@ class SignerState:
             "nonce": nonce.hex(),
             "ciphertext": ciphertext.hex(),
         }
-        _atomic_write(self._state_path, json.dumps(envelope).encode())
+        files.write_private(self._state_path, json.dumps(envelope).encode())
 
     def lock(self) -> None:
         """Drop key material; every signing op afterwards raises Locked."""

@@ -17,14 +17,19 @@ from enum import IntEnum
 
 from . import curve
 from .encoding import (
+    STR,
     TAG_VCR_BODY,
-    CanonicalReader,
-    CanonicalWriter,
-    WireMode,
-    bin_from_wire,
-    bin_to_wire,
-    optional,
-    require,
+    TIME,
+    Field,
+    Message,
+    choice,
+    converted,
+    fixed,
+    integer,
+    list_of,
+    maybe,
+    nested,
+    row,
 )
 from .errors import (
     BadRequestSignature,
@@ -46,7 +51,7 @@ from .errors import (
 )
 from .keyhier import DerivationPath, ExtendedPublicKey, derive_child_pub
 from .sealing import HybridCiphertext, hybrid_decrypt, hybrid_encrypt
-from .wrapper import SIGNATURE_BYTES, ClientId, Wrapper, verify_wrapper
+from .wrapper import POINT_BYTES, SIGNATURE_BYTES, ClientId, Wrapper, verify_wrapper
 
 VCR_VERSION = 1
 DEFAULT_TOLERANCE_SECONDS = 300
@@ -67,17 +72,37 @@ _KIND_NAMES = {
     ActionKind.MODIFY: "modify",
     ActionKind.DELETE: "delete",
 }
-_KIND_BY_NAME = {v: k for k, v in _KIND_NAMES.items()}
+
+
+_CHANGE = row(("field", STR), ("old_value", STR), ("new_value", STR))
 
 
 @dataclass(frozen=True)
-class VcrAction:
+class VcrAction(Message):
     """Requested operation plus its action metadata.
 
     ACCESS may carry a response-encryption public key; MODIFY carries
     (field, old_value, new_value) triples — old values are mandatory so a
     replayed or reordered MODIFY cannot silently overwrite fresher data.
     """
+
+    # The canonical body after the kind byte depends on the kind: ACCESS
+    # has the optional key, MODIFY the triples, DELETE nothing.
+    FIELDS = (
+        Field("kind", choice(ActionKind, _KIND_NAMES)),
+        Field(
+            "response_pubkey",
+            maybe(fixed(POINT_BYTES)),
+            omit_empty=True,
+            when=("kind", ActionKind.ACCESS),
+        ),
+        Field(
+            "changes",
+            list_of(_CHANGE),
+            omit_empty=True,
+            when=("kind", ActionKind.MODIFY),
+        ),
+    )
 
     kind: ActionKind
     response_pubkey: bytes | None = None
@@ -97,118 +122,52 @@ class VcrAction:
         if self.response_pubkey is not None:
             curve.decompress(self.response_pubkey)
 
-    def write_canonical(self, w: CanonicalWriter) -> None:
-        w.u8(int(self.kind))
-        if self.kind is ActionKind.ACCESS:
-            if self.response_pubkey is None:
-                w.u8(0)
-            else:
-                w.u8(1)
-                w.fixed(self.response_pubkey, 33)
-        elif self.kind is ActionKind.MODIFY:
-            w.count(len(self.changes))
-            for name, old, new in self.changes:
-                w.vstr(name)
-                w.vstr(old)
-                w.vstr(new)
 
-    @classmethod
-    def read_canonical(cls, r: CanonicalReader) -> "VcrAction":
-        try:
-            kind = ActionKind(r.u8())
-        except ValueError as exc:
-            raise MalformedMessage(str(exc)) from None
-        response_pubkey = None
-        changes: tuple[tuple[str, str, str], ...] = ()
-        if kind is ActionKind.ACCESS:
-            if r.u8():
-                response_pubkey = r.fixed(33)
-        elif kind is ActionKind.MODIFY:
-            changes = tuple(
-                (r.vstr(), r.vstr(), r.vstr()) for _ in range(r.count())
-            )
-        return cls(kind=kind, response_pubkey=response_pubkey, changes=changes)
+def _parse_xpub(data: bytes) -> ExtendedPublicKey:
+    try:
+        return ExtendedPublicKey.deserialize(data)
+    except (MalformedPath, InvalidPublicKey) as exc:
+        raise MalformedMessage(f"bad extended public key: {exc}") from None
 
-    def to_wire_dict(self, mode: WireMode) -> dict:
-        from .encoding import wire_key as k
 
-        out: dict = {
-            k("kind", mode): (
-                int(self.kind)
-                if mode is WireMode.OPTIMIZED
-                else _KIND_NAMES[self.kind]
-            )
-        }
-        if self.response_pubkey is not None:
-            out[k("response_pubkey", mode)] = bin_to_wire(self.response_pubkey, mode)
-        if self.changes:
-            if mode is WireMode.OPTIMIZED:
-                out[k("changes", mode)] = [list(c) for c in self.changes]
-            else:
-                out[k("changes", mode)] = [
-                    {"field": f, "old_value": o, "new_value": n}
-                    for f, o, n in self.changes
-                ]
-        return out
-
-    @classmethod
-    def from_wire_dict(cls, data: dict, mode: WireMode) -> "VcrAction":
-        raw_kind = require(data, "kind", mode)
-        try:
-            kind = (
-                ActionKind(int(raw_kind))
-                if mode is WireMode.OPTIMIZED
-                else _KIND_BY_NAME[str(raw_kind)]
-            )
-        except (KeyError, ValueError) as exc:
-            raise MalformedMessage(f"bad action kind: {exc}") from None
-        raw_key = optional(data, "response_pubkey", mode)
-        raw_changes = optional(data, "changes", mode, [])
-        try:
-            if mode is WireMode.OPTIMIZED:
-                changes = tuple((str(f), str(o), str(n)) for f, o, n in raw_changes)
-            else:
-                changes = tuple(
-                    (str(c["field"]), str(c["old_value"]), str(c["new_value"]))
-                    for c in raw_changes
-                )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedMessage(f"bad change triples: {exc}") from None
-        return cls(
-            kind=kind,
-            response_pubkey=(
-                bin_from_wire(raw_key, mode) if raw_key is not None else None
-            ),
-            changes=changes,
-        )
+# A 71-byte serialized extended public key.
+XPUB = converted(fixed(71), _parse_xpub, ExtendedPublicKey.serialize)
 
 
 @dataclass(frozen=True)
-class UnifiedProof:
+class UnifiedProof(Message):
     """Server-scoped parent public key and the session index under it for
     each wrapper, aligned positionally with the request's wrapper list."""
+
+    FIELDS = (
+        Field("unified_xpub", XPUB, "server_xpub"),
+        Field("session_indices", list_of(integer(32))),
+    )
 
     server_xpub: ExtendedPublicKey
     session_indices: tuple[int, ...]
 
-    def write_canonical(self, w: CanonicalWriter) -> None:
-        w.fixed(self.server_xpub.serialize(), 71)
-        w.count(len(self.session_indices))
-        for j in self.session_indices:
-            w.u32(j)
-
-    @classmethod
-    def read_canonical(cls, r: CanonicalReader) -> "UnifiedProof":
-        try:
-            xpub = ExtendedPublicKey.deserialize(r.fixed(71))
-        except (MalformedPath, InvalidPublicKey, ValueError) as exc:
-            raise MalformedMessage(f"bad unified key: {exc}") from None
-        indices = tuple(r.u32() for _ in range(r.count()))
-        return cls(server_xpub=xpub, session_indices=indices)
-
 
 @dataclass(frozen=True)
-class VcrRequest:
+class VcrRequest(Message):
+    TAG = TAG_VCR_BODY
+    # Every request signature covers the fields up to ``unified``; the
+    # unified proof's keys sit at the top level of the JSON object.
+    FIELDS = (
+        Field("version", integer(8)),
+        Field("wrappers", list_of(nested(Wrapper))),
+        Field("action", nested(VcrAction)),
+        Field("timestamp", TIME),
+        Field(
+            "unified",
+            maybe(nested(UnifiedProof)),
+            omit_empty=True,
+            flatten="unified_xpub",
+        ),
+        Field("signer_paths", list_of(STR), omit_empty=True, signed=False),
+        Field("signatures", list_of(fixed(SIGNATURE_BYTES)), signed=False),
+    )
+
     version: int
     wrappers: tuple[Wrapper, ...]
     action: VcrAction
@@ -217,126 +176,12 @@ class VcrRequest:
     signer_paths: tuple[str, ...] = ()
     signatures: tuple[bytes, ...] = ()
 
-    def _write_signed_fields(self, w: CanonicalWriter) -> None:
-        w.u8(TAG_VCR_BODY)
-        w.u8(self.version)
-        w.count(len(self.wrappers))
-        for wrapper in self.wrappers:
-            wrapper.write_canonical(w)
-        self.action.write_canonical(w)
-        w.u64(self.timestamp)
-        if self.unified is None:
-            w.u8(0)
-        else:
-            w.u8(1)
-            self.unified.write_canonical(w)
-
-    def signed_body(self) -> bytes:
-        """The exact bytes covered by every request signature."""
-        w = CanonicalWriter()
-        self._write_signed_fields(w)
-        return w.getvalue()
+    signed_body = Message.signed_canonical
 
     def digest(self) -> bytes:
         """Replay digest: hash of the signed body, signatures excluded,
         so re-signing the same body is still a replay."""
         return curve.sha256(self.signed_body())
-
-    def to_canonical(self) -> bytes:
-        w = CanonicalWriter()
-        self._write_signed_fields(w)
-        w.count(len(self.signer_paths))
-        for path in self.signer_paths:
-            w.vstr(path)
-        w.count(len(self.signatures))
-        for sig in self.signatures:
-            w.fixed(sig, SIGNATURE_BYTES)
-        return w.getvalue()
-
-    @classmethod
-    def from_canonical(cls, data: bytes) -> "VcrRequest":
-        r = CanonicalReader(data)
-        try:
-            if r.u8() != TAG_VCR_BODY:
-                raise MalformedMessage("expected request tag")
-            version = r.u8()
-            wrappers = tuple(Wrapper.read_canonical(r) for _ in range(r.count()))
-            action = VcrAction.read_canonical(r)
-            timestamp = r.u64()
-            unified = UnifiedProof.read_canonical(r) if r.u8() else None
-            paths = tuple(r.vstr() for _ in range(r.count()))
-            sigs = tuple(r.fixed(SIGNATURE_BYTES) for _ in range(r.count()))
-            r.expect_end()
-        except (InvalidPublicKey, MalformedWrapper) as exc:
-            raise MalformedMessage(str(exc)) from None
-        return cls(
-            version=version,
-            wrappers=wrappers,
-            action=action,
-            timestamp=timestamp,
-            unified=unified,
-            signer_paths=paths,
-            signatures=sigs,
-        )
-
-    def to_wire_dict(self, mode: WireMode) -> dict:
-        from .encoding import time_to_wire, wire_key as k
-
-        out = {
-            k("version", mode): self.version,
-            k("wrappers", mode): [w.to_wire_dict(mode) for w in self.wrappers],
-            k("action", mode): self.action.to_wire_dict(mode),
-            k("timestamp", mode): time_to_wire(self.timestamp, mode),
-        }
-        if self.unified is not None:
-            out[k("unified_xpub", mode)] = bin_to_wire(
-                self.unified.server_xpub.serialize(), mode
-            )
-            out[k("session_indices", mode)] = list(self.unified.session_indices)
-        if self.signer_paths:
-            out[k("signer_paths", mode)] = list(self.signer_paths)
-        out[k("signatures", mode)] = [bin_to_wire(s, mode) for s in self.signatures]
-        return out
-
-    @classmethod
-    def from_wire_dict(cls, data: dict, mode: WireMode) -> "VcrRequest":
-        from .encoding import time_from_wire
-
-        raw_xpub = optional(data, "unified_xpub", mode)
-        unified = None
-        if raw_xpub is not None:
-            raw_indices = require(data, "session_indices", mode)
-            try:
-                unified = UnifiedProof(
-                    server_xpub=ExtendedPublicKey.deserialize(
-                        bin_from_wire(raw_xpub, mode)
-                    ),
-                    session_indices=tuple(int(j) for j in raw_indices),
-                )
-            except (TypeError, ValueError, MalformedPath, InvalidPublicKey) as exc:
-                raise MalformedMessage(f"bad unified proof: {exc}") from None
-        try:
-            return cls(
-                version=int(require(data, "version", mode)),
-                wrappers=tuple(
-                    Wrapper.from_wire_dict(w, mode)
-                    for w in require(data, "wrappers", mode)
-                ),
-                action=VcrAction.from_wire_dict(require(data, "action", mode), mode),
-                timestamp=time_from_wire(require(data, "timestamp", mode), mode),
-                unified=unified,
-                signer_paths=tuple(
-                    str(p) for p in optional(data, "signer_paths", mode, [])
-                ),
-                signatures=tuple(
-                    bin_from_wire(s, mode)
-                    for s in require(data, "signatures", mode)
-                ),
-            )
-        except (TypeError, ValueError) as exc:
-            raise MalformedMessage(f"bad request wire form: {exc}") from None
-
-
 @dataclass(frozen=True)
 class VerifiedRequest:
     """Outcome of successful verification: who (cookies) and what (action)."""

@@ -9,26 +9,27 @@ need all n signatures.
 from __future__ import annotations
 
 import uuid
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from . import curve
 from .encoding import (
+    STR,
     TAG_CLIENT_ID,
     TAG_WRAPPER,
-    CanonicalReader,
-    CanonicalWriter,
-    WireMode,
-    bin_from_wire,
-    bin_to_wire,
-    require,
+    TIME,
+    Field,
+    Message,
+    fixed,
+    integer,
+    list_of,
+    nested,
 )
 from .errors import (
     BadSignature,
     ClientIdMismatch,
     ClockUnavailable,
     InvalidPublicKey,
-    MalformedMessage,
     MalformedWrapper,
     PublicKeyMismatch,
     UnknownServerKey,
@@ -43,9 +44,16 @@ MAX_COOKIE_NAME = 64
 MAX_COOKIE_VALUE = 256
 
 
+def _check_point(point: bytes) -> None:
+    curve.decompress(point)
+
+
 @dataclass(frozen=True)
-class ClientId:
+class ClientId(Message):
     """One session cookie as (name, value)."""
+
+    TAG = TAG_CLIENT_ID
+    FIELDS = (Field("cookie_name", STR), Field("cookie_value", STR))
 
     cookie_name: str
     cookie_value: str
@@ -55,32 +63,6 @@ class ClientId:
             raise MalformedWrapper("cookie name empty or too long")
         if not self.cookie_value or len(self.cookie_value.encode()) > MAX_COOKIE_VALUE:
             raise MalformedWrapper("cookie value empty or too long")
-
-    def write_canonical(self, w: CanonicalWriter) -> None:
-        w.u8(TAG_CLIENT_ID)
-        w.vstr(self.cookie_name)
-        w.vstr(self.cookie_value)
-
-    @classmethod
-    def read_canonical(cls, r: CanonicalReader) -> "ClientId":
-        if r.u8() != TAG_CLIENT_ID:
-            raise MalformedMessage("expected client id tag")
-        return cls(cookie_name=r.vstr(), cookie_value=r.vstr())
-
-    def to_wire_dict(self, mode: WireMode) -> dict:
-        from .encoding import wire_key as k
-
-        return {
-            k("cookie_name", mode): self.cookie_name,
-            k("cookie_value", mode): self.cookie_value,
-        }
-
-    @classmethod
-    def from_wire_dict(cls, data: dict, mode: WireMode) -> "ClientId":
-        return cls(
-            cookie_name=str(require(data, "cookie_name", mode)),
-            cookie_value=str(require(data, "cookie_value", mode)),
-        )
 
 
 @dataclass(frozen=True)
@@ -105,7 +87,7 @@ class MultiSigPolicy:
 class ServerKey:
     """The server's long-term signing key; key id = sha256(pubkey)[:8]."""
 
-    secret: int
+    secret: int = field(repr=False)  # keep the scalar out of logs and tracebacks
 
     @cached_property
     def public_point(self) -> bytes:
@@ -124,7 +106,20 @@ class ServerKey:
 
 
 @dataclass(frozen=True)
-class Wrapper:
+class Wrapper(Message):
+    TAG = TAG_WRAPPER
+    # Canonical reads check every embedded point; JSON reads leave that to
+    # verify_wrapper.
+    FIELDS = (
+        Field("version", integer(8)),
+        Field("client_id", nested(ClientId)),
+        Field("vcr_pubkeys", list_of(fixed(POINT_BYTES, check=_check_point))),
+        Field("issued_at", TIME),
+        Field("server_key_id", fixed(KEY_ID_BYTES)),
+        Field("signature", fixed(SIGNATURE_BYTES), signed=False),
+    )
+    CANONICAL_ERROR = MalformedWrapper
+
     version: int
     client_id: ClientId
     vcr_pubkeys: tuple[bytes, ...]
@@ -132,131 +127,20 @@ class Wrapper:
     server_key_id: bytes
     signature: bytes
 
-    def _write_signed_fields(self, w: CanonicalWriter) -> None:
-        w.u8(TAG_WRAPPER)
-        w.u8(self.version)
-        self.client_id.write_canonical(w)
-        w.count(len(self.vcr_pubkeys))
-        for point in self.vcr_pubkeys:
-            w.fixed(point, POINT_BYTES)
-        w.u64(self.issued_at)
-        w.fixed(self.server_key_id, KEY_ID_BYTES)
-
-    def signed_payload(self) -> bytes:
-        w = CanonicalWriter()
-        self._write_signed_fields(w)
-        return w.getvalue()
-
-    def write_canonical(self, w: CanonicalWriter) -> None:
-        self._write_signed_fields(w)
-        w.fixed(self.signature, SIGNATURE_BYTES)
-
-    def to_canonical(self) -> bytes:
-        w = CanonicalWriter()
-        self.write_canonical(w)
-        return w.getvalue()
-
-    @classmethod
-    def read_canonical(cls, r: CanonicalReader) -> "Wrapper":
-        if r.u8() != TAG_WRAPPER:
-            raise MalformedMessage("expected wrapper tag")
-        version = r.u8()
-        client_id = ClientId.read_canonical(r)
-        keys = tuple(r.fixed(POINT_BYTES) for _ in range(r.count()))
-        issued_at = r.u64()
-        key_id = r.fixed(KEY_ID_BYTES)
-        signature = r.fixed(SIGNATURE_BYTES)
-        wrapper = cls(
-            version=version,
-            client_id=client_id,
-            vcr_pubkeys=keys,
-            issued_at=issued_at,
-            server_key_id=key_id,
-            signature=signature,
-        )
-        for point in keys:
-            curve.decompress(point)
-        return wrapper
-
-    @classmethod
-    def from_canonical(cls, data: bytes) -> "Wrapper":
-        r = CanonicalReader(data)
-        try:
-            wrapper = cls.read_canonical(r)
-            r.expect_end()
-        except (MalformedMessage, InvalidPublicKey, MalformedWrapper) as exc:
-            raise MalformedWrapper(str(exc)) from None
-        return wrapper
-
-    def to_wire_dict(self, mode: WireMode) -> dict:
-        from .encoding import time_to_wire, wire_key as k
-
-        return {
-            k("version", mode): self.version,
-            k("client_id", mode): self.client_id.to_wire_dict(mode),
-            k("vcr_pubkeys", mode): [
-                bin_to_wire(p, mode) for p in self.vcr_pubkeys
-            ],
-            k("issued_at", mode): time_to_wire(self.issued_at, mode),
-            k("server_key_id", mode): bin_to_wire(self.server_key_id, mode),
-            k("signature", mode): bin_to_wire(self.signature, mode),
-        }
-
-    @classmethod
-    def from_wire_dict(cls, data: dict, mode: WireMode) -> "Wrapper":
-        from .encoding import time_from_wire
-
-        try:
-            return cls(
-                version=int(require(data, "version", mode)),
-                client_id=ClientId.from_wire_dict(
-                    require(data, "client_id", mode), mode
-                ),
-                vcr_pubkeys=tuple(
-                    bin_from_wire(p, mode)
-                    for p in require(data, "vcr_pubkeys", mode)
-                ),
-                issued_at=time_from_wire(require(data, "issued_at", mode), mode),
-                server_key_id=bin_from_wire(
-                    require(data, "server_key_id", mode), mode
-                ),
-                signature=bin_from_wire(require(data, "signature", mode), mode),
-            )
-        except (TypeError, ValueError) as exc:
-            raise MalformedMessage(f"bad wrapper wire form: {exc}") from None
+    signed_payload = Message.signed_canonical
 
 
 @dataclass(frozen=True)
-class WrapperRequest:
+class WrapperRequest(Message):
     """POST body sent to the wrapper issuance endpoint."""
+
+    FIELDS = (
+        Field("client_id", nested(ClientId)),
+        Field("vcr_pubkeys", list_of(fixed(POINT_BYTES))),
+    )
 
     client_id: ClientId
     vcr_pubkeys: tuple[bytes, ...]
-
-    def to_wire_dict(self, mode: WireMode) -> dict:
-        from .encoding import wire_key as k
-
-        return {
-            k("client_id", mode): self.client_id.to_wire_dict(mode),
-            k("vcr_pubkeys", mode): [
-                bin_to_wire(p, mode) for p in self.vcr_pubkeys
-            ],
-        }
-
-    @classmethod
-    def from_wire_dict(cls, data: dict, mode: WireMode) -> "WrapperRequest":
-        try:
-            return cls(
-                client_id=ClientId.from_wire_dict(
-                    require(data, "client_id", mode), mode
-                ),
-                vcr_pubkeys=tuple(
-                    bin_from_wire(p, mode)
-                    for p in require(data, "vcr_pubkeys", mode)
-                ),
-            )
-        except (TypeError, ValueError) as exc:
-            raise MalformedMessage(f"bad wrapper request: {exc}") from None
 
 
 def issue_wrapper(

@@ -368,3 +368,12 @@ def test_unified_sessions_use_server_scoped_paths(loopback, tmp_path):
         assert str(session.path) == f"m/0/0/{expected_j}"
     assert agent.store.server_counters == {0: 3}
     assert agent.store.next_j == 0  # plain counter untouched
+
+
+@pytest.mark.parametrize("key, value", [("S", [1]), ("L", 5), ("X", 7)])
+def test_import_of_mistyped_field_is_corrupt_store(tmp_path, key, value):
+    agent, _ = _fresh_agent(tmp_path)
+    data = json.loads(agent.store.export())
+    data[key] = value
+    with pytest.raises(CorruptStore):
+        AgentStore.import_(json.dumps(data).encode())

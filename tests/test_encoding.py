@@ -1,5 +1,6 @@
 """Canonical-encoding injectivity, wire-mode equivalence and size budgets."""
 
+import hashlib
 import json
 import random
 
@@ -29,6 +30,7 @@ from vcrkit.encoding import (
 )
 from vcrkit.errors import MalformedMessage, UnencodableField
 from vcrkit.keyhier import DerivationPath, derive_path, generate_master, neuter
+from vcrkit.sealing import HybridCiphertext
 from vcrkit.server import ClientDataRecord, EndpointAdvertisement
 from vcrkit.vcr import ActionKind, VcrAction, VcrRequest, build_vcr
 from vcrkit.wrapper import ClientId, MultiSigPolicy, ServerKey, Wrapper, issue_wrapper
@@ -249,3 +251,200 @@ def test_fuzzed_canonical_never_crashes(data):
             from vcrkit.errors import MalformedWrapper
 
             assert isinstance(exc, MalformedWrapper), exc
+
+
+# --- golden bytes -------------------------------------------------------------
+# The layouts are pinned byte for byte, not just by size or round trip: a
+# codec that reordered JSON keys or canonical fields would fail here.
+
+GOLDEN_WRAPPER_HEX = (
+    "02010100000004766369640000002466343761633130622d353863632d343337"
+    "322d613536372d30653032623263336434373900000001"
+    "02756de182c5dd4b717ea87e693006da62dbb3cddaa4a5cad2ed1f5bbab755f0f5"
+    "000000006895d5900768f3662a373ae8"
+    "ff05189790c6c9f75ce388d0fde84a9955772da5873d9013"
+    "dd3c46b7b3cdd9be19e920c29b3dfb177478fd61e577f701b7d4a343f5b427a0"
+    "741c9a7053bc6109"
+)
+GOLDEN_WRAPPER_REQUEST_JSON = (
+    '{"y":{"n":"vcid","c":"f47ac10b-58cc-4372-a567-0e02b2c3d479"},'
+    '"v":["AnVt4YLF3Utxfqh-aTAG2mLbs83apKXK0u0fW7q3VfD1"]}'
+)
+GOLDEN_WRAPPER_JSON = (
+    '{"V":1,"y":{"n":"vcid","c":"f47ac10b-58cc-4372-a567-0e02b2c3d479"},'
+    '"v":["AnVt4YLF3Utxfqh-aTAG2mLbs83apKXK0u0fW7q3VfD1"],"i":1754650000,'
+    '"d":"B2jzZio3Oug","g":"_wUYl5DGyfdc44jQ_ehKmVV3LaWHPZAT3TxGt7PN2b4Z6SDCmz37'
+    'F3R4_WHld_cBt9SjQ_W0J6B0HJpwU7xhCQ"}'
+)
+
+
+def test_golden_worked_examples():
+    from vcrkit.wrapper import WrapperRequest
+
+    wrapper, _ = _golden_fixture()
+    request = WrapperRequest(client_id=wrapper.client_id, vcr_pubkeys=wrapper.vcr_pubkeys)
+    assert wrapper.to_canonical().hex() == GOLDEN_WRAPPER_HEX
+    assert to_wire(request, WireMode.OPTIMIZED) == GOLDEN_WRAPPER_REQUEST_JSON
+    assert to_wire(wrapper, WireMode.OPTIMIZED) == GOLDEN_WRAPPER_JSON
+
+
+def _golden_messages():
+    """One seeded instance of every wire message, covering each variant."""
+    from builders import some_point
+    from vcrkit.agent import AgentStore
+    from vcrkit.keyhier import derive_child_pub
+    from vcrkit.vcr import UnifiedProof
+    from vcrkit.wrapper import WrapperRequest
+
+    rng = random.Random(20261018)
+    wrappers = [random_wrapper(rng) for _ in range(3)]
+    signatures = tuple(bytes([i]) * 64 for i in (1, 2))
+
+    def request(action, unified=None, paths=("m/0/7", "m/0/8")):
+        return VcrRequest(
+            version=1,
+            wrappers=tuple(wrappers[:2]),
+            action=action,
+            timestamp=1754650005,
+            unified=unified,
+            signer_paths=paths,
+            signatures=signatures,
+        )
+
+    parent = neuter(generate_master(bytes(range(16))))
+    unified = UnifiedProof(server_xpub=derive_child_pub(parent, 4), session_indices=(0, 3))
+    session = random_session_record(rng)
+    session.history.extend([(1754650000, "/"), (1754650060, "/inbox?x=1")])
+    data_record = random_data_record(rng)
+    data_record.visits.append((1754650000, "/a"))
+    data_record.attributes["email"] = "a@example.com"
+    store = AgentStore()
+    store.provision_device(derive_child_pub(parent, 0), 0)
+    store.next_j = 2
+    store.server_counters = {0: 3, 5: 1}
+    store.server_ids = {"http://127.0.0.1:8080": 0, "https://shop.example": 5}
+    store.sessions = [random_session_record(rng) for _ in range(2)]
+    store.sessions[0].history.append((1754650000, "/cart"))
+    store.pinned_server_keys = {"http://127.0.0.1:8080": some_point(rng)}
+    return {
+        "client_id": random_client_id(rng),
+        "wrapper": wrappers[2],
+        "wrapper_request": WrapperRequest(
+            client_id=wrappers[0].client_id, vcr_pubkeys=wrappers[0].vcr_pubkeys
+        ),
+        "access": request(VcrAction(ActionKind.ACCESS)),
+        "access_response_key": request(
+            VcrAction(ActionKind.ACCESS, response_pubkey=some_point(rng)), paths=()
+        ),
+        "modify": request(
+            VcrAction(
+                ActionKind.MODIFY,
+                changes=(("email", "old@example.com", "new@example.com"), ("nick", "", "z")),
+            )
+        ),
+        "delete": request(VcrAction(ActionKind.DELETE)),
+        "unified": request(VcrAction(ActionKind.ACCESS), unified=unified, paths=("m/0/0",)),
+        "sealed": HybridCiphertext(
+            ephemeral_pubkey=some_point(rng), nonce=bytes(range(12)), ciphertext=b"\x00\xff" * 20
+        ),
+        "advertisement": random_advertisement(rng),
+        "session_record": session,
+        "data_record": data_record,
+        "agent_store": store,
+    }
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:32]
+
+
+# First 16 bytes (hex) of SHA-256 over each form, measured once and frozen.
+GOLDEN_DIGESTS = {
+    "client_id": {
+        "optimized": "ae1c37dccecefa04a067b6957be0905c",
+        "verbose": "5782a0823ee1f6356c062dbd0cf06a73",
+    },
+    "wrapper": {
+        "optimized": "cd028bbc348ba3f8139f1e9c2e811e2c",
+        "verbose": "d04f767b32e3cc8deb6f5f8a8c6a6bff",
+        "canonical": "a1117bf3db134441e42b3cb77e1ee19d",
+        "signed": "e85894efd2243b04e9b3c49c097a91aa",
+    },
+    "wrapper_request": {
+        "optimized": "bb85a6b3779d9ac3d4826f014bcd9728",
+        "verbose": "04df4b5df24339b345342e6e3b984492",
+    },
+    "access": {
+        "optimized": "5fd378f057f6e8601da3f249c1a74be1",
+        "verbose": "d3109e9f8cab397ee5108c032b5ea157",
+        "canonical": "1750d393efb835a3f03f6cad72891f22",
+        "signed": "7faa052a27c94123061275f34c58e63a",
+    },
+    "access_response_key": {
+        "optimized": "6a2007102c953aecd4f0ef8851d02881",
+        "verbose": "79faf30a888d78ba2350c35b1fb00076",
+        "canonical": "628255fb03079b1c9f9d454c75ad4aac",
+        "signed": "5f308639466a1f418a331d528b2b0b33",
+    },
+    "modify": {
+        "optimized": "23cbac8afc4961f4196f3ad5d46dbe24",
+        "verbose": "75397092731ebd5fceedb3360a843738",
+        "canonical": "0dd4a9a5b29de12e203531f183010bff",
+        "signed": "1cfbb52434b5ff28ec9390055ff2d61a",
+    },
+    "delete": {
+        "optimized": "ff74aab24a2de860703ecb2a8dcd532f",
+        "verbose": "07e9e29cd12f32ddfd1e50877ec00fc6",
+        "canonical": "70d6ee13ce76f353f4e05cfbd9f22cad",
+        "signed": "1a2e75b36f0adf2780ee932a620a3470",
+    },
+    "unified": {
+        "optimized": "b8efc82c4cd11d2996ee7b36d9d1e823",
+        "verbose": "0f542cae6abcea74f71eacc24a3b2a65",
+        "canonical": "192775781e1b5638fcb88ba5b48f7fb2",
+        "signed": "22e7362a514d9717a450a4bdc557dc25",
+    },
+    "sealed": {
+        "optimized": "6dac9b5ddb418aec6b3254ac4f1b7f22",
+        "verbose": "2b63b85e8992ab76f7ad078421f0c506",
+        "canonical": "7fb6051b3d8054515274b45878105ffb",
+    },
+    "advertisement": {
+        "optimized": "1f360279b00629030d69a7c01ca6df63",
+        "verbose": "6e4a3e3037344193dd5e281eb833ff97",
+    },
+    "session_record": {
+        "optimized": "f3ac0999d70c8001da8d79f491bb16ae",
+        "verbose": "ca2b2c9ecefb6023342ae2b663966f33",
+    },
+    "data_record": {
+        "optimized": "4c475fc3ae109e7e10c47f785fcf96a6",
+        "verbose": "9f1d5c0a4a0e5a10be75889caaabf6f9",
+    },
+    "agent_store": {
+        "optimized": "7568bb9b457dc04eafff94e90356f886",
+        "verbose": "1262747efd269a7c6d0c7e92801865fc",
+    },
+}
+
+
+def test_golden_digests_every_message_type():
+    seen = {}
+    for name, message in _golden_messages().items():
+        cls = type(message)
+        digests = {}
+        for mode in MODES:
+            text = to_wire(message, mode)
+            digests[mode.value] = _sha(text.encode())
+            assert to_wire(from_wire(cls, text, mode), mode) == text, (name, mode)
+        if isinstance(message, (Wrapper, VcrRequest, HybridCiphertext)):
+            blob = message.to_canonical()
+            digests["canonical"] = _sha(blob)
+            assert cls.from_canonical(blob) == message, name
+        if isinstance(message, Wrapper):
+            digests["signed"] = _sha(message.signed_payload())
+        if isinstance(message, VcrRequest):
+            digests["signed"] = _sha(message.signed_body())
+            assert message.digest() == hashlib.sha256(message.signed_body()).digest()
+        seen[name] = digests
+    assert seen == GOLDEN_DIGESTS

@@ -529,6 +529,35 @@ def test_oversized_content_length_is_refused_unread(loopback):
     assert _get(origin, "/").status == 200
 
 
+def test_chunked_post_is_refused_unread(loopback):
+    """A transfer coding is not implemented: one 501, then the connection
+    closes, so the chunk bytes are never parsed as a second request."""
+    vcr_server, _, origin = loopback
+    parts = urlsplit(origin)
+    head = (
+        f"POST {vcr_server.advertisement.vcr_endpoint} HTTP/1.1\r\n"
+        f"Host: {parts.netloc}\r\nTransfer-Encoding: chunked\r\n\r\n"
+    )
+    with socket.create_connection((parts.hostname, parts.port), timeout=10) as sock:
+        sock.sendall(head.encode("latin-1") + b"7\r\n{\"a\":1}\r\n0\r\n\r\n")
+        raw = b""
+        while chunk := sock.recv(65536):
+            raw += chunk
+    assert raw.count(b"HTTP/1.1 ") == 1
+    header, _, body = raw.partition(b"\r\n\r\n")
+    assert header.split(b" ", 2)[1] == b"501"
+    assert json.loads(body) == {"error": "UnsupportedTransferEncoding"}
+
+
+def test_sealed_body_with_mistyped_fields_is_malformed(loopback):
+    vcr_server, _, origin = loopback
+    exchange = _post_json(
+        origin, vcr_server.advertisement.vcr_endpoint, '{"E":5,"N":"AAAA","C":"AAAA"}'
+    )
+    assert exchange.status == 400
+    assert json.loads(exchange.body) == {"error": "MalformedBody"}
+
+
 def test_snapshot_roundtrip(tmp_path):
     snapshot = str(tmp_path / "snap.json")
     first = VcrServer(snapshot_path=snapshot)

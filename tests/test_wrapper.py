@@ -211,3 +211,10 @@ def test_cookie_identity_includes_name(master_pub, server_key):
 
 def test_signature_is_fixed_width():
     assert len(ServerKey.generate().sign(curve.sha256(b"x"))) == 64
+
+
+def test_server_key_repr_hides_the_secret():
+    key = ServerKey(secret=0x1234ABCD)
+    for text in (repr(key), str(key)):
+        assert "305441741" not in text
+        assert "1234abcd" not in text.lower()
