@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from urllib.parse import urlsplit
 
 from . import curve, encoding, files, httpwire
+from .curve import POINT_BYTES
 from .encoding import (
     BOOL,
     STR,
@@ -62,7 +63,6 @@ from .vcr import (
     sign_vcr,
 )
 from .wrapper import (
-    POINT_BYTES,
     ClientId,
     MultiSigPolicy,
     Wrapper,
@@ -333,6 +333,9 @@ class Agent:
         with self.store.lock:
             pinned = self.store.pinned_server_keys.get(origin)
             if pinned is None:
+                # First sight of this origin: check the key before trusting
+                # it for good; a bad one raises InvalidPublicKey, pins nothing.
+                curve.decompress(advertisement.server_pubkey)
                 self.store.pinned_server_keys[origin] = advertisement.server_pubkey
             elif pinned != advertisement.server_pubkey:
                 raise PinnedKeyMismatch(

@@ -8,6 +8,11 @@ makes scalar-base multiplication cheap enough for bulk derivation.
 
 All public points cross module boundaries as 33-byte compressed encodings;
 signatures as 64-byte r||s with s normalized to the low half of the order.
+
+A point from outside is checked once, where it enters: ``decompress`` where
+the affine point is needed or nothing else would check it, otherwise the
+OpenSSL parse inside ``verify_digest`` and ``ecdh``. Both reject points off
+the curve (SEC 1 v2 §3.2.2).
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ P = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFC2F
 N = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141
 GX = 0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798
 GY = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8
+
+POINT_BYTES = 33  # compressed: 0x02/0x03 parity byte || x
 
 _CURVE = ec.SECP256K1()
 _PREHASHED_SHA256 = Prehashed(hashes.SHA256())
@@ -171,8 +178,8 @@ def compress(point: Affine) -> bytes:
 
 
 def decompress(data: bytes) -> Affine:
-    """Parse a 33-byte compressed point, checking it lies on the curve."""
-    if len(data) != 33 or data[0] not in (2, 3):
+    """Parse a compressed point, checking it lies on the curve."""
+    if len(data) != POINT_BYTES or data[0] not in (2, 3):
         raise InvalidPublicKey("bad compressed point encoding")
     x = int.from_bytes(data[1:], "big")
     if x >= P:
@@ -184,14 +191,6 @@ def decompress(data: bytes) -> Affine:
     if y & 1 != data[0] & 1:
         y = P - y
     return (x, y)
-
-
-def is_valid_point(data: bytes) -> bool:
-    try:
-        decompress(data)
-        return True
-    except InvalidPublicKey:
-        return False
 
 
 def pubkey_bytes(secret: int) -> bytes:

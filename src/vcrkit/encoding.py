@@ -30,12 +30,7 @@ from datetime import datetime, timezone
 from enum import Enum
 from functools import partial
 
-from .errors import (
-    InvalidPublicKey,
-    MalformedMessage,
-    MalformedWrapper,
-    UnencodableField,
-)
+from .errors import MalformedMessage, UnencodableField, VcrkitError
 
 MAX_FIELD_BYTES = 1 << 20
 MAX_LIST_ITEMS = 1 << 16
@@ -286,17 +281,14 @@ def integer(bits: int = 64) -> Kind:
     )
 
 
-def fixed(size: int, check=None) -> Kind:
-    """Bytes of one size. JSON is as for ``BIN`` and does not check the
-    size; ``check`` runs on canonical reads only."""
-
-    def read(r: CanonicalReader) -> bytes:
-        value = r.fixed(size)
-        if check is not None:
-            check(value)
-        return value
-
-    return Kind(lambda w, value: w.fixed(value, size), read, BIN.encode, BIN.decode)
+def fixed(size: int) -> Kind:
+    """Bytes of one size. JSON is as for ``BIN`` and does not check the size."""
+    return Kind(
+        lambda w, value: w.fixed(value, size),
+        lambda r: r.fixed(size),
+        BIN.encode,
+        BIN.decode,
+    )
 
 
 def choice(enum, words: dict) -> Kind:
@@ -509,16 +501,11 @@ def _decode_fields(steps, build, data):
     return build(values)
 
 
-# Errors a field raises on JSON of the wrong shape or type; the decode entry
-# points turn them into the message-level error.
-_DECODE_ERRORS = (TypeError, ValueError, LookupError, AttributeError)
-# Canonical reads also check points and cookies as they build messages.
-_CANONICAL_ERRORS = (
-    MalformedMessage,
-    MalformedWrapper,
-    InvalidPublicKey,
-    *_DECODE_ERRORS,
-)
+# Errors raised while a message is built from JSON or canonical bytes: input
+# of the wrong shape or type, or a value a message refuses (a bad cookie, an
+# off-curve point, a bad path). The decode entry points turn any of them into
+# the message's decode error.
+_DECODE_ERRORS = (VcrkitError, TypeError, ValueError, LookupError, AttributeError)
 
 
 class Message:
@@ -586,7 +573,7 @@ class Message:
         try:
             message = cls._read_canonical(r)
             r.expect_end()
-        except _CANONICAL_ERRORS as exc:
+        except _DECODE_ERRORS as exc:
             raise cls.CANONICAL_ERROR(str(exc)) from None
         return message
 

@@ -138,7 +138,7 @@ class ExtendedPublicKey:
         # points, so revalidating each construction would dominate runtime.
         point = self.public_point
         if (
-            len(point) != 33
+            len(point) != curve.POINT_BYTES
             or point[0] not in (2, 3)
             or int.from_bytes(point[1:], "big") >= curve.P
         ):

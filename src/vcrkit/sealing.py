@@ -17,11 +17,11 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 from . import curve
+from .curve import POINT_BYTES
 from .encoding import BIN, TAG_SEALED, Field, Message, fixed
 from .errors import DecryptFailed, InvalidPublicKey
 
 NONCE_BYTES = 12
-POINT_BYTES = 33
 
 
 def _derive_key(shared: bytes, ephemeral_pub: bytes, recipient_pub: bytes, info: bytes) -> bytes:
@@ -50,8 +50,8 @@ class HybridCiphertext(Message):
 
 
 def hybrid_encrypt(recipient_pub: bytes, plaintext: bytes, info: bytes) -> HybridCiphertext:
-    """Encrypt to a compressed public key with a fresh ephemeral key."""
-    curve.decompress(recipient_pub)  # raises InvalidPublicKey early
+    """Encrypt to a compressed public key with a fresh ephemeral key; a key
+    off the curve raises InvalidPublicKey from ``ecdh``."""
     ephemeral_secret = curve.generate_secret()
     ephemeral_pub = curve.pubkey_bytes(ephemeral_secret)
     shared = curve.ecdh(ephemeral_secret, recipient_pub)

@@ -20,6 +20,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlsplit
 
 from . import encoding, files
+from .curve import POINT_BYTES
 from .encoding import (
     STR,
     TIME,
@@ -34,7 +35,6 @@ from .encoding import (
     wire_key,
 )
 from .errors import (
-    InvalidPublicKey,
     MalformedBody,
     MalformedMessage,
     ModifyConflict,
@@ -52,7 +52,6 @@ from .vcr import (
 )
 from .wrapper import (
     KEY_ID_BYTES,
-    POINT_BYTES,
     ClientId,
     MultiSigPolicy,
     ServerKey,
@@ -240,7 +239,7 @@ class VcrServer:
             policy = MultiSigPolicy(req.vcr_pubkeys)
         except (MalformedMessage, UnicodeDecodeError) as exc:
             return 400, {"error": MalformedBody(str(exc)).code}
-        except (InvalidPublicKey, VcrkitError) as exc:
+        except VcrkitError as exc:
             return 400, {"error": exc.code}
         wrapper = issue_wrapper(
             self.server_key, req.client_id, policy, int(self.clock())

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 from enum import IntEnum
 
 from . import curve
+from .curve import POINT_BYTES
 from .encoding import (
     STR,
     TAG_VCR_BODY,
@@ -38,9 +39,7 @@ from .errors import (
     ClockUnavailable,
     EmptyWrapperList,
     FutureTimestamp,
-    InvalidPublicKey,
     MalformedMessage,
-    MalformedPath,
     MalformedWrapper,
     MissingSignature,
     MixedServers,
@@ -51,7 +50,7 @@ from .errors import (
 )
 from .keyhier import DerivationPath, ExtendedPublicKey, derive_child_pub
 from .sealing import HybridCiphertext, hybrid_decrypt, hybrid_encrypt
-from .wrapper import POINT_BYTES, SIGNATURE_BYTES, ClientId, Wrapper, verify_wrapper
+from .wrapper import SIGNATURE_BYTES, ClientId, Wrapper, key_id, verify_wrapper
 
 VCR_VERSION = 1
 DEFAULT_TOLERANCE_SECONDS = 300
@@ -120,18 +119,13 @@ class VcrAction(Message):
         if self.kind is not ActionKind.ACCESS and self.response_pubkey is not None:
             raise MalformedMessage("only ACCESS carries a response key")
         if self.response_pubkey is not None:
+            # The untrusted key's one on-curve check; it runs before replay
+            # admission and fulfilment.
             curve.decompress(self.response_pubkey)
 
 
-def _parse_xpub(data: bytes) -> ExtendedPublicKey:
-    try:
-        return ExtendedPublicKey.deserialize(data)
-    except (MalformedPath, InvalidPublicKey) as exc:
-        raise MalformedMessage(f"bad extended public key: {exc}") from None
-
-
 # A 71-byte serialized extended public key.
-XPUB = converted(fixed(71), _parse_xpub, ExtendedPublicKey.serialize)
+XPUB = converted(fixed(71), ExtendedPublicKey.deserialize, ExtendedPublicKey.serialize)
 
 
 @dataclass(frozen=True)
@@ -339,7 +333,7 @@ def verify_vcr(
     if len({w.server_key_id for w in request.wrappers}) != 1:
         raise MixedServers("wrappers from different server keys")
 
-    expected_key_id = curve.sha256(server_pubkey)[:8]
+    expected_key_id = key_id(server_pubkey)
     for wrapper in request.wrappers:
         try:
             verify_wrapper(server_pubkey, wrapper, expected_key_id=expected_key_id)

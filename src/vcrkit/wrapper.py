@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from . import curve
+from .curve import POINT_BYTES
 from .encoding import (
     STR,
     TAG_CLIENT_ID,
@@ -32,20 +33,21 @@ from .errors import (
     InvalidPublicKey,
     MalformedWrapper,
     PublicKeyMismatch,
+    UnencodableField,
     UnknownServerKey,
 )
 
 WRAPPER_VERSION = 1
 KEY_ID_BYTES = 8
 SIGNATURE_BYTES = 64
-POINT_BYTES = 33
 
 MAX_COOKIE_NAME = 64
 MAX_COOKIE_VALUE = 256
 
 
-def _check_point(point: bytes) -> None:
-    curve.decompress(point)
+def key_id(server_pubkey: bytes) -> bytes:
+    """The id a wrapper names its server key by: sha256(pubkey)[:8]."""
+    return curve.sha256(server_pubkey)[:KEY_ID_BYTES]
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,11 @@ class ClientId(Message):
 
 @dataclass(frozen=True)
 class MultiSigPolicy:
-    """Ordered member public keys that must all sign requests (n >= 1)."""
+    """Ordered member public keys that must all sign requests (n >= 1).
+
+    The one on-curve check of wrapper keys: the server signs only keys that
+    passed it, so a wrapper whose signature verifies needs no recheck.
+    """
 
     member_pubkeys: tuple[bytes, ...]
 
@@ -85,7 +91,7 @@ class MultiSigPolicy:
 
 @dataclass(frozen=True)
 class ServerKey:
-    """The server's long-term signing key; key id = sha256(pubkey)[:8]."""
+    """The server's long-term signing key."""
 
     secret: int = field(repr=False)  # keep the scalar out of logs and tracebacks
 
@@ -95,7 +101,7 @@ class ServerKey:
 
     @cached_property
     def key_id(self) -> bytes:
-        return curve.sha256(self.public_point)[:KEY_ID_BYTES]
+        return key_id(self.public_point)
 
     @classmethod
     def generate(cls) -> "ServerKey":
@@ -108,12 +114,10 @@ class ServerKey:
 @dataclass(frozen=True)
 class Wrapper(Message):
     TAG = TAG_WRAPPER
-    # Canonical reads check every embedded point; JSON reads leave that to
-    # verify_wrapper.
     FIELDS = (
         Field("version", integer(8)),
         Field("client_id", nested(ClientId)),
-        Field("vcr_pubkeys", list_of(fixed(POINT_BYTES, check=_check_point))),
+        Field("vcr_pubkeys", list_of(fixed(POINT_BYTES))),
         Field("issued_at", TIME),
         Field("server_key_id", fixed(KEY_ID_BYTES)),
         Field("signature", fixed(SIGNATURE_BYTES), signed=False),
@@ -167,18 +171,20 @@ def issue_wrapper(
 def verify_wrapper(
     server_pubkey: bytes, wrapper: Wrapper, expected_key_id: bytes | None = None
 ) -> None:
-    """Raise unless the wrapper's signature verifies under ``server_pubkey``."""
+    """Raise unless the wrapper's signature verifies under ``server_pubkey``.
+
+    The embedded keys are not rechecked: the server signed them only after
+    ``MultiSigPolicy`` checked them, and the signature covers them.
+    """
+    if wrapper.version != WRAPPER_VERSION:
+        raise MalformedWrapper(f"unsupported wrapper version {wrapper.version}")
+    if len(wrapper.server_key_id) != KEY_ID_BYTES:
+        raise MalformedWrapper("bad server key id length")
+    if not wrapper.vcr_pubkeys:
+        raise MalformedWrapper("wrapper embeds no keys")
     try:
-        if wrapper.version != WRAPPER_VERSION:
-            raise MalformedWrapper(f"unsupported wrapper version {wrapper.version}")
-        if len(wrapper.server_key_id) != KEY_ID_BYTES:
-            raise MalformedWrapper("bad server key id length")
-        if not wrapper.vcr_pubkeys:
-            raise MalformedWrapper("wrapper embeds no keys")
-        for point in wrapper.vcr_pubkeys:
-            curve.decompress(point)
         payload = wrapper.signed_payload()
-    except InvalidPublicKey as exc:
+    except UnencodableField as exc:  # JSON input with no canonical form
         raise MalformedWrapper(str(exc)) from None
     if expected_key_id is not None and wrapper.server_key_id != expected_key_id:
         raise UnknownServerKey(wrapper.server_key_id.hex())

@@ -14,6 +14,7 @@ from vcrkit.errors import (
     AlreadyProvisioned,
     CorruptStore,
     DeviceRetired,
+    InvalidPublicKey,
     NetworkError,
     NotProvisioned,
     PinnedKeyMismatch,
@@ -26,6 +27,7 @@ from vcrkit.keyhier import (
     generate_master,
     neuter,
 )
+from vcrkit.server import EndpointAdvertisement
 from vcrkit.signer import ConfirmationPolicy, SignerState
 from vcrkit.vcr import ActionKind, VcrAction
 
@@ -335,6 +337,22 @@ def test_pinning_rejects_changed_server_key(loopback, tmp_path):
         agent.visit(origin + "/", _now(), fresh=True)
 
 
+def test_invalid_advertised_key_is_not_pinned(tmp_path):
+    advertisement = EndpointAdvertisement(
+        "/vcr/wrapper", "/vcr/submit", b"\x02" + b"\xff" * 32, b"\x00" * 8
+    )
+    advertised = {k.lower(): v for k, v in advertisement.to_headers().items()}
+
+    def stub(method, url, headers=None, body=b"", timeout=10.0):
+        return httpwire.HttpExchange(200, advertised, [], b"", 0, 0, 0, 0)
+
+    agent, _ = _fresh_agent(tmp_path, http=stub)
+    with pytest.raises(InvalidPublicKey):
+        agent.visit("http://127.0.0.1:9/", _now())
+    # Pinning a bad key would lock the honest one out of this origin.
+    assert agent.store.pinned_server_keys == {}
+
+
 def test_store_file_roundtrip(loopback, tmp_path):
     _, _, origin = loopback
     agent, _ = _fresh_agent(tmp_path)
@@ -370,7 +388,17 @@ def test_unified_sessions_use_server_scoped_paths(loopback, tmp_path):
     assert agent.store.next_j == 0  # plain counter untouched
 
 
-@pytest.mark.parametrize("key, value", [("S", [1]), ("L", 5), ("X", 7)])
+def _session_with_path(text):
+    raw = random_session_record(random.Random(7)).to_wire_dict(OPT)
+    raw[wire_key("derivation_path", OPT)] = text
+    return raw
+
+
+# The last input is a value a message refuses rather than a mistyped one.
+@pytest.mark.parametrize(
+    "key, value",
+    [("S", [1]), ("L", 5), ("X", 7), ("L", [_session_with_path("x/1")])],
+)
 def test_import_of_mistyped_field_is_corrupt_store(tmp_path, key, value):
     agent, _ = _fresh_agent(tmp_path)
     data = json.loads(agent.store.export())

@@ -3,25 +3,41 @@
 import json
 import socket
 import time
+from dataclasses import replace
 from urllib.parse import urlsplit
 
 import pytest
 
 from vcrkit import curve, encoding, httpwire
 from vcrkit.encoding import WireMode, wire_key
-from vcrkit.errors import DecryptFailed
-from vcrkit.keyhier import DerivationPath, derive_path, neuter
+from vcrkit.errors import DecryptFailed, InvalidPublicKey
+from vcrkit.keyhier import DerivationPath, derive_child_pub, derive_path, neuter
 from vcrkit.sealing import HybridCiphertext, hybrid_decrypt
 from vcrkit.server import (
     ACCESS_INFO,
+    COOKIE_NAME,
     MAX_BODY_BYTES,
     ClientDataRecord,
     EndpointAdvertisement,
     VcrServer,
     encrypt_access_response,
 )
-from vcrkit.vcr import ActionKind, VcrAction, build_vcr, seal_vcr, sign_vcr
-from vcrkit.wrapper import ClientId, MultiSigPolicy, Wrapper, WrapperRequest
+from vcrkit.vcr import (
+    ActionKind,
+    VcrAction,
+    build_unified_vcr,
+    build_vcr,
+    seal_vcr,
+    sign_vcr,
+)
+from vcrkit.wrapper import (
+    WRAPPER_VERSION,
+    ClientId,
+    MultiSigPolicy,
+    Wrapper,
+    WrapperRequest,
+    issue_wrapper,
+)
 
 OPT = WireMode.OPTIMIZED
 
@@ -597,3 +613,136 @@ def test_bandwidth_budgets(loopback, master, local_signer):
     assert access_exchange.status == 200
     access_total = access_exchange.request_bytes + access_exchange.response_bytes
     assert access_total <= 1600, f"access flow used {access_total} bytes"
+
+
+# --- one on-curve check per untrusted point -------------------------------------
+
+
+def _off_curve_point():
+    """A well-formed compressed encoding whose x has no point on the curve."""
+    x = 1
+    while True:
+        candidate = b"\x02" + x.to_bytes(32, "big")
+        try:
+            curve.decompress(candidate)
+        except InvalidPublicKey:
+            return candidate
+        x += 1
+
+
+def _issued(vcr_server, points):
+    """A fresh visitor's cookie bound to ``points`` by the server's key."""
+    cookie_value, _ = vcr_server.handle_page_request("/", None)
+    return issue_wrapper(
+        vcr_server.server_key,
+        ClientId(COOKIE_NAME, cookie_value),
+        MultiSigPolicy(tuple(points)),
+        int(time.time()),
+    )
+
+
+def _access(vcr_server, master, local_signer, j, response_pubkey=None):
+    path = DerivationPath((0, j))
+    wrapper = _issued(vcr_server, [derive_path(neuter(master), path).public_point])
+    action = VcrAction(ActionKind.ACCESS, response_pubkey=response_pubkey)
+    return _signed_request(vcr_server, wrapper, action, local_signer, path)
+
+
+def _body(message):
+    return encoding.to_wire(message, OPT).encode()
+
+
+def test_each_untrusted_point_is_decompressed_once(monkeypatch, master, local_signer):
+    vcr_server = VcrServer()
+    scoped = derive_path(master, DerivationPath((0, 5)))
+    wrappers = [
+        _issued(vcr_server, [derive_child_pub(neuter(scoped), j).public_point])
+        for j in range(3)
+    ]
+    action = VcrAction(ActionKind.ACCESS)
+    unified = build_unified_vcr(
+        wrappers, neuter(scoped), range(3), action, int(time.time())
+    )
+    unified = replace(
+        unified, signatures=(curve.sign_digest(scoped.secret, unified.digest()),)
+    )
+    response_pubkey = curve.pubkey_bytes(curve.generate_secret())
+    bodies = {
+        "plain": _body(_access(vcr_server, master, local_signer, 30)),
+        "response key": _body(
+            _access(vcr_server, master, local_signer, 31, response_pubkey)
+        ),
+        "sealed": _body(
+            seal_vcr(
+                vcr_server.server_key.public_point,
+                _access(vcr_server, master, local_signer, 32),
+            )
+        ),
+        "unified": _body(unified),
+    }
+    calls = []
+    decompress = curve.decompress
+    monkeypatch.setattr(
+        curve, "decompress", lambda data: calls.append(data) or decompress(data)
+    )
+    counts = {}
+    for name, body in bodies.items():
+        calls.clear()
+        status, payload = vcr_server.handle_vcr(body)
+        assert status == 200, (name, payload)
+        counts[name] = len(calls)
+    # Wrapper keys were checked at issuance and the wrapper signature covers
+    # them; ephemeral keys are parsed by OpenSSL alone.
+    assert counts == {"plain": 0, "response key": 1, "sealed": 0, "unified": 1}
+
+
+def test_off_curve_response_key_is_malformed_body(master, local_signer):
+    vcr_server = VcrServer()
+    payload = _access(vcr_server, master, local_signer, 33).to_wire_dict(OPT)
+    action = payload[wire_key("action", OPT)]
+    action[wire_key("response_pubkey", OPT)] = encoding.bin_to_wire(
+        _off_curve_point(), OPT
+    )
+    body = json.dumps(payload).encode()
+    assert vcr_server.handle_vcr(body) == (400, {"error": "MalformedBody"})
+
+
+def test_empty_cookie_name_in_wrapper_is_malformed_body(master, local_signer):
+    vcr_server = VcrServer()
+    payload = _access(vcr_server, master, local_signer, 34).to_wire_dict(OPT)
+    payload[wire_key("wrappers", OPT)][0][wire_key("client_id", OPT)] = {
+        "n": "",
+        "c": "abc",
+    }
+    body = json.dumps(payload).encode()
+    assert vcr_server.handle_vcr(body) == (400, {"error": "MalformedBody"})
+
+
+def test_signed_off_curve_wrapper_key_same_answer_plain_or_sealed(
+    master, local_signer
+):
+    vcr_server = VcrServer()
+    server_key = vcr_server.server_key
+    cookie_value, _ = vcr_server.handle_page_request("/", None)
+    unsigned = Wrapper(
+        version=WRAPPER_VERSION,
+        client_id=ClientId(COOKIE_NAME, cookie_value),
+        vcr_pubkeys=(_off_curve_point(),),
+        issued_at=int(time.time()),
+        server_key_id=server_key.key_id,
+        signature=bytes(64),
+    )
+    # Signed past MultiSigPolicy: no request signature can verify under it.
+    wrapper = replace(
+        unsigned, signature=server_key.sign(curve.sha256(unsigned.signed_payload()))
+    )
+    request = _signed_request(
+        vcr_server,
+        wrapper,
+        VcrAction(ActionKind.ACCESS),
+        local_signer,
+        DerivationPath((0, 35)),
+    )
+    plain = vcr_server.handle_vcr(_body(request))
+    sealed = vcr_server.handle_vcr(_body(seal_vcr(server_key.public_point, request)))
+    assert plain == sealed == (403, {"error": "BadRequestSignature"})
