@@ -573,7 +573,9 @@ class Agent:
             if response_secret is None:
                 raise MalformedMessage("response key set but no secret to decrypt")
             box = HybridCiphertext.from_wire_dict(payload, WIRE_MODE)
-            plaintext = hybrid_decrypt(response_secret, box, ACCESS_INFO)
+            plaintext = hybrid_decrypt(
+                curve.private_key(response_secret), box, ACCESS_INFO
+            )
             payload = json.loads(plaintext.decode("utf-8"))
             outcome.payload = payload
         outcome.records = AccessResponse.from_wire_dict(payload, WIRE_MODE).records

@@ -6,6 +6,11 @@ public child derivation is not exposed by that library, so this module keeps
 its own group math: Jacobian coordinates plus a fixed-base comb table that
 makes scalar-base multiplication cheap enough for bulk derivation.
 
+``sign_digest`` and ``ecdh`` take an OpenSSL key object, never a scalar.
+Building one with ``private_key`` costs more than a signature, so a key used
+more than once is built once and kept by its owner (``ServerKey``, the
+unlocked signer); a one-use key is made inside OpenSSL by ``generate_key``.
+
 All public points cross module boundaries as 33-byte compressed encodings;
 signatures as 64-byte r||s with s normalized to the low half of the order.
 
@@ -40,6 +45,7 @@ POINT_BYTES = 33  # compressed: 0x02/0x03 parity byte || x
 _CURVE = ec.SECP256K1()
 _PREHASHED_SHA256 = Prehashed(hashes.SHA256())
 
+PrivateKey = ec.EllipticCurvePrivateKey  # an OpenSSL key object
 Affine = tuple[int, int]
 _Jacobian = tuple[int, int, int]
 
@@ -198,8 +204,21 @@ def pubkey_bytes(secret: int) -> bytes:
     return compress(scalar_base_mult(secret))
 
 
-def _private_key(secret: int) -> ec.EllipticCurvePrivateKey:
+def private_key(secret: int) -> PrivateKey:
+    """The OpenSSL key object for a scalar in [1, N-1]. Costs more than a
+    signature with it: build once per key and keep it."""
     return ec.derive_private_key(secret, _CURVE)
+
+
+def generate_key() -> PrivateKey:
+    """Fresh random key made by OpenSSL, for one-use (ephemeral) keys."""
+    return ec.generate_private_key(_CURVE)
+
+
+def public_bytes(key: PrivateKey) -> bytes:
+    """Compressed public point of a key object, read from it; no point math."""
+    numbers = key.public_key().public_numbers()
+    return compress((numbers.x, numbers.y))
 
 
 def _public_key(compressed: bytes) -> ec.EllipticCurvePublicKey:
@@ -209,13 +228,11 @@ def _public_key(compressed: bytes) -> ec.EllipticCurvePublicKey:
         raise InvalidPublicKey(str(exc)) from None
 
 
-def sign_digest(secret: int, digest: bytes) -> bytes:
+def sign_digest(key: PrivateKey, digest: bytes) -> bytes:
     """Deterministic ECDSA over a 32-byte digest, returned as 64-byte r||s."""
     if len(digest) != 32:
         raise ValueError("digest must be 32 bytes")
-    der = _private_key(secret).sign(
-        digest, ec.ECDSA(_PREHASHED_SHA256, deterministic_signing=True)
-    )
+    der = key.sign(digest, ec.ECDSA(_PREHASHED_SHA256, deterministic_signing=True))
     r, s = decode_dss_signature(der)
     if s > N // 2:
         s = N - s
@@ -243,9 +260,9 @@ def verify_digest(compressed_pub: bytes, digest: bytes, signature: bytes) -> boo
         return False
 
 
-def ecdh(secret: int, compressed_pub: bytes) -> bytes:
+def ecdh(key: PrivateKey, compressed_pub: bytes) -> bytes:
     """X-coordinate ECDH shared secret (32 bytes)."""
-    return _private_key(secret).exchange(ec.ECDH(), _public_key(compressed_pub))
+    return key.exchange(ec.ECDH(), _public_key(compressed_pub))
 
 
 def generate_secret() -> int:

@@ -282,12 +282,23 @@ def integer(bits: int = 64) -> Kind:
 
 
 def fixed(size: int) -> Kind:
-    """Bytes of one size. JSON is as for ``BIN`` and does not check the size."""
+    """Bytes of one size. JSON is as for ``BIN``; a JSON read of another
+    size raises ValueError, as the canonical reader's would fail."""
+
+    def sized(decode):
+        def read(raw) -> bytes:
+            data = decode(raw)
+            if len(data) != size:
+                raise ValueError(f"expected {size} bytes, got {len(data)}")
+            return data
+
+        return read
+
     return Kind(
         lambda w, value: w.fixed(value, size),
         lambda r: r.fixed(size),
         BIN.encode,
-        BIN.decode,
+        _lift(BIN.decode, sized),
     )
 
 

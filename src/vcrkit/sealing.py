@@ -4,6 +4,11 @@ Ephemeral ECDH on secp256k1, HKDF-SHA256 to a fresh AES-256-GCM key, then
 AEAD over the payload. Used in two places: super-encrypting a whole signed
 request to the server's long-term key (hides action metadata from
 eavesdroppers), and encrypting ACCESS responses to a client-supplied key.
+
+The ephemeral key is made by OpenSSL and used once, so no key is built from
+a scalar here. Decryption takes the recipient's key object, which the caller
+builds once (``ServerKey`` keeps its own), and reads the recipient's public
+bytes from it.
 """
 
 from __future__ import annotations
@@ -52,9 +57,9 @@ class HybridCiphertext(Message):
 def hybrid_encrypt(recipient_pub: bytes, plaintext: bytes, info: bytes) -> HybridCiphertext:
     """Encrypt to a compressed public key with a fresh ephemeral key; a key
     off the curve raises InvalidPublicKey from ``ecdh``."""
-    ephemeral_secret = curve.generate_secret()
-    ephemeral_pub = curve.pubkey_bytes(ephemeral_secret)
-    shared = curve.ecdh(ephemeral_secret, recipient_pub)
+    ephemeral = curve.generate_key()
+    ephemeral_pub = curve.public_bytes(ephemeral)
+    shared = curve.ecdh(ephemeral, recipient_pub)
     key = _derive_key(shared, ephemeral_pub, recipient_pub, info)
     nonce = os.urandom(NONCE_BYTES)
     ciphertext = AESGCM(key).encrypt(nonce, plaintext, None)
@@ -63,11 +68,13 @@ def hybrid_encrypt(recipient_pub: bytes, plaintext: bytes, info: bytes) -> Hybri
     )
 
 
-def hybrid_decrypt(recipient_secret: int, box: HybridCiphertext, info: bytes) -> bytes:
+def hybrid_decrypt(
+    recipient_key: curve.PrivateKey, box: HybridCiphertext, info: bytes
+) -> bytes:
     """Invert hybrid_encrypt; wrong key or any tampering raises DecryptFailed."""
     try:
-        shared = curve.ecdh(recipient_secret, box.ephemeral_pubkey)
-        recipient_pub = curve.pubkey_bytes(recipient_secret)
+        shared = curve.ecdh(recipient_key, box.ephemeral_pubkey)
+        recipient_pub = curve.public_bytes(recipient_key)
         key = _derive_key(shared, box.ephemeral_pubkey, recipient_pub, info)
         return AESGCM(key).decrypt(box.nonce, box.ciphertext, None)
     except (InvalidTag, InvalidPublicKey, ValueError) as exc:

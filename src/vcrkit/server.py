@@ -259,7 +259,7 @@ class VcrServer:
         try:
             if wire_key("ephemeral_pubkey", WIRE_MODE) in payload:
                 sealed = SealedVcr.from_wire_dict(payload, WIRE_MODE)
-                request = unseal_vcr(self.server_key.secret, sealed)
+                request = unseal_vcr(self.server_key.private_key, sealed)
             else:
                 request = VcrRequest.from_wire_dict(payload, WIRE_MODE)
         except MalformedMessage as exc:

@@ -2,7 +2,8 @@
 
 The master private key never leaves this module. At rest it sits in a state
 file encrypted with AES-256-GCM under a scrypt-derived key; in memory it
-lives only inside an unlocked SignerState. The daemon speaks 4-byte
+lives only inside an unlocked SignerState, next to at most KEY_CACHE_SIZE
+derived signing keys, all dropped by ``lock()``. The daemon speaks 4-byte
 little-endian length-prefixed JSON frames over a unix socket and serves one
 request at a time; responses carry signatures and extended *public* keys,
 never private material.
@@ -16,6 +17,7 @@ import os
 import socket
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -47,6 +49,11 @@ from .keyhier import (
 )
 
 MAX_FRAME_BYTES = 1 << 20
+
+# Derived signing keys an unlocked signer keeps, least recently used dropped
+# first. A miss costs a path derivation plus an OpenSSL key build, about three
+# times a signature with a kept key; 512 kept keys take about 1 MB.
+KEY_CACHE_SIZE = 512
 
 _SCRYPT_N = 1 << 14
 _SCRYPT_R = 8
@@ -88,6 +95,8 @@ class SignerState:
         confirm_hook: ConfirmHook | None = None,
     ) -> None:
         self._master: ExtendedPrivateKey | None = master
+        self._keys: OrderedDict[DerivationPath, curve.PrivateKey] = OrderedDict()
+        self._keys_lock = threading.Lock()
         self._devices = devices
         self._state_path = state_path
         self._passphrase = passphrase
@@ -169,7 +178,9 @@ class SignerState:
 
     def lock(self) -> None:
         """Drop key material; every signing op afterwards raises Locked."""
-        self._master = None
+        with self._keys_lock:
+            self._master = None
+            self._keys.clear()
 
     def export_backup(self) -> bytes:
         """Encrypted backup = the state file bytes; never plaintext."""
@@ -226,8 +237,23 @@ class SignerState:
             raise DeviceRetired(f"device {path.segments[0]} is retired")
         if not self._confirm(path, summary):
             raise SignerRefused(str(path))
-        key = derive_path(master, path)
-        return curve.sign_digest(key.secret, digest)
+        return curve.sign_digest(self._signing_key(master, path), digest)
+
+    def _signing_key(
+        self, master: ExtendedPrivateKey, path: DerivationPath
+    ) -> curve.PrivateKey:
+        with self._keys_lock:
+            key = self._keys.get(path)
+            if key is not None:
+                self._keys.move_to_end(path)
+                return key
+        key = curve.private_key(derive_path(master, path).secret)
+        with self._keys_lock:
+            if self._master is master:  # not locked meanwhile
+                self._keys[path] = key
+                if len(self._keys) > KEY_CACHE_SIZE:
+                    self._keys.popitem(last=False)
+        return key
 
 
 # --- framing -----------------------------------------------------------------

@@ -377,6 +377,6 @@ def seal_vcr(server_longterm_pub: bytes, request: VcrRequest) -> SealedVcr:
     return hybrid_encrypt(server_longterm_pub, request.to_canonical(), SEAL_INFO)
 
 
-def unseal_vcr(server_secret: int, sealed: SealedVcr) -> VcrRequest:
-    plaintext = hybrid_decrypt(server_secret, sealed, SEAL_INFO)
+def unseal_vcr(server_key: curve.PrivateKey, sealed: SealedVcr) -> VcrRequest:
+    plaintext = hybrid_decrypt(server_key, sealed, SEAL_INFO)
     return VcrRequest.from_canonical(plaintext)

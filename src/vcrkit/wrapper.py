@@ -91,13 +91,18 @@ class MultiSigPolicy:
 
 @dataclass(frozen=True)
 class ServerKey:
-    """The server's long-term signing key."""
+    """The server's long-term signing key. Its OpenSSL key object is built
+    on first use and kept, like the public point and key id."""
 
     secret: int = field(repr=False)  # keep the scalar out of logs and tracebacks
 
     @cached_property
+    def private_key(self) -> curve.PrivateKey:
+        return curve.private_key(self.secret)
+
+    @cached_property
     def public_point(self) -> bytes:
-        return curve.pubkey_bytes(self.secret)
+        return curve.public_bytes(self.private_key)
 
     @cached_property
     def key_id(self) -> bytes:
@@ -108,7 +113,7 @@ class ServerKey:
         return cls(secret=curve.generate_secret())
 
     def sign(self, digest: bytes) -> bytes:
-        return curve.sign_digest(self.secret, digest)
+        return curve.sign_digest(self.private_key, digest)
 
 
 @dataclass(frozen=True)

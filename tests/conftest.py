@@ -39,7 +39,7 @@ class InProcessSigner:
         if isinstance(path, str):
             path = DerivationPath.parse(path)
         key = derive_path(self.master, path)
-        return curve.sign_digest(key.secret, digest)
+        return curve.sign_digest(curve.private_key(key.secret), digest)
 
 
 @pytest.fixture(scope="session")

@@ -187,7 +187,7 @@ def test_unforgeability(master, server_key, local_signer):
                 request,
                 signatures=(
                     curve.sign_digest(
-                        derive_path(foreign, DerivationPath((0, 0))).secret,
+                        curve.private_key(derive_path(foreign, DerivationPath((0, 0))).secret),
                         request.digest(),
                     ),
                 ),
@@ -301,7 +301,7 @@ def test_roommate_suite(server_key):
             request = replace(
                 request,
                 signatures=request.signatures
-                + (curve.sign_digest(key.secret, request.digest()),),
+                + (curve.sign_digest(curve.private_key(key.secret), request.digest()),),
             )
         verified = verify_vcr(
             server_key.public_point, request, NOW, ReplayCache(TOL)
@@ -348,7 +348,7 @@ def test_unified_equivalence(master, server_key):
     )
     unified = replace(
         unified,
-        signatures=(curve.sign_digest(scoped_priv.secret, unified.digest()),),
+        signatures=(curve.sign_digest(curve.private_key(scoped_priv.secret), unified.digest()),),
     )
     assert len(unified.signatures) == 1
     unified_outcome = verify_vcr(
@@ -361,7 +361,7 @@ def test_unified_equivalence(master, server_key):
         plain = build_vcr([wrapper], VcrAction(ActionKind.ACCESS), NOW)
         plain = replace(
             plain,
-            signatures=(curve.sign_digest(session_priv.secret, plain.digest()),),
+            signatures=(curve.sign_digest(curve.private_key(session_priv.secret), plain.digest()),),
         )
         per_session.append(
             verify_vcr(server_key.public_point, plain, NOW, ReplayCache(TOL))
@@ -383,7 +383,7 @@ def test_unified_equivalence(master, server_key):
     )
     bad = replace(unified, wrappers=tuple(wrappers[:2]) + (foreign,))
     bad = replace(
-        bad, signatures=(curve.sign_digest(scoped_priv.secret, bad.digest()),)
+        bad, signatures=(curve.sign_digest(curve.private_key(scoped_priv.secret), bad.digest()),)
     )
     with pytest.raises(SessionKeyMismatch):
         verify_vcr(server_key.public_point, bad, NOW, ReplayCache(TOL))

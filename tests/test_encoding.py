@@ -22,11 +22,13 @@ from vcrkit.encoding import (
     CanonicalReader,
     CanonicalWriter,
     WireMode,
+    bin_to_wire,
     byte_size,
     from_wire,
     time_from_wire,
     time_to_wire,
     to_wire,
+    wire_key,
 )
 from vcrkit.errors import MalformedMessage, UnencodableField
 from vcrkit.keyhier import DerivationPath, derive_path, generate_master, neuter
@@ -231,6 +233,23 @@ def test_writer_bounds():
 def test_oversized_cookie_unencodable():
     with pytest.raises(Exception):
         ClientId("vcid", "x" * 300)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_fixed_field_of_wrong_size_rejected_in_json(mode, delta):
+    server_key = ServerKey(secret=7)
+    wrapper = issue_wrapper(
+        server_key,
+        ClientId("vcid", "abc"),
+        MultiSigPolicy((server_key.public_point,)),
+        1_700_000_000,
+    )
+    raw = wrapper.to_wire_dict(mode)
+    resized = bytes(len(wrapper.server_key_id) + delta)
+    raw[wire_key("server_key_id", mode)] = bin_to_wire(resized, mode)
+    with pytest.raises(MalformedMessage):
+        Wrapper.from_wire_dict(raw, mode)
 
 
 def test_reader_truncation():

@@ -215,7 +215,7 @@ def test_signatures_verify_under_derived_pub(seed, segments):
     master = generate_master(seed)
     path = DerivationPath(tuple(segments))
     digest = curve.sha256(b"statement")
-    signature = curve.sign_digest(derive_path(master, path).secret, digest)
+    signature = curve.sign_digest(curve.private_key(derive_path(master, path).secret), digest)
     assert curve.verify_digest(
         derive_path(neuter(master), path).public_point, digest, signature
     )

@@ -468,7 +468,7 @@ def test_encrypted_access_response(loopback, master, local_signer):
     exchange = _submit(origin, vcr_server, request)
     assert exchange.status == 200
     box = HybridCiphertext.from_wire_dict(json.loads(exchange.body), OPT)
-    plaintext = hybrid_decrypt(metadata_secret, box, ACCESS_INFO)
+    plaintext = hybrid_decrypt(curve.private_key(metadata_secret), box, ACCESS_INFO)
     records_payload = json.loads(plaintext)
     records = [
         ClientDataRecord.from_wire_dict(raw, OPT)
@@ -485,7 +485,7 @@ def test_encrypt_access_response_fresh_keys(master):
     assert len({b.ciphertext for b in boxes}) == 100
     assert len({b.ephemeral_pubkey for b in boxes}) == 100
     # And each decrypts correctly despite the fresh keys.
-    payload = json.loads(hybrid_decrypt(secret, boxes[0], ACCESS_INFO))
+    payload = json.loads(hybrid_decrypt(curve.private_key(secret), boxes[0], ACCESS_INFO))
     assert wire_key("records", OPT) in payload
 
 
@@ -497,7 +497,7 @@ def test_encrypt_access_response_tamper(master):
 
     broken = replace(box, ciphertext=bytes([box.ciphertext[0] ^ 1]) + box.ciphertext[1:])
     with pytest.raises(DecryptFailed):
-        hybrid_decrypt(secret, broken, ACCESS_INFO)
+        hybrid_decrypt(curve.private_key(secret), broken, ACCESS_INFO)
 
 
 def test_post_only_endpoints(loopback):
@@ -664,7 +664,7 @@ def test_each_untrusted_point_is_decompressed_once(monkeypatch, master, local_si
         wrappers, neuter(scoped), range(3), action, int(time.time())
     )
     unified = replace(
-        unified, signatures=(curve.sign_digest(scoped.secret, unified.digest()),)
+        unified, signatures=(curve.sign_digest(curve.private_key(scoped.secret), unified.digest()),)
     )
     response_pubkey = curve.pubkey_bytes(curve.generate_secret())
     bodies = {
@@ -746,3 +746,27 @@ def test_signed_off_curve_wrapper_key_same_answer_plain_or_sealed(
     plain = vcr_server.handle_vcr(_body(request))
     sealed = vcr_server.handle_vcr(_body(seal_vcr(server_key.public_point, request)))
     assert plain == sealed == (403, {"error": "BadRequestSignature"})
+
+
+# --- fixed-size fields are sized on JSON reads ---------------------------------
+
+
+@pytest.mark.parametrize("field", ["wrapper key", "signature"])
+def test_short_fixed_field_in_plain_request_is_malformed_body(
+    loopback, master, local_signer, field
+):
+    vcr_server, _, origin = loopback
+    request = _access(vcr_server, master, local_signer, 36)
+    payload = request.to_wire_dict(OPT)
+    if field == "wrapper key":  # 32 of 33 bytes
+        wrapper = payload[wire_key("wrappers", OPT)][0]
+        wrapper[wire_key("vcr_pubkeys", OPT)] = [
+            encoding.bin_to_wire(request.wrappers[0].vcr_pubkeys[0][:32], OPT)
+        ]
+    else:  # 63 of 64 bytes
+        payload[wire_key("signatures", OPT)] = [
+            encoding.bin_to_wire(request.signatures[0][:63], OPT)
+        ]
+    exchange = _post_json(origin, vcr_server.advertisement.vcr_endpoint, json.dumps(payload))
+    assert exchange.status == 400
+    assert json.loads(exchange.body) == {"error": "MalformedBody"}

@@ -3,10 +3,12 @@
 import json
 import os
 import random
+import sys
+import threading
 
 import pytest
 
-from vcrkit import curve
+from vcrkit import curve, signer
 from vcrkit.errors import (
     DeviceRetired,
     Locked,
@@ -18,6 +20,7 @@ from vcrkit.errors import (
 )
 from vcrkit.keyhier import DerivationPath, derive_path, generate_master, neuter
 from vcrkit.signer import (
+    KEY_CACHE_SIZE,
     ConfirmationPolicy,
     SignerClient,
     SignerDaemon,
@@ -96,8 +99,11 @@ def test_issue_matches_client_side_derivation(state):
     assert state.issue_device_xpub(5).serialize() == expected.serialize()
 
 
-def test_retire_blocks_issue_and_sign(state):
+@pytest.mark.parametrize("signed_first", [False, True])
+def test_retire_blocks_issue_and_sign(state, signed_first):
     state.issue_device_xpub(2)
+    if signed_first:  # the path's key is kept; retirement must still win
+        state.sign_digest(DerivationPath((2, 0)), curve.sha256(b"x"))
     state.retire_device(2)
     with pytest.raises(DeviceRetired):
         state.issue_device_xpub(2)
@@ -175,12 +181,99 @@ def test_prompt_policy_without_hook_refuses(state):
         state.sign_digest(DerivationPath((0, 0)), curve.sha256(b"x"))
 
 
-def test_lock(state):
+@pytest.mark.parametrize("signed_first", [False, True])
+def test_lock(state, signed_first):
+    if signed_first:
+        state.sign_digest(DerivationPath((0, 0)), curve.sha256(b"x"))
     state.lock()
+    assert not state._keys
     with pytest.raises(Locked):
         state.issue_device_xpub(0)
     with pytest.raises(Locked):
         state.sign_digest(DerivationPath((0, 0)), curve.sha256(b"x"))
+
+
+def test_prompt_hook_asked_on_every_signature_of_a_kept_key(state):
+    seen = []
+    state.policy = ConfirmationPolicy.PROMPT
+    state.confirm_hook = lambda path, summary: seen.append(path) or summary == "ok"
+    path = DerivationPath((0, 3))
+    for _ in range(3):
+        state.sign_digest(path, curve.sha256(b"x"), summary="ok")
+    with pytest.raises(SignerRefused):
+        state.sign_digest(path, curve.sha256(b"x"), summary="no")
+    assert seen == ["m/0/3"] * 4
+
+
+def test_key_cache_holds_at_most_its_cap(state):
+    digest = curve.sha256(b"x")
+    paths = [DerivationPath((0, j)) for j in range(KEY_CACHE_SIZE + 10)]
+    for path in paths:
+        state.sign_digest(path, digest)
+        assert len(state._keys) <= KEY_CACHE_SIZE
+    assert len(state._keys) == KEY_CACHE_SIZE
+    # Least recently used first out: the first ten paths are gone.
+    assert list(state._keys) == paths[10:]
+    state.sign_digest(paths[10], digest)  # used again, so kept
+    state.sign_digest(DerivationPath((0, KEY_CACHE_SIZE + 10)), digest)
+    assert paths[10] in state._keys and paths[11] not in state._keys
+
+
+def test_kept_key_signs_like_a_fresh_derivation(state):
+    master = generate_master(SEED)
+    path = DerivationPath((1, 4))
+    for message in (b"first", b"second", b"third"):
+        digest = curve.sha256(message)
+        fresh = curve.sign_digest(
+            curve.private_key(derive_path(master, path).secret), digest
+        )
+        assert state.sign_digest(path, digest) == fresh
+    assert list(state._keys) == [path]
+
+
+def test_concurrent_signing_keeps_the_cap_and_lock_drops_all(state, monkeypatch):
+    monkeypatch.setattr(signer, "KEY_CACHE_SIZE", 8)
+    digest = curve.sha256(b"x")
+    paths = [DerivationPath((0, j)) for j in range(20)]
+    signed, failures = [], []
+
+    def work(offset, rounds):
+        try:
+            for i in range(rounds):
+                path = paths[(offset + i) % len(paths)]
+                signed.append((path, state.sign_digest(path, digest)))
+        except Locked:
+            pass
+        except Exception as exc:  # reported by the assertion below
+            failures.append(exc)
+
+    def run_threads(rounds, during=None):
+        threads = [threading.Thread(target=work, args=(3 * k, rounds)) for k in range(6)]
+        for thread in threads:
+            thread.start()
+        if during is not None:
+            during()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        run_threads(30)
+        assert len(state._keys) == 8
+        run_threads(30, during=state.lock)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not failures
+    assert not state._keys
+    master = generate_master(SEED)
+    expected = {}
+    for path, signature in signed:
+        if path not in expected:
+            key = curve.private_key(derive_path(master, path).secret)
+            expected[path] = curve.sign_digest(key, digest)
+        assert signature == expected[path]
 
 
 def test_lock_unlock_roundtrip_preserves_derivations(state, tmp_path):

@@ -289,7 +289,7 @@ class _MemberSigner:
         self.master = master
 
     def sign_digest(self, path, digest, summary=None):
-        return curve.sign_digest(derive_path(self.master, path).secret, digest)
+        return curve.sign_digest(curve.private_key(derive_path(self.master, path).secret), digest)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -331,7 +331,7 @@ def test_roommate_wrong_member_signature(server_key):
     request = build_vcr([wrapper], VcrAction(ActionKind.DELETE), NOW)
     # Member 0 signs three times; counts match but positions 1 and 2 fail.
     key0 = derive_path(members[0], DerivationPath((0, 0)))
-    sig = curve.sign_digest(key0.secret, request.digest())
+    sig = curve.sign_digest(curve.private_key(key0.secret), request.digest())
     request = replace(request, signatures=(sig, sig, sig))
     with pytest.raises(BadRequestSignature):
         verify_vcr(server_key.public_point, request, NOW, ReplayCache(TOL))
@@ -361,7 +361,10 @@ def test_unified_single_signature_covers_sessions(master, server_key):
         wrappers, scoped_pub, [0, 1, 2], VcrAction(ActionKind.ACCESS), NOW
     )
     request = replace(
-        request, signatures=(curve.sign_digest(scoped_priv.secret, request.digest()),)
+        request,
+        signatures=(
+            curve.sign_digest(curve.private_key(scoped_priv.secret), request.digest()),
+        ),
     )
     verified = verify_vcr(server_key.public_point, request, NOW, ReplayCache(TOL))
     assert len(verified.client_ids) == 3
@@ -385,7 +388,10 @@ def test_unified_foreign_wrapper_rejected(master, server_key):
     )
     request = replace(request, wrappers=tuple(wrappers[:2]) + (foreign,))
     request = replace(
-        request, signatures=(curve.sign_digest(scoped_priv.secret, request.digest()),)
+        request,
+        signatures=(
+            curve.sign_digest(curve.private_key(scoped_priv.secret), request.digest()),
+        ),
     )
     with pytest.raises(SessionKeyMismatch):
         verify_vcr(server_key.public_point, request, NOW, ReplayCache(TOL))
@@ -397,7 +403,10 @@ def test_unified_over_one_session_equals_plain(master, server_key):
         wrappers, scoped_pub, [0], VcrAction(ActionKind.ACCESS), NOW
     )
     unified = replace(
-        unified, signatures=(curve.sign_digest(scoped_priv.secret, unified.digest()),)
+        unified,
+        signatures=(
+            curve.sign_digest(curve.private_key(scoped_priv.secret), unified.digest()),
+        ),
     )
     unified_outcome = verify_vcr(
         server_key.public_point, unified, NOW, ReplayCache(TOL)
@@ -406,7 +415,10 @@ def test_unified_over_one_session_equals_plain(master, server_key):
     session_priv = derive_child_priv(scoped_priv, 0)
     plain = build_vcr(wrappers, VcrAction(ActionKind.ACCESS), NOW)
     plain = replace(
-        plain, signatures=(curve.sign_digest(session_priv.secret, plain.digest()),)
+        plain,
+        signatures=(
+            curve.sign_digest(curve.private_key(session_priv.secret), plain.digest()),
+        ),
     )
     plain_outcome = verify_vcr(server_key.public_point, plain, NOW, ReplayCache(TOL))
 
@@ -417,9 +429,9 @@ def test_unified_over_one_session_equals_plain(master, server_key):
 def test_seal_roundtrip_and_tamper(master, server_key, local_signer):
     request = _signed_access(master, server_key, local_signer)
     sealed = seal_vcr(server_key.public_point, request)
-    assert unseal_vcr(server_key.secret, sealed) == request
+    assert unseal_vcr(curve.private_key(server_key.secret), sealed) == request
     assert (
-        unseal_vcr(server_key.secret, sealed).to_canonical()
+        unseal_vcr(curve.private_key(server_key.secret), sealed).to_canonical()
         == request.to_canonical()
     )
 
@@ -427,10 +439,10 @@ def test_seal_roundtrip_and_tamper(master, server_key, local_signer):
     flipped[3] ^= 0x10
     tampered = replace(sealed, ciphertext=bytes(flipped))
     with pytest.raises(DecryptFailed):
-        unseal_vcr(server_key.secret, tampered)
+        unseal_vcr(curve.private_key(server_key.secret), tampered)
 
     with pytest.raises(DecryptFailed):
-        unseal_vcr(ServerKey.generate().secret, sealed)
+        unseal_vcr(curve.private_key(ServerKey.generate().secret), sealed)
 
 
 def test_seal_requires_signature(master, server_key):
@@ -465,7 +477,7 @@ def test_unforgeability_randomized(master, server_key, local_signer):
                 base,
                 signatures=(
                     curve.sign_digest(
-                        derive_path(foreign, DerivationPath((0, 0))).secret,
+                        curve.private_key(derive_path(foreign, DerivationPath((0, 0))).secret),
                         base.digest(),
                     ),
                 ),
