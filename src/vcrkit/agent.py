@@ -75,14 +75,6 @@ STORE_VERSION = 1
 WIRE_MODE = WireMode.OPTIMIZED
 
 
-def _cookie_index_key(cookie_name: str, cookie_value: str) -> str:
-    # Length-prefixed so a "=" inside a hostile cookie name cannot alias
-    # another (name, value) pair.
-    name = cookie_name.encode()
-    value = cookie_value.encode()
-    return curve.sha256(len(name).to_bytes(4, "big") + name + value).hex()
-
-
 def _history_to_verbose(record: "SessionRecord") -> list:
     encode = VISIT.encode[WireMode.VERBOSE]
     return [encode((ts, record.server_origin + path)) for ts, path in record.history]
@@ -141,8 +133,8 @@ class AgentStore(Message):
     """Device key, session list, cookie index and pinned server keys.
 
     Single-writer: every mutation happens under one lock. The cookie index
-    maps a hash of the (name, value) cookie pair to a position in the
-    session list and is rebuilt on import rather than serialized.
+    maps the (name, value) cookie pair to its session record and is rebuilt
+    on import rather than serialized.
     """
 
     FIELDS = (
@@ -172,7 +164,8 @@ class AgentStore(Message):
         self.sessions: list[SessionRecord] = []
         self.pinned_server_keys: dict[str, bytes] = {}
         self.retired = False
-        self.cookie_index: dict[str, int] = {}
+        self.cookie_index: dict[tuple[str, str], SessionRecord] = {}
+        self._paths: set[DerivationPath] = set()
         self.lock = threading.Lock()
 
     # --- provisioning ---------------------------------------------------------
@@ -198,23 +191,23 @@ class AgentStore(Message):
 
     # --- sessions ---------------------------------------------------------------
 
-    def _index_session(self, position: int) -> None:
-        record = self.sessions[position]
-        key = _cookie_index_key(record.client_id.cookie_name, record.client_id.cookie_value)
-        self.cookie_index[key] = position
+    def _admit(self, record: SessionRecord) -> None:
+        """The one rule for a session entering the store, new or imported."""
+        if record.path.segments[0] != self.device_id:
+            raise MalformedMessage("session path belongs to another device")
+        if record.path in self._paths:
+            raise MalformedMessage(f"duplicate derivation path {record.path}")
+        self._paths.add(record.path)
+        self.sessions.append(record)
+        cid = record.client_id
+        self.cookie_index[(cid.cookie_name, cid.cookie_value)] = record
 
     def add_session(self, record: SessionRecord) -> None:
         with self.lock:
-            if record.path.segments[0] != self.device_id:
-                raise MalformedMessage("session path belongs to another device")
-            if any(str(s.path) == str(record.path) for s in self.sessions):
-                raise MalformedMessage(f"duplicate derivation path {record.path}")
-            self.sessions.append(record)
-            self._index_session(len(self.sessions) - 1)
+            self._admit(record)
 
     def find_by_cookie(self, cookie_name: str, cookie_value: str) -> SessionRecord | None:
-        position = self.cookie_index.get(_cookie_index_key(cookie_name, cookie_value))
-        return self.sessions[position] if position is not None else None
+        return self.cookie_index.get((cookie_name, cookie_value))
 
     def find_by_sid(self, sid: str) -> SessionRecord | None:
         for record in self.sessions:
@@ -244,9 +237,9 @@ class AgentStore(Message):
         updated = 0
         with self.lock:
             for name, value in cookie_header_pairs:
-                position = self.cookie_index.get(_cookie_index_key(name, value))
-                if position is not None:
-                    self.sessions[position].history.append((int(now), path))
+                record = self.cookie_index.get((name, value))
+                if record is not None:
+                    record.history.append((int(now), path))
                     updated += 1
         return updated
 
@@ -256,9 +249,10 @@ class AgentStore(Message):
     def _from_fields(cls, values: dict) -> "AgentStore":
         store = cls()
         values.pop("version", None)
+        sessions = values.pop("sessions")
         vars(store).update(values)
-        for position in range(len(store.sessions)):
-            store._index_session(position)
+        for record in sessions:
+            store._admit(record)
         return store
 
     def export(self, mode: WireMode = WIRE_MODE) -> bytes:
@@ -271,22 +265,10 @@ class AgentStore(Message):
         last_error: Exception | None = None
         for mode in (WireMode.OPTIMIZED, WireMode.VERBOSE):
             try:
-                store = encoding.from_wire(cls, data.decode("utf-8"), mode)
-                store._check_consistency()
-                return store
+                return encoding.from_wire(cls, data.decode("utf-8"), mode)
             except (MalformedMessage, UnicodeDecodeError) as exc:
                 last_error = exc
         raise CorruptStore(str(last_error))
-
-    def _check_consistency(self) -> None:
-        if self.device_xpub is None or self.device_id is None:
-            raise MalformedMessage("store has no device key")
-        paths = [str(s.path) for s in self.sessions]
-        if len(set(paths)) != len(paths):
-            raise MalformedMessage("duplicate derivation paths in store")
-        for record in self.sessions:
-            if record.path.segments[0] != self.device_id:
-                raise MalformedMessage("session path belongs to another device")
 
 
 @dataclass
@@ -344,92 +326,83 @@ class Agent:
 
     # --- session establishment ----------------------------------------------------
 
-    def begin_session(
+    def _start_session(
         self,
         origin: str,
         advertisement: EndpointAdvertisement,
         client_id: ClientId,
         now: int,
-        unified: bool = False,
+        unified: bool,
     ) -> SessionRecord:
-        """Derive a session key, obtain and echo-check a wrapper, store the
-        session. The session counter only advances when everything succeeds."""
+        """Derive a session key, obtain and echo-check a wrapper, add the
+        session to the store; the caller saves. The session counter only
+        advances when everything succeeds."""
         with self._session_lock:
-            return self._begin_session_locked(
-                origin, advertisement, client_id, now, unified
-            )
+            if self.store.retired:
+                raise DeviceRetired(f"device {self.store.device_id} is unlinked")
 
-    def _begin_session_locked(
-        self, origin, advertisement, client_id, now, unified
-    ) -> SessionRecord:
-        device_xpub = self.store.require_provisioned()
-        if self.store.retired:
-            raise DeviceRetired(f"device {self.store.device_id} is unlinked")
-        self._check_pin(origin, advertisement)
-
-        if unified:
-            s = self.store.server_id_for(origin)
-            j = self.store.server_counters.get(s, 0)
-            rel_segments = (s, j)
-        else:
-            s = None
-            j = self.store.next_j
-            rel_segments = (j,)
-
-        session_xpub = device_xpub
-        for index in rel_segments:
-            session_xpub = derive_child_pub(session_xpub, index)
-        path = DerivationPath((self.store.device_id,) + rel_segments)
-        policy = MultiSigPolicy((session_xpub.public_point,))
-
-        body = encoding.to_wire(
-            WrapperRequest(client_id=client_id, vcr_pubkeys=policy.member_pubkeys),
-            WIRE_MODE,
-        ).encode()
-        exchange = self.http(
-            "POST",
-            origin + advertisement.wrapper_endpoint,
-            headers={
-                "Content-Type": "application/json",
-                "Cookie": f"{client_id.cookie_name}={client_id.cookie_value}",
-            },
-            body=body,
-        )
-        if exchange.status != 200:
-            raise NetworkError(f"wrapper endpoint answered {exchange.status}")
-        try:
-            wrapper = encoding.from_wire(
-                Wrapper, exchange.body.decode("utf-8"), WIRE_MODE
-            )
-        except (MalformedMessage, UnicodeDecodeError) as exc:
-            raise WrapperVerifyFailed(str(exc)) from None
-        try:
-            verify_wrapper(
-                advertisement.server_pubkey,
-                wrapper,
-                expected_key_id=advertisement.server_key_id,
-            )
-        except (BadSignature, MalformedWrapper, UnknownServerKey) as exc:
-            raise WrapperVerifyFailed(exc.code) from None
-        check_wrapper_echo(policy, client_id, wrapper)
-
-        record = SessionRecord(
-            server_origin=origin,
-            endpoints=advertisement,
-            client_id=client_id,
-            path=path,
-            wrapper=wrapper,
-            created_at=int(now),
-        )
-        self.store.add_session(record)
-        # Counters advance only now: any failure above leaves them untouched.
-        with self.store.lock:
             if unified:
-                self.store.server_counters[s] = j + 1
+                s = self.store.server_id_for(origin)
+                j = self.store.server_counters.get(s, 0)
+                rel_segments = (s, j)
             else:
-                self.store.next_j = j + 1
-        self.save()
-        return record
+                s = None
+                j = self.store.next_j
+                rel_segments = (j,)
+
+            session_xpub = self.store.device_xpub
+            for index in rel_segments:
+                session_xpub = derive_child_pub(session_xpub, index)
+            path = DerivationPath((self.store.device_id,) + rel_segments)
+            policy = MultiSigPolicy((session_xpub.public_point,))
+
+            body = encoding.to_wire(
+                WrapperRequest(client_id=client_id, vcr_pubkeys=policy.member_pubkeys),
+                WIRE_MODE,
+            ).encode()
+            exchange = self.http(
+                "POST",
+                origin + advertisement.wrapper_endpoint,
+                headers={
+                    "Content-Type": "application/json",
+                    "Cookie": f"{client_id.cookie_name}={client_id.cookie_value}",
+                },
+                body=body,
+            )
+            if exchange.status != 200:
+                raise NetworkError(f"wrapper endpoint answered {exchange.status}")
+            try:
+                wrapper = encoding.from_wire(
+                    Wrapper, exchange.body.decode("utf-8"), WIRE_MODE
+                )
+            except (MalformedMessage, UnicodeDecodeError) as exc:
+                raise WrapperVerifyFailed(str(exc)) from None
+            try:
+                verify_wrapper(
+                    advertisement.server_pubkey,
+                    wrapper,
+                    expected_key_id=advertisement.server_key_id,
+                )
+            except (BadSignature, MalformedWrapper, UnknownServerKey) as exc:
+                raise WrapperVerifyFailed(exc.code) from None
+            check_wrapper_echo(policy, client_id, wrapper)
+
+            record = SessionRecord(
+                server_origin=origin,
+                endpoints=advertisement,
+                client_id=client_id,
+                path=path,
+                wrapper=wrapper,
+                created_at=int(now),
+            )
+            self.store.add_session(record)
+            # Counters advance only now: any failure above leaves them untouched.
+            with self.store.lock:
+                if unified:
+                    self.store.server_counters[s] = j + 1
+                else:
+                    self.store.next_j = j + 1
+            return record
 
     # --- browsing ------------------------------------------------------------------
 
@@ -437,7 +410,8 @@ class Agent:
         self, url: str, now: int, unified: bool = False, fresh: bool = False
     ) -> tuple[SessionRecord | None, httpwire.HttpExchange]:
         """Fetch a page; start a session when the server hands out a new
-        cookie, otherwise append to the matching session's history."""
+        cookie, otherwise append to the matching session's history. Saves
+        the store once, after the visit is recorded."""
         self.store.require_provisioned()
         parts = urlsplit(url)
         origin = f"{parts.scheme}://{parts.netloc}"
@@ -463,8 +437,8 @@ class Agent:
                 client_id.cookie_name, client_id.cookie_value
             )
             if session is None:
-                session = self.begin_session(
-                    origin, advertisement, client_id, now, unified=unified
+                session = self._start_session(
+                    origin, advertisement, client_id, now, unified
                 )
         elif existing is not None:
             session = existing

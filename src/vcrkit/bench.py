@@ -1,10 +1,10 @@
 """Benchmark harness: per-phase latency, flow bandwidth, store sizes.
 
 Latencies are monotonic-clock averages over a declared run count, each phase
-measured in isolation. Bandwidth is counted from the actual bytes written to
-and read from a loopback instance of the reference server, split into header
-and payload. Storage numbers come straight from the wire encodings, so they
-are deterministic across runs.
+measured in isolation. Bandwidth is counted from the bytes of the agent's own
+exchanges with a loopback instance of the reference server, split into
+header and payload. Storage numbers come straight from the wire encodings,
+so they are deterministic across runs.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import curve, encoding, httpwire
 from .agent import Agent, AgentStore, SessionRecord
@@ -26,7 +26,6 @@ from .vcr import ActionKind, ReplayCache, VcrAction, build_vcr, sign_vcr, verify
 from .wrapper import (
     ClientId,
     MultiSigPolicy,
-    WrapperRequest,
     check_wrapper_echo,
     fresh_cookie_value,
     issue_wrapper,
@@ -48,37 +47,22 @@ LATENCY_PHASES = (
 )
 
 
-@dataclass
-class FlowBandwidth:
-    request_header: int
-    request_payload: int
-    response_header: int
-    response_payload: int
-
-    @property
-    def total(self) -> int:
-        return (
-            self.request_header
-            + self.request_payload
-            + self.response_header
-            + self.response_payload
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "request_header_bytes": self.request_header,
-            "request_payload_bytes": self.request_payload,
-            "response_header_bytes": self.response_header,
-            "response_payload_bytes": self.response_payload,
-            "total_bytes": self.total,
-        }
+def _flow_bytes(exchange: httpwire.HttpExchange) -> dict[str, int]:
+    counts = {
+        "request_header_bytes": exchange.request_header_bytes,
+        "request_payload_bytes": exchange.request_body_bytes,
+        "response_header_bytes": exchange.response_header_bytes,
+        "response_payload_bytes": exchange.response_body_bytes,
+    }
+    counts["total_bytes"] = sum(counts.values())
+    return counts
 
 
 @dataclass
 class BenchReport:
     runs: int
     latency_ms: dict[str, float]
-    bandwidth: dict[str, FlowBandwidth]
+    bandwidth: dict[str, httpwire.HttpExchange]
     storage_bytes: dict[str, int]
     schema: int = SCHEMA_VERSION
 
@@ -87,7 +71,7 @@ class BenchReport:
             "schema": self.schema,
             "runs": self.runs,
             "latency_ms": {k: round(v, 4) for k, v in self.latency_ms.items()},
-            "bandwidth": {k: v.to_dict() for k, v in self.bandwidth.items()},
+            "bandwidth": {k: _flow_bytes(v) for k, v in self.bandwidth.items()},
             "storage_bytes": dict(self.storage_bytes),
         }
 
@@ -99,11 +83,12 @@ class BenchReport:
         for phase in LATENCY_PHASES:
             lines.append(f"  {phase:<22} {self.latency_ms[phase]:>9.3f} ms")
         lines.append("bandwidth (header + payload)")
-        for flow, bw in self.bandwidth.items():
+        for flow, exchange in self.bandwidth.items():
+            request, response = exchange.request_bytes, exchange.response_bytes
             lines.append(
-                f"  {flow:<22} request {bw.request_header + bw.request_payload:>5} B"
-                f"  response {bw.response_header + bw.response_payload:>5} B"
-                f"  total {bw.total / 1000:.2f} kB"
+                f"  {flow:<22} request {request:>5} B"
+                f"  response {response:>5} B"
+                f"  total {(request + response) / 1000:.2f} kB"
             )
         lines.append("storage")
         for name, size in self.storage_bytes.items():
@@ -151,7 +136,13 @@ def _run_phases(runs, workdir, device_xpub, signer, vcr_server, httpd) -> BenchR
     store_path = os.path.join(workdir, "agent.store")
     store = AgentStore()
     store.provision_device(device_xpub, 0)
-    agent = Agent(store, store_path=store_path)
+    exchanges: list[httpwire.HttpExchange] = []
+
+    def recording_http(*args, **kwargs) -> httpwire.HttpExchange:
+        exchanges.append(httpwire.request(*args, **kwargs))
+        return exchanges[-1]
+
+    agent = Agent(store, store_path=store_path, http=recording_http)
 
     session, _ = agent.visit(origin + "/", now)
     if session is None:
@@ -245,97 +236,28 @@ def _run_phases(runs, workdir, device_xpub, signer, vcr_server, httpd) -> BenchR
         runs,
     )
 
-    bandwidth = _measure_bandwidth(origin, vcr_server, agent, signer, now)
-    storage_bytes = _measure_storage(session)
+    # The flows the bandwidth table counts: a first visit's wrapper request,
+    # then an ACCESS request over the session it started.
+    flow_session, _ = agent.visit(origin + "/bench-flow", now, fresh=True)
+    wrapper_exchange = exchanges[-1]
+    outcome = agent.submit_request(
+        [flow_session], VcrAction(ActionKind.ACCESS), signer, now
+    )
+    if outcome.status != 200:
+        raise BenchEnvironmentError("vcr flow failed during bandwidth run")
 
+    baseline = replace(session, history=[])
+    hundred = replace(
+        session, history=[(session.created_at + i, "/some/page") for i in range(100)]
+    )
     return BenchReport(
         runs=runs,
         latency_ms=latency,
-        bandwidth=bandwidth,
-        storage_bytes=storage_bytes,
-    )
-
-
-def _measure_bandwidth(origin, vcr_server, agent, signer, now) -> dict[str, FlowBandwidth]:
-    # Wrapper flow: one page GET to obtain a cookie, then the measured POST.
-    page = httpwire.request("GET", origin + "/bench-flow")
-    cookie_raw = page.set_cookies[0].split(";", 1)[0]
-    name, _, value = cookie_raw.partition("=")
-    client_id = ClientId(name, value)
-    key_point = derive_child_pub(agent.store.require_provisioned(), 31111).public_point
-    body = encoding.to_wire(
-        WrapperRequest(client_id=client_id, vcr_pubkeys=(key_point,)),
-        WireMode.OPTIMIZED,
-    ).encode()
-    wrapper_exchange = httpwire.request(
-        "POST",
-        origin + vcr_server.advertisement.wrapper_endpoint,
-        headers={
-            "Content-Type": "application/json",
-            "Cookie": f"{name}={value}",
+        bandwidth={"obtain_wrapper": wrapper_exchange, "verify_vcr": outcome.exchange},
+        storage_bytes={
+            "baseline_optimized": encoding.byte_size(baseline, WireMode.OPTIMIZED),
+            "baseline_verbose": encoding.byte_size(baseline, WireMode.VERBOSE),
+            "history100_optimized": encoding.byte_size(hundred, WireMode.OPTIMIZED),
+            "history100_verbose": encoding.byte_size(hundred, WireMode.VERBOSE),
         },
-        body=body,
     )
-    if wrapper_exchange.status != 200:
-        raise BenchEnvironmentError("wrapper flow failed during bandwidth run")
-
-    from .wrapper import Wrapper
-
-    wrapper = encoding.from_wire(
-        Wrapper, wrapper_exchange.body.decode(), WireMode.OPTIMIZED
-    )
-    request = sign_vcr(
-        build_vcr([wrapper], VcrAction(ActionKind.ACCESS), now),
-        signer,
-        DerivationPath((0, 31111)),
-    )
-    vcr_exchange = httpwire.request(
-        "POST",
-        origin + vcr_server.advertisement.vcr_endpoint,
-        headers={"Content-Type": "application/json"},
-        body=encoding.to_wire(request, WireMode.OPTIMIZED).encode(),
-    )
-    if vcr_exchange.status != 200:
-        raise BenchEnvironmentError("vcr flow failed during bandwidth run")
-
-    return {
-        "obtain_wrapper": FlowBandwidth(
-            request_header=wrapper_exchange.request_header_bytes,
-            request_payload=wrapper_exchange.request_body_bytes,
-            response_header=wrapper_exchange.response_header_bytes,
-            response_payload=wrapper_exchange.response_body_bytes,
-        ),
-        "verify_vcr": FlowBandwidth(
-            request_header=vcr_exchange.request_header_bytes,
-            request_payload=vcr_exchange.request_body_bytes,
-            response_header=vcr_exchange.response_header_bytes,
-            response_payload=vcr_exchange.response_body_bytes,
-        ),
-    }
-
-
-def _measure_storage(session: SessionRecord) -> dict[str, int]:
-    baseline = SessionRecord(
-        server_origin=session.server_origin,
-        endpoints=session.endpoints,
-        client_id=session.client_id,
-        path=session.path,
-        wrapper=session.wrapper,
-        created_at=session.created_at,
-        history=[],
-    )
-    hundred = SessionRecord(
-        server_origin=session.server_origin,
-        endpoints=session.endpoints,
-        client_id=session.client_id,
-        path=session.path,
-        wrapper=session.wrapper,
-        created_at=session.created_at,
-        history=[(session.created_at + i, "/some/page") for i in range(100)],
-    )
-    return {
-        "baseline_optimized": encoding.byte_size(baseline, WireMode.OPTIMIZED),
-        "baseline_verbose": encoding.byte_size(baseline, WireMode.VERBOSE),
-        "history100_optimized": encoding.byte_size(hundred, WireMode.OPTIMIZED),
-        "history100_verbose": encoding.byte_size(hundred, WireMode.VERBOSE),
-    }

@@ -147,11 +147,7 @@ def signer_unlock(state: str, socket: str, policy: str) -> None:
 @surface_errors
 def device_issue(device_id: int, socket: str | None, state: str | None) -> None:
     """Issue (or re-print) the extended public key for a device id."""
-    signer = _signer(socket, state)
-    if isinstance(signer, SignerClient):
-        xpub = signer.device_xpub(device_id)
-    else:
-        xpub = signer.issue_device_xpub(device_id)
+    xpub = _signer(socket, state).issue_device_xpub(device_id)
     click.echo(
         json.dumps(
             {
@@ -197,11 +193,7 @@ def agent_init(
     if xpub_hex:
         xpub = ExtendedPublicKey.deserialize(bytes.fromhex(xpub_hex))
     else:
-        signer = _signer(socket, state)
-        if isinstance(signer, SignerClient):
-            xpub = signer.device_xpub(device_id)
-        else:
-            xpub = signer.issue_device_xpub(device_id)
+        xpub = _signer(socket, state).issue_device_xpub(device_id)
     agent_store = AgentStore()
     agent_store.provision_device(xpub, device_id)
     Agent(agent_store, store_path=store).save()

@@ -156,27 +156,22 @@ def _comb_table() -> list[list[Affine | None]]:
         return _COMB
 
 
-def scalar_base_mult(k: int) -> Affine:
-    """k*G as an affine point; k must be in [1, N-1]."""
-    if not 0 < k < N:
+def scalar_base_mult(k: int, offset: Affine | None = None) -> Affine | None:
+    """k*G + offset as an affine point; None is the point at infinity, which
+    only an offset can give. Without an offset k must be in [1, N-1], with
+    one in [0, N-1]. The comb pass starts at the offset, so the sum costs
+    one inversion."""
+    if not 0 <= k < N or (k == 0 and offset is None):
         raise ValueError("scalar out of range")
     comb = _COMB or _comb_table()
-    acc = _JAC_INF
+    acc = _JAC_INF if offset is None else (offset[0], offset[1], 1)
     for w in range(32):
         v = (k >> (8 * w)) & 0xFF
         if v:
             entry = comb[w][v]
             assert entry is not None
             acc = _jac_add_affine(acc, entry)
-    result = _jac_to_affine(acc)
-    assert result is not None  # k in range, so never infinity
-    return result
-
-
-def point_add(a: Affine, b: Affine) -> Affine | None:
-    """Affine point addition; None is the point at infinity."""
-    res = _jac_to_affine(_jac_add_affine((a[0], a[1], 1), b))
-    return res
+    return _jac_to_affine(acc)
 
 
 def compress(point: Affine) -> bytes:

@@ -205,46 +205,43 @@ def neuter(key: ExtendedPrivateKey) -> ExtendedPublicKey:
     )
 
 
-def _check_index(index: int) -> None:
+def _tweak(parent, index: int) -> tuple[int, bytes]:
+    """Tweak scalar and child chain code at a non-hardened index; the same
+    for a private or a public parent."""
     if index < 0:
         raise MalformedPath(f"negative index {index}")
     if index >= HARDENED:
         raise HardenedIndexRejected(f"index {index} is hardened")
-
-
-def derive_child_priv(parent: ExtendedPrivateKey, index: int) -> ExtendedPrivateKey:
-    _check_index(index)
     digest = _child_hmac(
         parent.chain_code, parent.public_point + index.to_bytes(4, "big")
     )
     tweak = int.from_bytes(digest[:32], "big")
     if tweak >= curve.N:
         raise DegenerateChild(f"tweak at index {index} out of range")
+    return tweak, digest[32:]
+
+
+def derive_child_priv(parent: ExtendedPrivateKey, index: int) -> ExtendedPrivateKey:
+    tweak, chain_code = _tweak(parent, index)
     child = (tweak + parent.secret) % curve.N
     if child == 0:
         raise DegenerateChild(f"zero child scalar at index {index}")
     return ExtendedPrivateKey(
         secret=child,
-        chain_code=digest[32:],
+        chain_code=chain_code,
         depth=parent.depth + 1,
         child_index=index,
     )
 
 
 def derive_child_pub(parent: ExtendedPublicKey, index: int) -> ExtendedPublicKey:
-    _check_index(index)
-    digest = _child_hmac(
-        parent.chain_code, parent.public_point + index.to_bytes(4, "big")
-    )
-    tweak = int.from_bytes(digest[:32], "big")
-    if tweak >= curve.N:
-        raise DegenerateChild(f"tweak at index {index} out of range")
-    point = curve.point_add(curve.scalar_base_mult(tweak), parent.point)
+    tweak, chain_code = _tweak(parent, index)
+    point = curve.scalar_base_mult(tweak, parent.point)
     if point is None:
         raise DegenerateChild(f"child point at infinity at index {index}")
     return ExtendedPublicKey(
         public_point=curve.compress(point),
-        chain_code=digest[32:],
+        chain_code=chain_code,
         depth=parent.depth + 1,
         child_index=index,
     )
@@ -270,11 +267,7 @@ def recover_parent_priv(
     child is computable from public data alone, so child_secret - tweak
     reveals the parent. Kept as a test oracle for that property.
     """
-    _check_index(index)
-    digest = _child_hmac(
-        parent.chain_code, parent.public_point + index.to_bytes(4, "big")
-    )
-    tweak = int.from_bytes(digest[:32], "big")
+    tweak, _ = _tweak(parent, index)
     recovered = (child_secret - tweak) % curve.N
     if recovered == 0 or curve.pubkey_bytes(recovered) != parent.public_point:
         raise RecoveryMismatch("recovered scalar does not match parent key")

@@ -413,7 +413,7 @@ class SignerClient:
     def ping(self) -> bool:
         return self._request({"op": "ping"})["result"] == "pong"
 
-    def device_xpub(self, device_id: int) -> ExtendedPublicKey:
+    def issue_device_xpub(self, device_id: int) -> ExtendedPublicKey:
         result = self._request({"op": "device_xpub", "device_id": device_id})
         return ExtendedPublicKey.deserialize(bytes.fromhex(result["result"]))
 

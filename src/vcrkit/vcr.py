@@ -270,12 +270,7 @@ def build_unified_vcr(
     """
     wrappers = tuple(wrappers)
     session_indices = tuple(int(j) for j in session_indices)
-    if len(wrappers) != len(session_indices):
-        raise SessionKeyMismatch("one session index per wrapper required")
-    for wrapper, j in zip(wrappers, session_indices):
-        expected = derive_child_pub(server_xpub, j).public_point
-        if wrapper.vcr_pubkeys != (expected,):
-            raise SessionKeyMismatch(f"wrapper key is not session child {j}")
+    _check_session_keys(wrappers, server_xpub, session_indices)
     return build_vcr(
         wrappers,
         action,
@@ -309,16 +304,14 @@ def required_signer_keys(request: VcrRequest) -> tuple[bytes, ...]:
     return tuple(keys)
 
 
-def _check_unified(request: VcrRequest) -> None:
-    proof = request.unified
-    assert proof is not None
-    if len(proof.session_indices) != len(request.wrappers):
+def _check_session_keys(wrappers, server_xpub, session_indices) -> None:
+    """One session index per wrapper, and each wrapper binds exactly child j
+    of the server-scoped key."""
+    if len(session_indices) != len(wrappers):
         raise SessionKeyMismatch("one session index per wrapper required")
-    for wrapper, j in zip(request.wrappers, proof.session_indices):
-        if len(wrapper.vcr_pubkeys) != 1:
-            raise SessionKeyMismatch("unified wrappers carry exactly one key")
-        expected = derive_child_pub(proof.server_xpub, j).public_point
-        if wrapper.vcr_pubkeys[0] != expected:
+    for wrapper, j in zip(wrappers, session_indices):
+        expected = derive_child_pub(server_xpub, j).public_point
+        if wrapper.vcr_pubkeys != (expected,):
             raise SessionKeyMismatch(f"wrapper key is not session child {j}")
 
 
@@ -347,8 +340,9 @@ def verify_vcr(
     if request.timestamp < now - cache.tolerance:
         raise StaleTimestamp(f"{now - request.timestamp}s behind")
 
-    if request.unified is not None:
-        _check_unified(request)
+    proof = request.unified
+    if proof is not None:
+        _check_session_keys(request.wrappers, proof.server_xpub, proof.session_indices)
 
     required = required_signer_keys(request)
     if len(request.signatures) < len(required):

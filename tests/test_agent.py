@@ -3,6 +3,7 @@
 import json
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -15,6 +16,7 @@ from vcrkit.errors import (
     CorruptStore,
     DeviceRetired,
     InvalidPublicKey,
+    MalformedMessage,
     NetworkError,
     NotProvisioned,
     PinnedKeyMismatch,
@@ -394,10 +396,18 @@ def _session_with_path(text):
     return raw
 
 
-# The last input is a value a message refuses rather than a mistyped one.
+# The last three inputs are values the store refuses rather than mistyped
+# ones: a bad path, the same session twice and a session of another device.
 @pytest.mark.parametrize(
     "key, value",
-    [("S", [1]), ("L", 5), ("X", 7), ("L", [_session_with_path("x/1")])],
+    [
+        ("S", [1]),
+        ("L", 5),
+        ("X", 7),
+        ("L", [_session_with_path("x/1")]),
+        ("L", [_session_with_path("m/0/1")] * 2),
+        ("L", [_session_with_path("m/9/1")]),
+    ],
 )
 def test_import_of_mistyped_field_is_corrupt_store(tmp_path, key, value):
     agent, _ = _fresh_agent(tmp_path)
@@ -405,3 +415,30 @@ def test_import_of_mistyped_field_is_corrupt_store(tmp_path, key, value):
     data[key] = value
     with pytest.raises(CorruptStore):
         AgentStore.import_(json.dumps(data).encode())
+
+
+def test_add_session_refuses_duplicate_and_foreign_paths(tmp_path):
+    agent, _ = _fresh_agent(tmp_path)
+    record = random_session_record(random.Random(8))
+    agent.store.add_session(record)
+    foreign = random_session_record(random.Random(9), device_id=9)
+    for refused in (replace(record, client_id=foreign.client_id), foreign):
+        with pytest.raises(MalformedMessage):
+            agent.store.add_session(refused)
+    assert agent.store.sessions == [record]
+    assert list(agent.store.cookie_index.values()) == [record]
+
+
+def test_first_visit_saves_once(loopback, tmp_path, monkeypatch):
+    _, _, origin = loopback
+    agent, _ = _fresh_agent(tmp_path)
+    saves = []
+    save = Agent.save
+
+    def counting_save(self):
+        saves.append(self)
+        save(self)
+
+    monkeypatch.setattr(Agent, "save", counting_save)
+    agent.visit(origin + "/", _now(), fresh=True)
+    assert len(saves) == 1

@@ -284,6 +284,21 @@ def test_degenerate_child_zero_scalar(master, monkeypatch):
     )
     with pytest.raises(DegenerateChild):
         derive_child_priv(master, 5)
+    with pytest.raises(DegenerateChild):
+        derive_child_pub(neuter(master), 5)
+
+
+def test_zero_tweak_child_is_the_parent_key(master, monkeypatch):
+    # A zero tweak is in range: the child keeps the parent's key, and the
+    # public side must agree with the private side.
+    monkeypatch.setattr(
+        keyhier, "_child_hmac", lambda key, data: bytes(32) + b"\x44" * 32
+    )
+    expected = neuter(derive_child_priv(master, 5))
+    assert expected.public_point == neuter(master).public_point
+    assert derive_child_pub(neuter(master), 5) == expected
+    with pytest.raises(ValueError):
+        curve.scalar_base_mult(0)
 
 
 def test_recover_parent_priv_roundtrip(master):

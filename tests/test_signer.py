@@ -292,7 +292,10 @@ def test_backup_is_the_encrypted_file(state, tmp_path):
 
 def test_daemon_ping_and_xpub(client, state):
     assert client.ping()
-    assert client.device_xpub(0).serialize() == state.issue_device_xpub(0).serialize()
+    assert (
+        client.issue_device_xpub(0).serialize()
+        == state.issue_device_xpub(0).serialize()
+    )
 
 
 def test_daemon_sign_roundtrip(client):
