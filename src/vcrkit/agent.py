@@ -48,6 +48,7 @@ from .sealing import HybridCiphertext, hybrid_decrypt
 from .server import (
     ACCESS_INFO,
     VISIT,
+    WIRE_MODE,
     AccessResponse,
     ClientDataRecord,
     EndpointAdvertisement,
@@ -72,7 +73,6 @@ from .wrapper import (
 )
 
 STORE_VERSION = 1
-WIRE_MODE = WireMode.OPTIMIZED
 
 
 def _history_to_verbose(record: "SessionRecord") -> list:

@@ -20,7 +20,7 @@ from .agent import Agent, AgentStore, SessionRecord
 from .encoding import WireMode
 from .errors import BenchEnvironmentError
 from .keyhier import DerivationPath, derive_child_pub
-from .server import VcrHttpServer, VcrServer
+from .server import COOKIE_NAME, VcrHttpServer, VcrServer
 from .signer import ConfirmationPolicy, SignerState
 from .vcr import ActionKind, ReplayCache, VcrAction, build_vcr, sign_vcr, verify_vcr
 from .wrapper import (
@@ -108,26 +108,26 @@ def _average(fn, runs: int) -> float:
 def run_bench(runs: int = DEFAULT_RUNS, seed: bytes | None = None) -> BenchReport:
     if runs < 1:
         raise BenchEnvironmentError("runs must be >= 1")
-    workdir = tempfile.mkdtemp(prefix="vcrkit-bench-")
-    signer = SignerState.init(
-        "bench",
-        seed or os.urandom(32),
-        os.path.join(workdir, "signer.state"),
-        policy=ConfirmationPolicy.AUTO_APPROVE,
-    )
-    device_xpub = signer.issue_device_xpub(0)
+    with tempfile.TemporaryDirectory(prefix="vcrkit-bench-") as workdir:
+        signer = SignerState.init(
+            "bench",
+            seed or os.urandom(32),
+            os.path.join(workdir, "signer.state"),
+            policy=ConfirmationPolicy.AUTO_APPROVE,
+        )
+        device_xpub = signer.issue_device_xpub(0)
 
-    vcr_server = VcrServer()
-    try:
-        httpd = VcrHttpServer(("127.0.0.1", 0), vcr_server)
-    except OSError as exc:
-        raise BenchEnvironmentError(f"cannot bind loopback server: {exc}") from None
-    httpd.serve_in_thread()
+        vcr_server = VcrServer()
+        try:
+            httpd = VcrHttpServer(("127.0.0.1", 0), vcr_server)
+        except OSError as exc:
+            raise BenchEnvironmentError(f"cannot bind loopback server: {exc}") from None
+        httpd.serve_in_thread()
 
-    try:
-        return _run_phases(runs, workdir, device_xpub, signer, vcr_server, httpd)
-    finally:
-        httpd.close()
+        try:
+            return _run_phases(runs, workdir, device_xpub, signer, vcr_server, httpd)
+        finally:
+            httpd.close()
 
 
 def _run_phases(runs, workdir, device_xpub, signer, vcr_server, httpd) -> BenchReport:
@@ -160,7 +160,7 @@ def _run_phases(runs, workdir, device_xpub, signer, vcr_server, httpd) -> BenchR
 
     latency["key_derivation"] = _average(derive_phase, runs)
 
-    cookie = ClientId("vcid", fresh_cookie_value())
+    cookie = ClientId(COOKIE_NAME, fresh_cookie_value())
     policy = MultiSigPolicy((derive_child_pub(device_xpub, 999).public_point,))
     latency["wrapper_generation"] = _average(
         lambda: issue_wrapper(vcr_server.server_key, cookie, policy, now), runs
@@ -182,7 +182,7 @@ def _run_phases(runs, workdir, device_xpub, signer, vcr_server, httpd) -> BenchR
         record = SessionRecord(
             server_origin=origin,
             endpoints=vcr_server.advertisement,
-            client_id=ClientId("vcid", fresh_cookie_value()),
+            client_id=ClientId(COOKIE_NAME, fresh_cookie_value()),
             path=DerivationPath((0, j)),
             wrapper=issue_wrapper(
                 vcr_server.server_key,
@@ -231,7 +231,7 @@ def _run_phases(runs, workdir, device_xpub, signer, vcr_server, httpd) -> BenchR
     # Fresh cache per run so the replay guard never rejects the probe.
     latency["vcr_verification"] = _average(
         lambda: verify_vcr(
-            vcr_server.server_key.public_point, signed, now, ReplayCache(300)
+            vcr_server.server_key.public_point, signed, now, ReplayCache()
         ),
         runs,
     )

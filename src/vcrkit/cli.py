@@ -21,11 +21,11 @@ from . import curve, encoding, files
 from .agent import Agent, AgentStore
 from .bench import DEFAULT_RUNS, run_bench
 from .encoding import WireMode
-from .errors import MalformedMessage, VcrkitError
+from .errors import AlreadyProvisioned, MalformedMessage, VcrkitError
 from .keyhier import ExtendedPublicKey, display
 from .server import VcrHttpServer, VcrServer
 from .signer import ConfirmationPolicy, SignerClient, SignerDaemon, SignerState
-from .vcr import ActionKind, VcrAction
+from .vcr import DEFAULT_TOLERANCE_SECONDS, ActionKind, VcrAction
 from .wrapper import ServerKey
 
 STORE_ENV = "VCRKIT_STORE"
@@ -68,10 +68,6 @@ def _signer(socket_path: str | None, state_path: str | None):
             _passphrase(), state_path, policy=ConfirmationPolicy.AUTO_APPROVE
         )
     raise MalformedMessage("need --socket or --state (or the matching env var)")
-
-
-def _agent(store_path: str) -> Agent:
-    return Agent.load(store_path)
 
 
 store_option = click.option(
@@ -135,9 +131,9 @@ def signer_unlock(state: str, socket: str, policy: str) -> None:
     daemon = SignerDaemon(signer, socket)
     click.echo(json.dumps({"ok": True, "socket": socket, "policy": policy}))
     try:
-        daemon.serve_forever()
+        daemon.serve_forever()  # closes and removes the socket on the way out
     except KeyboardInterrupt:
-        daemon.shutdown()
+        pass
 
 
 @main.command("device-issue")
@@ -187,8 +183,6 @@ def agent_init(
 ) -> None:
     """Provision a fresh agent store with a device public key."""
     if os.path.exists(store):
-        from .errors import AlreadyProvisioned
-
         raise AlreadyProvisioned(f"store file {store} already exists")
     if xpub_hex:
         xpub = ExtendedPublicKey.deserialize(bytes.fromhex(xpub_hex))
@@ -208,7 +202,7 @@ def agent_init(
 @surface_errors
 def visit(url: str, store: str, unified: bool, fresh: bool) -> None:
     """Fetch a page; start or extend a session when supported."""
-    agent = _agent(store)
+    agent = Agent.load(store)
     session, _ = agent.visit(url, int(time.time()), unified=unified, fresh=fresh)
     if session is None:
         click.echo(json.dumps({"ok": True, "supported": False}))
@@ -232,7 +226,7 @@ def visit(url: str, store: str, unified: bool, fresh: bool) -> None:
 @surface_errors
 def sessions(store: str, as_json: bool) -> None:
     """List stored sessions; SID is the first bytes of the session key."""
-    agent = _agent(store)
+    agent = Agent.load(store)
     rows = [
         {
             "sid": s.sid,
@@ -260,7 +254,7 @@ def sessions(store: str, as_json: bool) -> None:
 @surface_errors
 def history(sid: str, store: str, as_json: bool) -> None:
     """Show the visit history of one session."""
-    agent = _agent(store)
+    agent = Agent.load(store)
     session = agent.store.find_by_sid(sid)
     if session is None:
         raise MalformedMessage(f"no session with sid {sid}")
@@ -307,7 +301,7 @@ def vcr_command(
     raw_changes: tuple[str, ...],
 ) -> None:
     """Issue a signed consumer request for one or more sessions."""
-    agent = _agent(store)
+    agent = Agent.load(store)
     if not sids:
         raise MalformedMessage("pass at least one --session SID")
     sessions = []
@@ -359,7 +353,9 @@ def vcr_command(
 @click.option(
     "--listen", default="127.0.0.1:8080", envvar="VCRKIT_LISTEN", help="host:port"
 )
-@click.option("--tolerance", type=int, default=300, envvar="VCRKIT_TOLERANCE")
+@click.option(
+    "--tolerance", type=int, default=DEFAULT_TOLERANCE_SECONDS, envvar="VCRKIT_TOLERANCE"
+)
 @click.option("--key-file", default=None, help="server signing key (hex scalar)")
 @click.option("--snapshot", default=None, help="JSON snapshot path")
 @surface_errors
@@ -419,7 +415,7 @@ def bench(runs: int, as_json: bool) -> None:
 @surface_errors
 def export(store: str, out: str, mode: str) -> None:
     """Write the store (device public key and wrappers only) to a file."""
-    agent = _agent(store)
+    agent = Agent.load(store)
     data = agent.store.export(WireMode(mode))
     files.write_private(out, data)
     click.echo(json.dumps({"ok": True, "bytes": len(data), "out": out}))

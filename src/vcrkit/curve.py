@@ -178,13 +178,20 @@ def compress(point: Affine) -> bytes:
     return bytes([2 + (point[1] & 1)]) + point[0].to_bytes(32, "big")
 
 
-def decompress(data: bytes) -> Affine:
-    """Parse a compressed point, checking it lies on the curve."""
+def encoded_x(data: bytes) -> int:
+    """x of a well-formed compressed encoding (length, parity byte, x < P);
+    whether the point lies on the curve is ``decompress``'s check."""
     if len(data) != POINT_BYTES or data[0] not in (2, 3):
         raise InvalidPublicKey("bad compressed point encoding")
     x = int.from_bytes(data[1:], "big")
     if x >= P:
         raise InvalidPublicKey("x coordinate out of field")
+    return x
+
+
+def decompress(data: bytes) -> Affine:
+    """Parse a compressed point, checking it lies on the curve."""
+    x = encoded_x(data)
     y_sq = (x * x * x + 7) % P
     y = pow(y_sq, (P + 1) // 4, P)
     if y * y % P != y_sq:

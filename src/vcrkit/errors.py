@@ -2,8 +2,11 @@
 
 Every error carries a stable machine-readable ``code`` (the class name) so
 the CLI and the reference server can surface error classes without leaking
-anything beyond the class itself.
+anything beyond the class itself. ``QuietDisconnects`` is the one rule both
+servers follow for errors they report on stderr.
 """
+
+import sys
 
 
 class VcrkitError(Exception):
@@ -196,3 +199,14 @@ class Locked(VcrkitError):
 
 class BenchEnvironmentError(VcrkitError):
     """Benchmark harness could not set up its loopback environment."""
+
+
+# --- servers ---------------------------------------------------------------
+
+class QuietDisconnects:
+    """``socketserver`` mixin: a peer that went away mid-request (reset,
+    broken pipe) is dropped silently; any other error is still printed."""
+
+    def handle_error(self, request, client_address) -> None:
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)

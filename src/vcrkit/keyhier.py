@@ -28,7 +28,6 @@ from .errors import (
     DegenerateChild,
     DegenerateKey,
     HardenedIndexRejected,
-    InvalidPublicKey,
     InvalidSeedLength,
     MalformedPath,
     RecoveryMismatch,
@@ -136,13 +135,7 @@ class ExtendedPublicKey:
         # happens lazily in .point, and eagerly in deserialize() where the
         # bytes are untrusted. Internal derivation always produces valid
         # points, so revalidating each construction would dominate runtime.
-        point = self.public_point
-        if (
-            len(point) != curve.POINT_BYTES
-            or point[0] not in (2, 3)
-            or int.from_bytes(point[1:], "big") >= curve.P
-        ):
-            raise InvalidPublicKey("bad compressed point encoding")
+        curve.encoded_x(self.public_point)
         if len(self.chain_code) != 32:
             raise ValueError("chain code must be 32 bytes")
 

@@ -39,10 +39,12 @@ from .errors import (
     MalformedMessage,
     ModifyConflict,
     NoData,
+    QuietDisconnects,
     VcrkitError,
 )
 from .sealing import HybridCiphertext, hybrid_encrypt
 from .vcr import (
+    DEFAULT_TOLERANCE_SECONDS,
     ActionKind,
     ReplayCache,
     SealedVcr,
@@ -172,7 +174,7 @@ class VcrServer:
     def __init__(
         self,
         server_key: ServerKey | None = None,
-        tolerance: int = 300,
+        tolerance: int = DEFAULT_TOLERANCE_SECONDS,
         snapshot_path: str | None = None,
         clock=time.time,
     ) -> None:
@@ -440,7 +442,7 @@ class _Handler(BaseHTTPRequestHandler):
         self._reply(status, json.dumps(payload, separators=(",", ":")).encode())
 
 
-class VcrHttpServer(ThreadingHTTPServer):
+class VcrHttpServer(QuietDisconnects, ThreadingHTTPServer):
     daemon_threads = True
 
     def __init__(self, address: tuple[str, int], vcr: VcrServer) -> None:

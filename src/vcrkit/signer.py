@@ -5,7 +5,7 @@ file encrypted with AES-256-GCM under a scrypt-derived key; in memory it
 lives only inside an unlocked SignerState, next to at most KEY_CACHE_SIZE
 derived signing keys, all dropped by ``lock()``. The daemon speaks 4-byte
 little-endian length-prefixed JSON frames over a unix socket and serves one
-request at a time; responses carry signatures and extended *public* keys,
+connection at a time; responses carry signatures and extended *public* keys,
 never private material.
 """
 
@@ -15,8 +15,8 @@ import hashlib
 import json
 import os
 import socket
+import socketserver
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
@@ -31,6 +31,7 @@ from .errors import (
     Locked,
     MalformedMessage,
     MalformedPath,
+    QuietDisconnects,
     SignerRefused,
     StateExists,
     StateMissing,
@@ -227,8 +228,6 @@ class SignerState:
         self, path: DerivationPath, digest: bytes, summary: str | None = None
     ) -> bytes:
         master = self._require_unlocked()
-        if isinstance(path, str):
-            path = DerivationPath.parse(path)
         if len(path) == 0:
             raise UnknownPath("signing under the bare master is not allowed")
         if len(digest) != 32:
@@ -298,67 +297,51 @@ def _read_exact(sock: socket.socket, n: int) -> bytes | None:
     return chunks
 
 
-class SignerDaemon:
-    """Serves one request at a time over a unix socket."""
+class _FrameHandler(socketserver.BaseRequestHandler):
+    """Answers frames on one connection until the peer closes it."""
+
+    def handle(self) -> None:
+        while True:
+            try:
+                frame = read_frame(self.request)
+            except MalformedMessage as exc:
+                reply = {"ok": False, "err": exc.code, "message": str(exc)}
+                write_frame(self.request, reply)
+                return
+            if frame is None:
+                return
+            write_frame(self.request, self.server._handle(frame))
+
+
+class SignerDaemon(QuietDisconnects, socketserver.UnixStreamServer):
+    """Serves one connection at a time over a unix socket that exists, mode
+    0600, once the constructor returns."""
+
+    request_queue_size = 8
 
     def __init__(self, state: SignerState, socket_path: str) -> None:
         self.state = state
         self.socket_path = socket_path
-        self._stop = threading.Event()
-        self._listener: socket.socket | None = None
+        super().__init__(socket_path, _FrameHandler)
 
-    def serve_forever(self) -> None:
+    def server_bind(self) -> None:
         if os.path.exists(self.socket_path):
             os.unlink(self.socket_path)
-        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        listener.bind(self.socket_path)
+        super().server_bind()
         os.chmod(self.socket_path, 0o600)
-        listener.listen(8)
-        listener.settimeout(0.2)
-        self._listener = listener
+
+    def serve_forever(self, poll_interval: float = 0.2) -> None:
         try:
-            while not self._stop.is_set():
-                try:
-                    conn, _ = listener.accept()
-                except socket.timeout:
-                    continue
-                with conn:
-                    self._serve_connection(conn)
+            super().serve_forever(poll_interval)
         finally:
-            listener.close()
+            self.server_close()
             if os.path.exists(self.socket_path):
                 os.unlink(self.socket_path)
 
     def serve_in_thread(self) -> threading.Thread:
         thread = threading.Thread(target=self.serve_forever, daemon=True)
         thread.start()
-        for _ in range(500):
-            if self._listener is not None or not thread.is_alive():
-                break
-            time.sleep(0.01)
         return thread
-
-    def shutdown(self) -> None:
-        self._stop.set()
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        while not self._stop.is_set():
-            try:
-                frame = read_frame(conn)
-            except MalformedMessage as exc:
-                try:
-                    write_frame(conn, {"ok": False, "err": exc.code, "message": str(exc)})
-                except OSError:
-                    pass
-                return
-            except OSError:
-                return
-            if frame is None:
-                return
-            try:
-                write_frame(conn, self._handle(frame))
-            except OSError:
-                return
 
     def _handle(self, frame: dict) -> dict:
         op = frame.get("op")

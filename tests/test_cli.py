@@ -2,11 +2,13 @@
 
 import json
 import os
+import tempfile
 import time
 
 import pytest
 from click.testing import CliRunner
 
+from vcrkit.bench import run_bench
 from vcrkit.cli import main
 from vcrkit.signer import ConfirmationPolicy, SignerDaemon, SignerState
 
@@ -262,6 +264,19 @@ def test_bench_runs_and_is_deterministic_on_sizes(runner, env):
         a["bandwidth"]["verify_vcr"]["request_payload_bytes"]
         == b["bandwidth"]["verify_vcr"]["request_payload_bytes"]
     )
+
+
+def test_bench_removes_its_work_directory():
+    def leftovers():
+        return {
+            name
+            for name in os.listdir(tempfile.gettempdir())
+            if name.startswith("vcrkit-bench-")
+        }
+
+    before = leftovers()
+    run_bench(runs=1)
+    assert leftovers() <= before
 
 
 def test_serve_command_help(runner):

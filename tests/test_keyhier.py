@@ -15,6 +15,7 @@ from vcrkit.errors import (
     DegenerateChild,
     DegenerateKey,
     HardenedIndexRejected,
+    InvalidPublicKey,
     InvalidSeedLength,
     MalformedPath,
     RecoveryMismatch,
@@ -322,6 +323,22 @@ def test_recover_parent_priv_foreign_child(master):
     child = derive_child_priv(other, 7)
     with pytest.raises(RecoveryMismatch):
         recover_parent_priv(neuter(master), child.secret, 7)
+
+
+def test_xpub_encoding_checked_eagerly_curve_check_lazily():
+    chain = bytes(32)
+    x_past_field = b"\x02" + curve.P.to_bytes(32, "big")
+    for bad in (b"\x02" + bytes(31), b"\x04" + bytes(32), x_past_field):
+        with pytest.raises(InvalidPublicKey):
+            ExtendedPublicKey(public_point=bad, chain_code=chain)
+    # x = 5 gives x^3 + 7 = 132, not a square mod P: off the curve.
+    off_curve = ExtendedPublicKey(
+        public_point=b"\x02" + (5).to_bytes(32, "big"), chain_code=chain
+    )
+    with pytest.raises(InvalidPublicKey):
+        off_curve.point
+    with pytest.raises(InvalidPublicKey):
+        ExtendedPublicKey.deserialize(off_curve.serialize())
 
 
 def test_display_base58_charset(master):

@@ -2,6 +2,8 @@
 
 import json
 import socket
+import struct
+import threading
 import time
 from dataclasses import replace
 from urllib.parse import urlsplit
@@ -17,8 +19,10 @@ from vcrkit.server import (
     ACCESS_INFO,
     COOKIE_NAME,
     MAX_BODY_BYTES,
+    VCR_ENDPOINT,
     ClientDataRecord,
     EndpointAdvertisement,
+    VcrHttpServer,
     VcrServer,
     encrypt_access_response,
 )
@@ -563,6 +567,36 @@ def test_chunked_post_is_refused_unread(loopback):
     header, _, body = raw.partition(b"\r\n\r\n")
     assert header.split(b" ", 2)[1] == b"501"
     assert json.loads(body) == {"error": "UnsupportedTransferEncoding"}
+
+
+def test_peer_reset_mid_body_is_quiet(capfd):
+    """A client that resets its connection mid-body leaves nothing on
+    stderr, and the server goes on serving."""
+    handled = threading.Event()
+
+    class Observed(VcrHttpServer):
+        def handle_error(self, request, client_address):
+            super().handle_error(request, client_address)
+            handled.set()
+
+    httpd = Observed(("127.0.0.1", 0), VcrServer())
+    httpd.serve_in_thread()
+    try:
+        parts = urlsplit(httpd.origin)
+        head = (
+            f"POST {VCR_ENDPOINT} HTTP/1.1\r\nHost: {parts.netloc}\r\n"
+            "Content-Length: 100\r\n\r\n{\""
+        )
+        with socket.create_connection((parts.hostname, parts.port), timeout=10) as sock:
+            sock.sendall(head.encode("latin-1"))
+            time.sleep(0.2)  # let the handler block reading the body
+            # Linger 0: close sends a reset instead of a FIN.
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        assert handled.wait(5)
+        assert _get(httpd.origin, "/").status == 200
+    finally:
+        httpd.close()
+    assert capfd.readouterr().err == ""
 
 
 def test_sealed_body_with_mistyped_fields_is_malformed(loopback):

@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import stat
 import sys
 import threading
 
@@ -388,3 +389,33 @@ def test_daemon_socket_file_removed_on_shutdown(state, tmp_path):
     daemon.shutdown()
     thread.join(timeout=5)
     assert not os.path.exists(socket_path)
+
+
+def test_daemon_socket_exists_0600_before_serving(state, tmp_path):
+    socket_path = str(tmp_path / "early.sock")
+    import socket as socketlib
+
+    daemon = SignerDaemon(state, socket_path)
+    try:
+        assert stat.S_IMODE(os.stat(socket_path).st_mode) == 0o600
+        with socketlib.socket(socketlib.AF_UNIX, socketlib.SOCK_STREAM) as sock:
+            sock.connect(socket_path)  # already listening: the backlog takes it
+    finally:
+        daemon.server_close()
+
+
+def test_daemon_bad_socket_path_raises_from_constructor(state, tmp_path):
+    with pytest.raises(OSError):
+        SignerDaemon(state, str(tmp_path / "no-such-dir" / "signer.sock"))
+
+
+def test_daemon_peer_gone_mid_frame_is_quiet(daemon, client, capfd):
+    import socket as socketlib
+
+    with socketlib.socket(socketlib.AF_UNIX, socketlib.SOCK_STREAM) as sock:
+        sock.connect(daemon.socket_path)
+        sock.sendall((100).to_bytes(4, "little") + b"{}")
+    # One connection at a time: the ping is served only after the
+    # abandoned connection has been dealt with.
+    assert client.ping()
+    assert capfd.readouterr().err == ""
