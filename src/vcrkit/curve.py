@@ -3,8 +3,8 @@
 Signing, verification and ECDH are delegated to pyca/cryptography (OpenSSL,
 constant-time, RFC 6979 deterministic nonces). Point arithmetic needed for
 public child derivation is not exposed by that library, so this module keeps
-its own group math: Jacobian coordinates plus a fixed-base comb table that
-makes scalar-base multiplication cheap enough for bulk derivation.
+its own group math: a signed-digit fixed-base comb table that makes
+scalar-base multiplication cheap enough for bulk derivation.
 
 ``sign_digest`` and ``ecdh`` take an OpenSSL key object, never a scalar.
 Building one with ``private_key`` costs more than a signature, so a key used
@@ -47,56 +47,6 @@ _PREHASHED_SHA256 = Prehashed(hashes.SHA256())
 
 PrivateKey = ec.EllipticCurvePrivateKey  # an OpenSSL key object
 Affine = tuple[int, int]
-_Jacobian = tuple[int, int, int]
-
-_JAC_INF: _Jacobian = (0, 0, 0)
-
-
-def _jac_double(pt: _Jacobian) -> _Jacobian:
-    x1, y1, z1 = pt
-    if not y1:
-        return _JAC_INF
-    a = x1 * x1 % P
-    b = y1 * y1 % P
-    c = b * b % P
-    d = 2 * ((x1 + b) * (x1 + b) - a - c) % P
-    e = 3 * a % P
-    x3 = (e * e - 2 * d) % P
-    y3 = (e * (d - x3) - 8 * c) % P
-    return (x3, y3, 2 * y1 * z1 % P)
-
-
-def _jac_add_affine(pt: _Jacobian, q: Affine) -> _Jacobian:
-    x1, y1, z1 = pt
-    if not z1:
-        return (q[0], q[1], 1)
-    x2, y2 = q
-    z1z1 = z1 * z1 % P
-    u2 = x2 * z1z1 % P
-    s2 = y2 * z1 * z1z1 % P
-    if u2 == x1:
-        if s2 != y1:
-            return _JAC_INF
-        return _jac_double(pt)
-    h = (u2 - x1) % P
-    hh = h * h % P
-    i = 4 * hh % P
-    j = h * i % P
-    r = 2 * (s2 - y1) % P
-    v = x1 * i % P
-    x3 = (r * r - j - 2 * v) % P
-    y3 = (r * (v - x3) - 2 * y1 * j) % P
-    z3 = ((z1 + h) * (z1 + h) - z1z1 - hh) % P
-    return (x3, y3, z3)
-
-
-def _jac_to_affine(pt: _Jacobian) -> Affine | None:
-    x, y, z = pt
-    if not z:
-        return None
-    zi = pow(z, -1, P)  # xgcd inversion, much faster than Fermat here
-    zi2 = zi * zi % P
-    return (x * zi2 % P, y * zi2 % P * zi % P)
 
 
 def _batch_inverse(values: list[int]) -> list[int]:
@@ -111,44 +61,64 @@ def _batch_inverse(values: list[int]) -> list[int]:
     return out
 
 
-# Comb table: _COMB[w][v] = affine point of (v << 8w) * G for v in 1..255.
-# Built lazily on first scalar-base multiplication (~100 ms, ~2 MB) and
-# published whole by one assignment under _COMB_LOCK, so threads racing on
-# the first call build it once and later readers take no lock.
-_COMB: list[list[Affine | None]] = []
+def _double(x: int, y: int, inv_2y: int) -> Affine:
+    """2*(x, y) in affine coordinates, given 1/(2y)."""
+    lam = 3 * x * x * inv_2y % P
+    x3 = (lam * lam - 2 * x) % P
+    return (x3, (lam * (x - x3) - y) % P)
+
+
+# Signed-digit comb (M. Hamburg, IACR ePrint 2012/309, as in libsecp256k1's
+# ecmult_gen). A scalar is cut into _COMB_ROWS windows of _COMB_BITS bits;
+# a window above _COMB_HALF becomes the negative digit window - 2^bits and
+# carries one into the next, so every digit lies in [-HALF, HALF] and
+# k*G costs one mixed addition per nonzero window. Row i is a pair of lists
+# (xs, ys) holding the affine v * 2^(bits*i) * G for v in 1..HALF (index 0
+# unused); a negative digit uses (x, -y). 26 rows of 512 points, ~1.8 MB.
+_COMB_BITS = 10
+_COMB_HALF = 1 << (_COMB_BITS - 1)
+_COMB_MASK = (1 << _COMB_BITS) - 1
+_COMB_ROWS = -(-257 // _COMB_BITS)  # 256 bits plus the top window's carry
+
+# Built lazily on first scalar-base multiplication and published whole by
+# one assignment under _COMB_LOCK, so threads racing on the first call build
+# it once and later readers take no lock.
+_COMB: list[tuple[list[int], list[int]]] = []
 _COMB_LOCK = threading.Lock()
 
 
-def _build_comb() -> list[list[Affine | None]]:
-    rows: list[list[_Jacobian]] = []
-    base: Affine = (GX, GY)
-    for _ in range(32):
-        row: list[_Jacobian] = [_JAC_INF] * 256
-        acc = _JAC_INF
-        for v in range(1, 256):
-            acc = _jac_add_affine(acc, base)
-            row[v] = acc
-        rows.append(row)
-        nxt = _jac_to_affine(_jac_add_affine(acc, base))
-        assert nxt is not None
-        base = nxt
-    flat = [pt[2] for row in rows for pt in row[1:]]
-    inverses = _batch_inverse(flat)
-    k = 0
-    table: list[list[Affine | None]] = []
-    for row in rows:
-        out: list[Affine | None] = [None] * 256
-        for v in range(1, 256):
-            x, y, _ = row[v]
-            zi = inverses[k]
-            k += 1
-            zi2 = zi * zi % P
-            out[v] = (x * zi2 % P, y * zi2 % P * zi % P)
-        table.append(out)
+def _comb_row(x: int, y: int) -> tuple[list[int], list[int]]:
+    """Affine v*(x, y) for v in 1..HALF (entry 0 unused). Each pass adds the
+    last point, top*(x, y), to every earlier one and doubles it, so the
+    filled length doubles and the pass shares one inversion."""
+    xs, ys = [0, x], [0, y]
+    while len(xs) <= _COMB_HALF:
+        top = len(xs) - 1
+        tx, ty = xs[top], ys[top]
+        inverses = _batch_inverse([tx - xs[u] for u in range(1, top)] + [2 * ty])
+        for u in range(1, top):
+            lam = (ty - ys[u]) * inverses[u - 1] % P
+            x3 = (lam * lam - tx - xs[u]) % P
+            xs.append(x3)
+            ys.append((lam * (xs[u] - x3) - ys[u]) % P)
+        x3, y3 = _double(tx, ty, inverses[-1])
+        xs.append(x3)
+        ys.append(y3)
+    return xs, ys
+
+
+def _build_comb() -> list[tuple[list[int], list[int]]]:
+    table = []
+    x, y = GX, GY
+    for _ in range(_COMB_ROWS):
+        xs, ys = _comb_row(x, y)
+        table.append((xs, ys))
+        # Next row's base: 2^bits * base = 2 * (HALF * base).
+        x, y = _double(xs[-1], ys[-1], pow(2 * ys[-1], -1, P))
     return table
 
 
-def _comb_table() -> list[list[Affine | None]]:
+def _comb_table() -> list[tuple[list[int], list[int]]]:
     global _COMB
     with _COMB_LOCK:
         if not _COMB:
@@ -164,14 +134,50 @@ def scalar_base_mult(k: int, offset: Affine | None = None) -> Affine | None:
     if not 0 <= k < N or (k == 0 and offset is None):
         raise ValueError("scalar out of range")
     comb = _COMB or _comb_table()
-    acc = _JAC_INF if offset is None else (offset[0], offset[1], 1)
-    for w in range(32):
-        v = (k >> (8 * w)) & 0xFF
-        if v:
-            entry = comb[w][v]
-            assert entry is not None
-            acc = _jac_add_affine(acc, entry)
-    return _jac_to_affine(acc)
+    # The accumulator is in Chudnovsky coordinates (X, Y, Z^2, Z^3), affine
+    # (X/Z^2, Y/Z^3); zz == 0 is the point at infinity. Keeping Z^2 and Z^3
+    # saves a multiplication per addition over plain Jacobian (X, Y, Z).
+    if offset is None:
+        x1 = y1 = zz = zzz = 0
+    else:
+        x1, y1 = offset
+        zz = zzz = 1
+    for xs, ys in comb:
+        d = k & _COMB_MASK
+        k >>= _COMB_BITS
+        if d > _COMB_HALF:
+            k += 1
+            d = _COMB_MASK + 1 - d
+            x2, y2 = xs[d], P - ys[d]
+        elif d:
+            x2, y2 = xs[d], ys[d]
+        else:
+            continue
+        if not zz:
+            x1, y1, zz, zzz = x2, y2, 1, 1
+            continue
+        # Mixed addition (X1, Y1, ZZ1, ZZZ1) + (x2, y2); h == 0 means the
+        # same x: the accumulator is the entry or its negation.
+        h = x2 * zz % P - x1
+        r = y2 * zzz % P - y1
+        if not h:
+            if r:
+                x1 = y1 = zz = zzz = 0
+            else:
+                x1, y1 = _double(x2, y2, pow(2 * y2, -1, P))
+                zz = zzz = 1
+            continue
+        hh = h * h % P
+        hhh = h * hh % P
+        v = x1 * hh % P
+        x1 = (r * r - hhh - 2 * v) % P
+        y1 = (r * (v - x1) - y1 * hhh) % P
+        zz = zz * hh % P
+        zzz = zzz * hhh % P
+    if not zz:
+        return None
+    inv = pow(zz * zzz, -1, P)  # 1/Z^5: x = X*Z^3/Z^5, y = Y*Z^2/Z^5
+    return (x1 * zzz * inv % P, y1 * zz * inv % P)
 
 
 def compress(point: Affine) -> bytes:

@@ -352,7 +352,7 @@ def test_repr_hides_secret(master):
 
 
 def test_concurrent_first_scalar_base_mult_builds_one_table(monkeypatch):
-    # Threads racing on the first call must leave exactly one 32-row comb
+    # Threads racing on the first call must leave exactly one 26-row comb
     # table and compute correct points.
     def expected(k):
         numbers = ec.derive_private_key(k, ec.SECP256K1()).public_key().public_numbers()
@@ -378,7 +378,39 @@ def test_concurrent_first_scalar_base_mult_builds_one_table(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert len(curve._COMB) == 32
+    assert len(curve._COMB) == 26
     assert results == {k: expected(k) for k in scalars}
     k = random.Random("after").randrange(1, curve.N)
     assert curve.scalar_base_mult(k) == expected(k)
+
+
+def test_scalar_base_mult_signed_digit_edges():
+    # Windows above half become negative digits that carry into the next
+    # window; an offset can meet a comb entry (doubling) or its negation
+    # (infinity) partway through the pass. OpenSSL is the reference.
+    def expected(k):
+        numbers = ec.derive_private_key(k, ec.SECP256K1()).public_key().public_numbers()
+        return (numbers.x, numbers.y)
+
+    n = curve.N
+    carries = [
+        1, 511, 512, 513, 1023, 1024, 1025, n - 1, n - 512, 2**255,
+        sum(513 << (10 * i) for i in range(25)),
+        sum(1023 << (10 * i) for i in range(25)),
+    ]
+    for k in carries:
+        assert curve.scalar_base_mult(k) == expected(k)
+    g = (curve.GX, curve.GY)
+    neg_g = (curve.GX, curve.P - curve.GY)
+    assert curve.scalar_base_mult(1, g) == expected(2)
+    assert curve.scalar_base_mult(0, g) == g
+    assert curve.scalar_base_mult(1, neg_g) is None
+    assert curve.scalar_base_mult(n - 1, g) is None
+    # 2047 = 1024 - 1: the first digit is -1, which cancels the offset G.
+    assert curve.scalar_base_mult(2047, g) == expected(2048)
+    assert curve.scalar_base_mult(1023, expected(n - 1023)) is None
+    rng = random.Random("offsets")
+    for _ in range(20):
+        a, b = rng.randrange(1, n), rng.randrange(0, n)
+        total = (a + b) % n
+        assert curve.scalar_base_mult(b, expected(a)) == (expected(total) if total else None)
