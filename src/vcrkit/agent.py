@@ -9,7 +9,6 @@ signing needs the trusted-device signer.
 
 from __future__ import annotations
 
-import json
 import threading
 from dataclasses import dataclass, field
 from urllib.parse import urlsplit
@@ -262,13 +261,14 @@ class AgentStore(Message):
 
     @classmethod
     def import_(cls, data: bytes) -> "AgentStore":
-        last_error: Exception | None = None
-        for mode in (WireMode.OPTIMIZED, WireMode.VERBOSE):
+        try:
+            raw = encoding.json_object(data)
             try:
-                return encoding.from_wire(cls, data.decode("utf-8"), mode)
-            except (MalformedMessage, UnicodeDecodeError) as exc:
-                last_error = exc
-        raise CorruptStore(str(last_error))
+                return cls.from_wire_dict(raw, WireMode.OPTIMIZED)
+            except MalformedMessage:
+                return cls.from_wire_dict(raw, WireMode.VERBOSE)
+        except MalformedMessage as exc:
+            raise CorruptStore(str(exc)) from None
 
 
 @dataclass
@@ -307,7 +307,8 @@ class Agent:
 
     def save(self) -> None:
         if self.store_path:
-            files.write_private(self.store_path, self.store.export(WIRE_MODE))
+            with self.store.lock:  # an older export must not be written last
+                files.write_private(self.store_path, self.store.export(WIRE_MODE))
 
     # --- pinning ----------------------------------------------------------------
 
@@ -372,10 +373,8 @@ class Agent:
             if exchange.status != 200:
                 raise NetworkError(f"wrapper endpoint answered {exchange.status}")
             try:
-                wrapper = encoding.from_wire(
-                    Wrapper, exchange.body.decode("utf-8"), WIRE_MODE
-                )
-            except (MalformedMessage, UnicodeDecodeError) as exc:
+                wrapper = encoding.from_wire(Wrapper, exchange.body, WIRE_MODE)
+            except MalformedMessage as exc:
                 raise WrapperVerifyFailed(str(exc)) from None
             try:
                 verify_wrapper(
@@ -532,13 +531,13 @@ class Agent:
         self, exchange, action: VcrAction, response_secret: int | None
     ) -> VcrOutcome:
         try:
-            payload = json.loads(exchange.body.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            payload = encoding.json_object(exchange.body)
+        except MalformedMessage as exc:
             raise NetworkError(f"unparseable response: {exc}") from None
         outcome = VcrOutcome(
             status=exchange.status,
             payload=payload,
-            error=payload.get("error") if isinstance(payload, dict) else None,
+            error=payload.get("error"),
             exchange=exchange,
         )
         if exchange.status != 200 or action.kind is not ActionKind.ACCESS:
@@ -550,7 +549,6 @@ class Agent:
             plaintext = hybrid_decrypt(
                 curve.private_key(response_secret), box, ACCESS_INFO
             )
-            payload = json.loads(plaintext.decode("utf-8"))
-            outcome.payload = payload
+            payload = outcome.payload = encoding.json_object(plaintext)
         outcome.records = AccessResponse.from_wire_dict(payload, WIRE_MODE).records
         return outcome

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+import signal
 import sys
 import time
 
@@ -34,22 +35,23 @@ SOCKET_ENV = "VCRKIT_SIGNER_SOCKET"
 PASSPHRASE_ENV = "VCRKIT_PASSPHRASE"
 
 
-def _fail(error: VcrkitError) -> None:
-    click.echo(
-        json.dumps({"error": error.code, "message": str(error)}), err=True
-    )
-    sys.exit(1)
-
-
 def surface_errors(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except VcrkitError as exc:
-            _fail(exc)
+        except (VcrkitError, OSError) as exc:
+            error = {"error": type(exc).__name__, "message": str(exc)}
+            click.echo(json.dumps(error), err=True)
+            sys.exit(1)
 
     return wrapper
+
+
+def _interrupt_on_sigterm() -> None:
+    """SIGTERM stops a serving command the way Ctrl-C does, so its clean
+    close runs (the server's snapshot, the signer's socket file)."""
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
 
 
 def _passphrase() -> str:
@@ -129,11 +131,14 @@ def signer_unlock(state: str, socket: str, policy: str) -> None:
         confirm_hook=confirm,
     )
     daemon = SignerDaemon(signer, socket)
-    click.echo(json.dumps({"ok": True, "socket": socket, "policy": policy}))
+    _interrupt_on_sigterm()
     try:
-        daemon.serve_forever()  # closes and removes the socket on the way out
+        click.echo(json.dumps({"ok": True, "socket": socket, "policy": policy}))
+        daemon.serve_forever()
     except KeyboardInterrupt:
         pass
+    finally:
+        daemon.server_close()  # also removes the socket file
 
 
 @main.command("device-issue")
@@ -374,16 +379,17 @@ def serve(listen: str, tolerance: int, key_file: str | None, snapshot: str | Non
         server_key=server_key, tolerance=tolerance, snapshot_path=snapshot
     )
     httpd = VcrHttpServer((host or "127.0.0.1", int(port_text)), vcr_server)
-    click.echo(
-        json.dumps(
-            {
-                "ok": True,
-                "origin": httpd.origin,
-                "server_key_id": vcr_server.server_key.key_id.hex(),
-            }
-        )
-    )
+    _interrupt_on_sigterm()
     try:
+        click.echo(
+            json.dumps(
+                {
+                    "ok": True,
+                    "origin": httpd.origin,
+                    "server_key_id": vcr_server.server_key.key_id.hex(),
+                }
+            )
+        )
         httpd.serve_forever()
     except KeyboardInterrupt:
         pass

@@ -598,12 +598,23 @@ def to_wire(message, mode: WireMode) -> str:
     )
 
 
-def from_wire(cls, text: str, mode: WireMode):
+def json_object(data: bytes | str) -> dict:
+    """The one decoder for JSON from outside: strict UTF-8 (so no UTF-16),
+    then an object, or MalformedMessage. ValueError covers bad UTF-8, bad
+    JSON and too long an integer; RecursionError, too deep a nesting."""
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedMessage(f"bad wire JSON: {exc}") from None
-    return cls.from_wire_dict(data, mode)
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
+        value = json.loads(data)
+    except (ValueError, RecursionError) as exc:
+        raise MalformedMessage(f"bad JSON: {exc}") from None
+    if not isinstance(value, dict):
+        raise MalformedMessage("JSON value is not an object")
+    return value
+
+
+def from_wire(cls, data: bytes | str, mode: WireMode):
+    return cls.from_wire_dict(json_object(data), mode)
 
 
 def byte_size(message, mode: WireMode) -> int:

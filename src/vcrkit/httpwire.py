@@ -27,9 +27,6 @@ class HttpExchange:
     response_header_bytes: int
     response_body_bytes: int
 
-    def header(self, name: str, default: str | None = None) -> str | None:
-        return self.headers.get(name.lower(), default)
-
     @property
     def request_bytes(self) -> int:
         return self.request_header_bytes + self.request_body_bytes

@@ -86,9 +86,6 @@ class DerivationPath:
     def __str__(self) -> str:
         return "/".join(["m"] + [str(s) for s in self.segments])
 
-    def child(self, index: int) -> "DerivationPath":
-        return DerivationPath(self.segments + (index,))
-
     def __len__(self) -> int:
         return len(self.segments)
 

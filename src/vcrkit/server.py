@@ -35,6 +35,7 @@ from .encoding import (
     wire_key,
 )
 from .errors import (
+    InvalidPublicKey,
     MalformedBody,
     MalformedMessage,
     ModifyConflict,
@@ -158,6 +159,15 @@ class EndpointAdvertisement(Message):
             raise MalformedMessage(f"bad advertisement: {exc}") from None
 
 
+# Status of a refused request by the exact class of its error, so that a
+# MalformedMessage from verify_vcr (a version mismatch) stays a 403.
+_STATUS = {MalformedBody: 400, InvalidPublicKey: 400, NoData: 404, ModifyConflict: 409}
+
+
+def _refusal(exc: VcrkitError) -> tuple[int, dict]:
+    return _STATUS.get(type(exc), 403), {"error": exc.code}
+
+
 def encrypt_access_response(
     records: list[ClientDataRecord], client_pub: bytes
 ) -> HybridCiphertext:
@@ -234,18 +244,13 @@ class VcrServer:
     # --- wrapper endpoint -----------------------------------------------------
 
     def handle_wrapper_request(self, body: bytes) -> tuple[int, dict]:
+        now = int(self.clock())
         try:
-            req = encoding.from_wire(
-                WrapperRequest, body.decode("utf-8"), WIRE_MODE
-            )
+            req = self._decode_body(WrapperRequest, body)
             policy = MultiSigPolicy(req.vcr_pubkeys)
-        except (MalformedMessage, UnicodeDecodeError) as exc:
-            return 400, {"error": MalformedBody(str(exc)).code}
+            wrapper = issue_wrapper(self.server_key, req.client_id, policy, now)
         except VcrkitError as exc:
-            return 400, {"error": exc.code}
-        wrapper = issue_wrapper(
-            self.server_key, req.client_id, policy, int(self.clock())
-        )
+            return _refusal(exc)
         return 200, wrapper.to_wire_dict(WIRE_MODE)
 
     # --- vcr endpoint ---------------------------------------------------------
@@ -253,56 +258,47 @@ class VcrServer:
     def handle_vcr(self, body: bytes) -> tuple[int, dict]:
         now = int(self.clock())
         try:
-            payload = json.loads(body.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            return 400, {"error": MalformedBody(str(exc)).code}
-        if not isinstance(payload, dict):
-            return 400, {"error": MalformedBody("body is not an object").code}
-        try:
-            if wire_key("ephemeral_pubkey", WIRE_MODE) in payload:
-                sealed = SealedVcr.from_wire_dict(payload, WIRE_MODE)
-                request = unseal_vcr(self.server_key.private_key, sealed)
-            else:
-                request = VcrRequest.from_wire_dict(payload, WIRE_MODE)
-        except MalformedMessage as exc:
-            return 400, {"error": MalformedBody(str(exc)).code}
-        except VcrkitError as exc:
-            return 403, {"error": exc.code}
-
-        try:
-            verified = verify_vcr(
-                self.server_key.public_point, request, now, self.cache
-            )
-        except VcrkitError as exc:
-            return 403, {"error": exc.code}
-
-        action = verified.action
-        cookie_values = [cid.cookie_value for cid in verified.client_ids]
-        try:
+            request = self._decode_body(VcrRequest, body)
+            verified = verify_vcr(self.server_key.public_point, request, now, self.cache)
+            action = verified.action
+            cookie_values = [cid.cookie_value for cid in verified.client_ids]
             if action.kind is ActionKind.ACCESS:
                 return self._fulfill_access(cookie_values, action)
             if action.kind is ActionKind.MODIFY:
                 return self._fulfill_modify(cookie_values, action)
             return self._fulfill_delete(cookie_values)
-        except NoData as exc:
-            return 404, {"error": exc.code}
-        except ModifyConflict as exc:
-            return 409, {"error": exc.code}
+        except VcrkitError as exc:
+            return _refusal(exc)
+
+    def _decode_body(self, cls, body: bytes):
+        """The one decode boundary: ``cls`` from a JSON body, a VcrRequest
+        also from a sealed one. What does not decode (JSON, envelope or the
+        sealed canonical bytes) is MalformedBody; a bad seal, DecryptFailed."""
+        try:
+            payload = encoding.json_object(body)
+            if cls is VcrRequest and wire_key("ephemeral_pubkey", WIRE_MODE) in payload:
+                sealed = SealedVcr.from_wire_dict(payload, WIRE_MODE)
+                return unseal_vcr(self.server_key.private_key, sealed)
+            return cls.from_wire_dict(payload, WIRE_MODE)
+        except MalformedMessage as exc:
+            raise MalformedBody(str(exc)) from None
+
+    def _records_for(self, cookie_values) -> list[ClientDataRecord]:
+        """Records of the verified client ids; the caller holds the lock."""
+        records = [self._records[v] for v in cookie_values if v in self._records]
+        if not records:
+            raise NoData("no record for any verified client id")
+        return records
 
     def _fulfill_access(self, cookie_values, action) -> tuple[int, dict]:
         with self._lock:
-            records = [
-                self._records[v] for v in cookie_values if v in self._records
-            ]
-            if not records:
-                raise NoData("no record for any verified client id")
             snapshot = [
                 ClientDataRecord(
                     client_id=r.client_id,
                     visits=list(r.visits),
                     attributes=dict(r.attributes),
                 )
-                for r in records
+                for r in self._records_for(cookie_values)
             ]
         if action.response_pubkey is not None:
             box = encrypt_access_response(snapshot, action.response_pubkey)
@@ -311,11 +307,7 @@ class VcrServer:
 
     def _fulfill_modify(self, cookie_values, action) -> tuple[int, dict]:
         with self._lock:
-            records = [
-                self._records[v] for v in cookie_values if v in self._records
-            ]
-            if not records:
-                raise NoData("no record for any verified client id")
+            records = self._records_for(cookie_values)
             # Validate every triple against every record before touching
             # anything: a conflicting MODIFY must not partially apply.
             for record in records:

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from . import curve, errors, files
+from . import curve, encoding, errors, files
 from .errors import (
     DeviceRetired,
     Locked,
@@ -275,13 +275,7 @@ def read_frame(sock: socket.socket) -> dict | None:
     body = _read_exact(sock, length)
     if body is None and length > 0:
         raise MalformedMessage("connection closed mid-frame")
-    try:
-        frame = json.loads((body or b"").decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise MalformedMessage(f"bad frame: {exc}") from None
-    if not isinstance(frame, dict):
-        raise MalformedMessage("frame is not an object")
-    return frame
+    return encoding.json_object(body or b"")
 
 
 def _read_exact(sock: socket.socket, n: int) -> bytes | None:
@@ -335,8 +329,12 @@ class SignerDaemon(QuietDisconnects, socketserver.UnixStreamServer):
             super().serve_forever(poll_interval)
         finally:
             self.server_close()
-            if os.path.exists(self.socket_path):
-                os.unlink(self.socket_path)
+
+    def server_close(self) -> None:
+        """Close the listening socket and remove its file."""
+        super().server_close()
+        if os.path.exists(self.socket_path):
+            os.unlink(self.socket_path)
 
     def serve_in_thread(self) -> threading.Thread:
         thread = threading.Thread(target=self.serve_forever, daemon=True)

@@ -2,13 +2,15 @@
 
 import json
 import random
+import threading
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
 from builders import random_session_record
-from vcrkit import curve, encoding, httpwire
+from vcrkit import curve, encoding, files, httpwire
 from vcrkit.agent import Agent, AgentStore
 from vcrkit.encoding import WireMode, byte_size, wire_key
 from vcrkit.errors import (
@@ -29,7 +31,8 @@ from vcrkit.keyhier import (
     generate_master,
     neuter,
 )
-from vcrkit.server import EndpointAdvertisement
+from vcrkit.sealing import hybrid_encrypt
+from vcrkit.server import ACCESS_INFO, EndpointAdvertisement
 from vcrkit.signer import ConfirmationPolicy, SignerState
 from vcrkit.vcr import ActionKind, VcrAction
 
@@ -442,3 +445,55 @@ def test_first_visit_saves_once(loopback, tmp_path, monkeypatch):
     monkeypatch.setattr(Agent, "save", counting_save)
     agent.visit(origin + "/", _now(), fresh=True)
     assert len(saves) == 1
+
+
+def test_overlapping_visits_never_save_an_older_store(loopback, tmp_path, monkeypatch):
+    """Visit A is parked inside its store write while visit B runs; the
+    file must end up with both visits, not with A's older export."""
+    _, _, origin = loopback
+    agent, _ = _fresh_agent(tmp_path)
+    agent.visit(origin + "/", _now())
+    parked, release = threading.Event(), threading.Event()
+    write = files.write_private
+
+    def parking_write(path, data):
+        if not parked.is_set():
+            parked.set()
+            release.wait(10)
+        write(path, data)
+
+    monkeypatch.setattr(files, "write_private", parking_write)
+    visit_a = threading.Thread(target=agent.visit, args=(origin + "/a", _now()))
+    visit_a.start()
+    assert parked.wait(10)
+    visit_b = threading.Thread(target=agent.visit, args=(origin + "/b", _now()))
+    visit_b.start()
+    visit_b.join(0.5)  # B has finished, or is waiting for A's save
+    release.set()
+    visit_a.join(10)
+    visit_b.join(10)
+    assert not visit_a.is_alive() and not visit_b.is_alive()
+    reloaded = Agent.load(str(tmp_path / "agent.store"))
+    assert [p for _, p in reloaded.store.sessions[0].history] == ["/", "/a", "/b"]
+
+
+def test_undecodable_access_payload_is_malformed(loopback, tmp_path):
+    """An encrypted ACCESS body that opens but is not UTF-8 raises
+    MalformedMessage, the decode error of every JSON from outside."""
+    _, _, origin = loopback
+    agent, _ = _fresh_agent(tmp_path)
+    session, _ = agent.visit(origin + "/", _now())
+    secret = curve.generate_secret()
+    action = VcrAction(ActionKind.ACCESS, response_pubkey=curve.pubkey_bytes(secret))
+    box = hybrid_encrypt(action.response_pubkey, b'{"D":"\xff"}', ACCESS_INFO)
+    answer = encoding.to_wire(box, OPT).encode()
+
+    def stub(method, url, headers=None, body=b"", timeout=10.0):
+        return httpwire.HttpExchange(200, {}, [], answer, 0, 0, 0, 0)
+
+    agent.http = stub
+    signer = SimpleNamespace(sign_digest=lambda path, digest: bytes(64))
+    with pytest.raises(MalformedMessage):
+        agent.submit_request(
+            [session], action, signer, _now(), response_secret=secret
+        )

@@ -1,13 +1,19 @@
 """End-to-end CLI flows driven through click's test runner."""
 
+import contextlib
 import json
 import os
+import signal
+import subprocess
+import sys
 import tempfile
 import time
 
 import pytest
 from click.testing import CliRunner
 
+import vcrkit
+from vcrkit import httpwire
 from vcrkit.bench import run_bench
 from vcrkit.cli import main
 from vcrkit.signer import ConfirmationPolicy, SignerDaemon, SignerState
@@ -283,3 +289,52 @@ def test_serve_command_help(runner):
     result = runner.invoke(main, ["serve", "--help"])
     assert result.exit_code == 0
     assert "--tolerance" in result.output
+
+
+def test_os_error_is_one_json_line(runner, env, tmp_path):
+    _run(runner, env, ["signer-init"])
+    socket_path = str(tmp_path / "no-such-dir" / "signer.sock")
+    args = ["signer-unlock", "--socket", socket_path, "--policy", "auto"]
+    result = _run(runner, env, args, expect_exit=1)
+    assert "Traceback" not in result.output
+    [line] = result.stderr.splitlines()
+    assert json.loads(line)["error"] == "FileNotFoundError"
+
+
+@contextlib.contextmanager
+def _child(args, env):
+    """Run ``vcrkit <args>`` as a child process; yields it with its parsed
+    ready line, and kills it on the way out if it is still running."""
+    src = os.path.dirname(os.path.dirname(vcrkit.__file__))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "vcrkit.cli", *args],
+        env={**os.environ, **env, "PYTHONPATH": src},
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    with child:
+        try:
+            yield child, json.loads(child.stdout.readline())
+        finally:
+            child.kill()
+
+
+def test_sigterm_saves_the_server_snapshot(env, tmp_path):
+    snapshot = tmp_path / "snapshot.json"
+    args = ["serve", "--listen", "127.0.0.1:0", "--snapshot", str(snapshot)]
+    with _child(args, env) as (child, ready):
+        assert httpwire.request("GET", ready["origin"] + "/").status == 200
+        child.send_signal(signal.SIGTERM)
+        assert child.wait(timeout=10) == 0
+    assert len(json.loads(snapshot.read_text())) == 1
+
+
+def test_sigterm_removes_the_signer_socket(runner, env, tmp_path):
+    _run(runner, env, ["signer-init"])
+    socket_path = tmp_path / "signer.sock"
+    args = ["signer-unlock", "--socket", str(socket_path), "--policy", "auto"]
+    with _child(args, env) as (child, ready):
+        assert ready["ok"] and socket_path.exists()
+        child.send_signal(signal.SIGTERM)
+        assert child.wait(timeout=10) == 0
+    assert not socket_path.exists()

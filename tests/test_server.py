@@ -160,15 +160,44 @@ def test_wrapper_endpoint_roundtrip(loopback, master_pub):
     assert len(vcr_server.get_record(client_id.cookie_value).visits) == visits_before
 
 
-def test_wrapper_endpoint_rejects_garbage(loopback):
-    vcr_server, _, origin = loopback
+# Bodies that are not one JSON object: bad JSON, other JSON values, bytes
+# that are not UTF-8 (UTF-16 included), an integer past Python's conversion
+# limit and nesting past its recursion limit.
+GARBAGE_BODIES = {
+    "bad-json": b"{not json",
+    "number": b"5",
+    "array": b"[]",
+    "string": b'"x"',
+    "not-utf8": b'{"a":"\xff"}',
+    "utf16": '{"a":1}'.encode("utf-16"),
+    "long-int": b'{"a":' + b"1" * 5000 + b"}",
+    "deep": b"[" * 100_000,
+}
+
+
+def _assert_garbage_refused(vcr_server, origin, path, body):
+    """The body answers 400 MalformedBody, no record changes, and a new
+    connection still gets served."""
     before = vcr_server.record_count()
-    exchange = _post_json(
-        origin, vcr_server.advertisement.wrapper_endpoint, "{not json"
-    )
+    exchange = httpwire.request("POST", origin + path, body=body)
     assert exchange.status == 400
     assert json.loads(exchange.body)["error"] == "MalformedBody"
     assert vcr_server.record_count() == before
+    assert _get(origin, "/").status == 200
+
+
+@pytest.mark.parametrize("body", GARBAGE_BODIES.values(), ids=GARBAGE_BODIES.keys())
+def test_wrapper_endpoint_rejects_garbage(loopback, body):
+    vcr_server, _, origin = loopback
+    path = vcr_server.advertisement.wrapper_endpoint
+    _assert_garbage_refused(vcr_server, origin, path, body)
+
+
+@pytest.mark.parametrize("body", GARBAGE_BODIES.values(), ids=GARBAGE_BODIES.keys())
+def test_submit_endpoint_rejects_garbage(loopback, body):
+    vcr_server, _, origin = loopback
+    path = vcr_server.advertisement.vcr_endpoint
+    _assert_garbage_refused(vcr_server, origin, path, body)
 
 
 def test_wrapper_endpoint_rejects_bad_point(loopback):
@@ -182,6 +211,14 @@ def test_wrapper_endpoint_rejects_bad_point(loopback):
     )
     assert exchange.status == 400
     assert json.loads(exchange.body)["error"] == "InvalidPublicKey"
+
+
+def test_wrapper_issuance_without_a_clock_is_refused(master_pub):
+    vcr_server = VcrServer(clock=lambda: 0)
+    point = derive_path(master_pub, DerivationPath((0, 1))).public_point
+    request = WrapperRequest(client_id=ClientId("vcid", "abc"), vcr_pubkeys=(point,))
+    body = encoding.to_wire(request, OPT).encode()
+    assert vcr_server.handle_wrapper_request(body) == (403, {"error": "ClockUnavailable"})
 
 
 def test_wrapper_issuance_latency(loopback, master_pub):

@@ -381,6 +381,21 @@ def test_daemon_responses_never_leak_private_material(daemon, client):
             assert secret not in lowered
 
 
+def test_daemon_answers_a_frame_that_is_not_an_object(daemon, client):
+    import socket as socketlib
+
+    from vcrkit.signer import read_frame
+
+    for body in (b"[]", b'"ping"'):
+        with socketlib.socket(socketlib.AF_UNIX, socketlib.SOCK_STREAM) as sock:
+            sock.connect(daemon.socket_path)
+            sock.sendall(len(body).to_bytes(4, "little") + body)
+            response = read_frame(sock)
+        assert response["ok"] is False
+        assert response["err"] == "MalformedMessage"
+    assert client.ping()
+
+
 def test_daemon_socket_file_removed_on_shutdown(state, tmp_path):
     socket_path = str(tmp_path / "ephemeral.sock")
     daemon = SignerDaemon(state, socket_path)
