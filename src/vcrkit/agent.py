@@ -10,7 +10,7 @@ signing needs the trusted-device signer.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from urllib.parse import urlsplit
 
 from . import curve, encoding, files, httpwire
@@ -27,7 +27,9 @@ from .encoding import (
     integer,
     list_of,
     map_of,
+    maybe,
     nested,
+    row,
 )
 from .errors import (
     AlreadyProvisioned,
@@ -133,7 +135,9 @@ class AgentStore(Message):
 
     Single-writer: every mutation happens under one lock. The cookie index
     maps the (name, value) cookie pair to its session record and is rebuilt
-    on import rather than serialized.
+    on import rather than serialized. Sessions and visits added since the
+    last save are kept as journal records; header fields changed since then
+    are found by comparing the header with the one last saved.
     """
 
     FIELDS = (
@@ -165,6 +169,8 @@ class AgentStore(Message):
         self.retired = False
         self.cookie_index: dict[tuple[str, str], SessionRecord] = {}
         self._paths: set[DerivationPath] = set()
+        self._changes: list[StoreChange] = []
+        self._saved_header: dict | None = None
         self.lock = threading.Lock()
 
     # --- provisioning ---------------------------------------------------------
@@ -204,6 +210,9 @@ class AgentStore(Message):
     def add_session(self, record: SessionRecord) -> None:
         with self.lock:
             self._admit(record)
+            # As admitted: a visit recorded later is a change of its own.
+            session = replace(record, history=list(record.history))
+            self._changes.append(StoreChange(sessions=[session]))
 
     def find_by_cookie(self, cookie_name: str, cookie_value: str) -> SessionRecord | None:
         return self.cookie_index.get((cookie_name, cookie_value))
@@ -232,15 +241,22 @@ class AgentStore(Message):
     def record_visit(self, cookie_header_pairs, url: str, now: int) -> int:
         """Append (now, url path) to each session whose cookie appears in
         the request's cookie pairs; unknown cookies are ignored."""
-        path = urlsplit(url).path or "/"
+        path, now = urlsplit(url).path or "/", int(now)
         updated = 0
         with self.lock:
             for name, value in cookie_header_pairs:
-                record = self.cookie_index.get((name, value))
-                if record is not None:
-                    record.history.append((int(now), path))
+                if self._visit((name, value), now, path):
+                    self._changes.append(StoreChange(visit=(name, value, now, path)))
                     updated += 1
         return updated
+
+    def _visit(self, cookie: tuple[str, str], now: int, path: str) -> bool:
+        """The one rule for a visit entering the store: it joins the history
+        of the session holding the cookie, if the store has one."""
+        record = self.cookie_index.get(cookie)
+        if record is not None:
+            record.history.append((now, path))
+        return record is not None
 
     # --- persistence ------------------------------------------------------------
 
@@ -270,6 +286,82 @@ class AgentStore(Message):
         except MalformedMessage as exc:
             raise CorruptStore(str(exc)) from None
 
+    # --- journal ----------------------------------------------------------------
+
+    def unsaved_changes(self) -> list[bytes]:
+        """Journal records for what changed since the last save: the header
+        first when it differs from the saved one, then each session and
+        visit in order."""
+        changes = self._changes
+        if STORE_HEADER.encode[WIRE_MODE](self) != self._saved_header:
+            changes = [StoreChange(header=self), *changes]
+        return [encoding.to_wire(c, WIRE_MODE).encode() for c in changes]
+
+    def saved(self) -> None:
+        """Everything this store holds is on disk."""
+        self._changes.clear()
+        self._saved_header = STORE_HEADER.encode[WIRE_MODE](self)
+
+    def replay(self, records: list[bytes]) -> None:
+        """Apply journal records through the rules that made them; the store
+        then counts as saved."""
+        for data in records:
+            try:
+                change = encoding.from_wire(StoreChange, data, WIRE_MODE)
+                if change.header is not None:
+                    vars(self).update(change.header)
+                for record in change.sessions:
+                    self._admit(record)
+                if change.visit is not None:
+                    name, value, now, path = change.visit
+                    if not self._visit((name, value), now, path):
+                        raise MalformedMessage("visit to a session the store lacks")
+            except MalformedMessage as exc:
+                raise CorruptStore(f"bad journal record: {exc}") from None
+        self.saved()
+
+
+class StoreHeader(Message):
+    """The store's fields other than its version and sessions. Encoded
+    straight from an ``AgentStore``; decodes to a dict of its attributes."""
+
+    FIELDS = tuple(f for f in AgentStore.FIELDS if f.name not in ("version", "sessions"))
+
+    @classmethod
+    def _from_fields(cls, values: dict) -> dict:
+        return values
+
+
+STORE_HEADER = nested(StoreHeader)
+
+
+@dataclass
+class StoreChange(Message):
+    """One journal record, in the store file's keys: the header fields as
+    they now are, a session as it was admitted, or one visit to a session."""
+
+    FIELDS = (
+        Field("header", maybe(STORE_HEADER), flatten="device_id"),
+        Field("sessions", list_of(nested(SessionRecord), list), omit_empty=True),
+        Field(
+            "visits",
+            maybe(
+                row(
+                    ("cookie_name", STR),
+                    ("cookie_value", STR),
+                    ("visit_time", TIME),
+                    ("visit_url", STR),
+                )
+            ),
+            "visit",
+            omit_empty=True,
+        ),
+    )
+
+    header: object = None  # the AgentStore when encoding, a dict once decoded
+    sessions: list[SessionRecord] = field(default_factory=list)
+    visit: tuple[str, str, int, str] | None = None
+
 
 @dataclass
 class VcrOutcome:
@@ -289,6 +381,10 @@ class Agent:
         self.store = store
         self.store_path = store_path
         self.http = http or httpwire.request
+        # Where the next save appends. None until this agent has read or
+        # written a snapshot, and after a save that raised: the next save
+        # then writes the whole store.
+        self._journal: files.Journal | None = None
         # Single-writer rule: whole session establishments are serialized,
         # network round trip included, so concurrent calls cannot race the
         # session counter.
@@ -298,17 +394,29 @@ class Agent:
 
     @classmethod
     def load(cls, store_path: str, http=None) -> "Agent":
+        """The store's snapshot with its journal replayed. Writes nothing."""
         try:
             with open(store_path, "rb") as fh:
-                store = AgentStore.import_(fh.read())
+                snapshot = fh.read()
         except FileNotFoundError:
             raise CorruptStore(f"no store at {store_path}") from None
-        return cls(store, store_path, http)
+        agent = cls(AgentStore.import_(snapshot), store_path, http)
+        agent._journal, records = files.Journal.read(store_path, snapshot)
+        agent.store.replay(records)
+        return agent
 
     def save(self) -> None:
-        if self.store_path:
-            with self.store.lock:  # an older export must not be written last
-                files.write_private(self.store_path, self.store.export(WIRE_MODE))
+        """Append what changed since the last save to the store's journal,
+        or write the whole store when there is no journal to append to or
+        the journal would outgrow the snapshot."""
+        if not self.store_path:
+            return
+        with self.store.lock:  # an older state must not be written last
+            journal, self._journal = self._journal, None
+            if journal is None or not journal.append(self.store.unsaved_changes()):
+                journal = files.compact(self.store_path, self.store.export(WIRE_MODE))
+            self.store.saved()
+            self._journal = journal
 
     # --- pinning ----------------------------------------------------------------
 

@@ -48,6 +48,15 @@ def surface_errors(fn):
     return wrapper
 
 
+def _parsed(convert, text: str, what: str):
+    """``convert(text)``, or MalformedMessage naming ``what``; the value
+    itself is not echoed, since it may be a secret."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise MalformedMessage(f"cannot parse {what}") from None
+
+
 def _interrupt_on_sigterm() -> None:
     """SIGTERM stops a serving command the way Ctrl-C does, so its clean
     close runs (the server's snapshot, the signer's socket file)."""
@@ -103,7 +112,7 @@ def main() -> None:
 @surface_errors
 def signer_init(state: str, seed_hex: str | None) -> None:
     """Create a new encrypted signer state file."""
-    seed = bytes.fromhex(seed_hex) if seed_hex else os.urandom(32)
+    seed = _parsed(bytes.fromhex, seed_hex, "--seed-hex") if seed_hex else os.urandom(32)
     SignerState.init(_passphrase(), seed, state)
     click.echo(json.dumps({"ok": True, "state": state}))
 
@@ -190,7 +199,9 @@ def agent_init(
     if os.path.exists(store):
         raise AlreadyProvisioned(f"store file {store} already exists")
     if xpub_hex:
-        xpub = ExtendedPublicKey.deserialize(bytes.fromhex(xpub_hex))
+        xpub = ExtendedPublicKey.deserialize(
+            _parsed(bytes.fromhex, xpub_hex, "--device-xpub")
+        )
     else:
         xpub = _signer(socket, state).issue_device_xpub(device_id)
     agent_store = AgentStore()
@@ -367,18 +378,21 @@ def vcr_command(
 def serve(listen: str, tolerance: int, key_file: str | None, snapshot: str | None) -> None:
     """Run the reference server until interrupted."""
     host, _, port_text = listen.rpartition(":")
+    port = _parsed(int, port_text, "the --listen port")
     server_key = None
     if key_file:
         if os.path.exists(key_file):
             with open(key_file, "r", encoding="utf-8") as fh:
-                server_key = ServerKey(secret=int(fh.read().strip(), 16))
+                text = fh.read().strip()
+            hex_int = functools.partial(int, base=16)
+            server_key = ServerKey(secret=_parsed(hex_int, text, "the --key-file contents"))
         else:
             server_key = ServerKey.generate()
             files.write_private(key_file, f"{server_key.secret:064x}\n".encode())
     vcr_server = VcrServer(
         server_key=server_key, tolerance=tolerance, snapshot_path=snapshot
     )
-    httpd = VcrHttpServer((host or "127.0.0.1", int(port_text)), vcr_server)
+    httpd = VcrHttpServer((host or "127.0.0.1", port), vcr_server)
     _interrupt_on_sigterm()
     try:
         click.echo(

@@ -1,13 +1,19 @@
 """Client agent: provisioning, session flow, history, store portability."""
 
 import json
+import os
 import random
+import stat
+import tempfile
 import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from builders import random_session_record
 from vcrkit import curve, encoding, files, httpwire
@@ -35,6 +41,7 @@ from vcrkit.sealing import hybrid_encrypt
 from vcrkit.server import ACCESS_INFO, EndpointAdvertisement
 from vcrkit.signer import ConfirmationPolicy, SignerState
 from vcrkit.vcr import ActionKind, VcrAction
+from vcrkit.wrapper import ClientId
 
 OPT = WireMode.OPTIMIZED
 SEED = bytes(range(32))
@@ -448,21 +455,21 @@ def test_first_visit_saves_once(loopback, tmp_path, monkeypatch):
 
 
 def test_overlapping_visits_never_save_an_older_store(loopback, tmp_path, monkeypatch):
-    """Visit A is parked inside its store write while visit B runs; the
-    file must end up with both visits, not with A's older export."""
+    """Visit A is parked inside its journal append while visit B runs; the
+    store must end up with both visits, not with A's older state."""
     _, _, origin = loopback
     agent, _ = _fresh_agent(tmp_path)
     agent.visit(origin + "/", _now())
     parked, release = threading.Event(), threading.Event()
-    write = files.write_private
+    append = files.Journal.append
 
-    def parking_write(path, data):
+    def parking_append(journal, records):
         if not parked.is_set():
             parked.set()
             release.wait(10)
-        write(path, data)
+        return append(journal, records)
 
-    monkeypatch.setattr(files, "write_private", parking_write)
+    monkeypatch.setattr(files.Journal, "append", parking_append)
     visit_a = threading.Thread(target=agent.visit, args=(origin + "/a", _now()))
     visit_a.start()
     assert parked.wait(10)
@@ -497,3 +504,239 @@ def test_undecodable_access_payload_is_malformed(loopback, tmp_path):
         agent.submit_request(
             [session], action, signer, _now(), response_secret=secret
         )
+
+
+# --- store journal ---------------------------------------------------------------
+
+
+def _journal_agent(tmp_path, sessions=3):
+    """An agent whose snapshot holds ``sessions`` synthetic sessions with
+    cookies "00000000", "00000001", ... and no journal yet."""
+    agent, _ = _fresh_agent(tmp_path)
+    template = random_session_record(random.Random(11))
+    for j in range(sessions):
+        cookie = ClientId("vcid", f"{j:08d}")
+        agent.store.add_session(
+            replace(template, path=DerivationPath((0, j)), client_id=cookie, history=[])
+        )
+    agent.save()
+    return agent
+
+
+def _visit_and_save(agent, j, page, now=1754650000):
+    assert agent.store.record_visit([("vcid", f"{j:08d}")], "http://h" + page, now) == 1
+    agent.save()
+
+
+def _journal(agent) -> Path:
+    return Path(agent.store_path + files.JOURNAL_SUFFIX)
+
+
+def _reload(agent) -> Agent:
+    return Agent.load(agent.store_path)
+
+
+def test_torn_last_journal_record_gives_the_store_before_it(tmp_path):
+    agent = _journal_agent(tmp_path)
+    _visit_and_save(agent, 0, "/a")
+    agent.store.next_j = 3
+    _visit_and_save(agent, 1, "/b")
+    before = agent.store.export()
+    start = _journal(agent).stat().st_size
+    _visit_and_save(agent, 2, "/c")
+    whole = _journal(agent).read_bytes()
+    assert _reload(agent).store.export() == agent.store.export() != before
+
+    for cut in range(start, len(whole)):
+        torn = whole[:cut]
+        _journal(agent).write_bytes(torn)
+        assert _reload(agent).store.export() == before, cut
+        assert _journal(agent).read_bytes() == torn  # a load writes nothing
+    for offset in range(start, len(whole)):
+        flipped = bytearray(whole)
+        flipped[offset] ^= 0x40
+        _journal(agent).write_bytes(bytes(flipped))
+        assert _reload(agent).store.export() == before, offset
+
+
+def test_save_after_a_torn_tail_keeps_the_next_visit(tmp_path):
+    agent = _journal_agent(tmp_path)
+    _visit_and_save(agent, 0, "/a")
+    _visit_and_save(agent, 0, "/b")
+    _journal(agent).write_bytes(_journal(agent).read_bytes()[:-3])
+    reloaded = _reload(agent)
+    _visit_and_save(reloaded, 0, "/c")
+    again = _reload(reloaded)
+    assert [p for _, p in again.store.sessions[0].history] == ["/a", "/c"]
+    assert again.store.export() == reloaded.store.export()
+
+
+def _save_until_compaction(agent, page="/p"):
+    """Visit and save until a save writes a new snapshot; returns how many
+    visits that took."""
+    snapshot = Path(agent.store_path).read_bytes()
+    for n in range(1, 1000):
+        _visit_and_save(agent, 0, f"{page}{n}")
+        if Path(agent.store_path).read_bytes() != snapshot:
+            return n
+    raise AssertionError("the journal never compacted")
+
+
+def test_journal_stays_below_its_snapshot_and_compaction_removes_it(tmp_path):
+    agent = _journal_agent(tmp_path)
+    _visit_and_save(agent, 0, "/first")
+    snapshot_size = Path(agent.store_path).stat().st_size
+    largest = 0
+    for n in range(1, 1000):
+        _visit_and_save(agent, 0, f"/p{n}")
+        if not _journal(agent).exists():
+            break
+        largest = max(largest, _journal(agent).stat().st_size)
+    assert 0 < largest <= snapshot_size
+    assert Path(agent.store_path).read_bytes() == agent.store.export()
+    assert _reload(agent).store.export() == agent.store.export()
+
+
+def test_crash_between_compaction_steps_replays_nothing_twice(tmp_path, monkeypatch):
+    agent = _journal_agent(tmp_path)
+    _visit_and_save(agent, 0, "/first")
+    remove = os.remove
+
+    def crash_on_journal(path):
+        if path.endswith(files.JOURNAL_SUFFIX):
+            raise OSError("injected: crash before the journal is removed")
+        remove(path)
+
+    monkeypatch.setattr(os, "remove", crash_on_journal)
+    with pytest.raises(OSError, match="injected"):
+        _save_until_compaction(agent)
+    monkeypatch.setattr(os, "remove", remove)
+    assert _journal(agent).exists()  # the stale journal is still there
+    reloaded = _reload(agent)
+    assert reloaded.store.export() == Path(agent.store_path).read_bytes()
+    assert reloaded.store.export() == agent.store.export()
+    pages = [p for _, p in reloaded.store.sessions[0].history]
+    assert len(pages) == len(set(pages))
+
+
+def test_flipped_byte_in_a_middle_journal_record_is_corrupt(tmp_path):
+    agent = _journal_agent(tmp_path)
+    _visit_and_save(agent, 0, "/a")
+    start = _journal(agent).stat().st_size
+    _visit_and_save(agent, 1, "/b")
+    end = _journal(agent).stat().st_size
+    _visit_and_save(agent, 2, "/c")
+    whole = _journal(agent).read_bytes()
+    # The CRC field and the record bytes; a length pointing past the end of
+    # the file reads as a torn tail, as in any length-prefixed log.
+    for offset in [*range(start, start + 4), *range(start + 8, end)]:
+        flipped = bytearray(whole)
+        flipped[offset] ^= 0x01
+        _journal(agent).write_bytes(bytes(flipped))
+        with pytest.raises(CorruptStore):
+            _reload(agent)
+
+
+def test_failed_append_then_save_keeps_each_visit_once(tmp_path, monkeypatch):
+    agent = _journal_agent(tmp_path)
+    _visit_and_save(agent, 0, "/a")
+    fsync = os.fsync
+
+    def failing_fsync(fd):
+        raise OSError("injected: disk gone")
+
+    monkeypatch.setattr(os, "fsync", failing_fsync)
+    with pytest.raises(OSError, match="injected"):
+        _visit_and_save(agent, 0, "/b")
+    monkeypatch.setattr(os, "fsync", fsync)
+    # The failed append's bytes reached the file: a crash now keeps "/b".
+    assert [p for _, p in _reload(agent).store.sessions[0].history] == ["/a", "/b"]
+    _visit_and_save(agent, 0, "/c")
+    assert not _journal(agent).exists()  # the save after a failure compacts
+    reloaded = _reload(agent)
+    assert [p for _, p in reloaded.store.sessions[0].history] == ["/a", "/b", "/c"]
+    assert reloaded.store.export() == agent.store.export()
+
+
+def test_journal_file_is_private(tmp_path):
+    agent = _journal_agent(tmp_path)
+    _visit_and_save(agent, 0, "/a")
+    _visit_and_save(agent, 0, "/b")
+    assert stat.S_IMODE(_journal(agent).stat().st_mode) == 0o600
+
+
+def test_a_visit_appends_the_same_bytes_at_any_store_size(tmp_path, monkeypatch):
+    """ROADMAP item 2: history_update stays flat. Bytes, not time."""
+
+    def refuse(*args):
+        raise AssertionError("a visit's save rewrote the store")
+
+    appended = []
+    for sessions in (100, 5000):
+        (tmp_path / str(sessions)).mkdir()
+        agent = _journal_agent(tmp_path / str(sessions), sessions)
+        _visit_and_save(agent, 0, "/first")
+        before = _journal(agent).stat().st_size
+        with monkeypatch.context() as patch:
+            patch.setattr(AgentStore, "export", refuse)
+            patch.setattr(files, "write_private", refuse)
+            _visit_and_save(agent, 0, "/page")
+        appended.append(_journal(agent).stat().st_size - before)
+    assert appended[0] == appended[1] < 100
+
+
+_HEADER_CHANGES = st.sampled_from(["next_j", "counter", "server_id", "pin", "retire"])
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@example([("session",), ("visit", 1), ("save",)])  # visited before its first save
+@given(
+    st.lists(
+        st.one_of(
+            st.tuples(st.just("session")),
+            st.tuples(st.just("visit"), st.integers(0, 12)),
+            st.tuples(st.just("header"), _HEADER_CHANGES, st.integers(0, 3)),
+            st.tuples(st.just("save")),
+            st.tuples(st.just("reload")),
+        ),
+        max_size=40,
+    )
+)
+def test_any_interleaving_reloads_to_the_same_store(steps):
+    rng = random.Random(5)
+    template = replace(random_session_record(rng), history=[])
+    with tempfile.TemporaryDirectory() as directory:
+        agent = _journal_agent(Path(directory), sessions=1)
+        for step in steps:
+            kind = step[0]
+            if kind == "session":
+                j = len(agent.store.sessions)
+                agent.store.add_session(
+                    replace(
+                        random_session_record(rng),
+                        path=DerivationPath((0, j)),
+                        client_id=ClientId("vcid", f"{j:08d}"),
+                    )
+                )
+            elif kind == "visit":
+                agent.store.record_visit([("vcid", f"{step[1]:08d}")], f"http://h/v{step[1]}", step[1])
+            elif kind == "header":
+                _, field, value = step
+                store = agent.store
+                if field == "next_j":
+                    store.next_j = value
+                elif field == "counter":
+                    store.server_counters[value] = len(steps)
+                elif field == "server_id":
+                    store.server_id_for(f"http://s{value}")
+                elif field == "pin":
+                    store.pinned_server_keys[f"http://s{value}"] = template.endpoints.server_pubkey
+                else:
+                    store.retired = True
+            elif kind == "save":
+                agent.save()
+            else:
+                agent.save()
+                agent = Agent.load(agent.store_path)
+        agent.save()
+        assert Agent.load(agent.store_path).store.export() == agent.store.export()

@@ -8,12 +8,14 @@ import subprocess
 import sys
 import tempfile
 import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 import vcrkit
-from vcrkit import httpwire
+from vcrkit import files, httpwire
+from vcrkit.agent import Agent
 from vcrkit.bench import run_bench
 from vcrkit.cli import main
 from vcrkit.signer import ConfirmationPolicy, SignerDaemon, SignerState
@@ -237,6 +239,61 @@ def test_export_import(runner, env, tmp_path, loopback):
     payload = json.loads(result.output)
     assert payload["sessions"] == 1
     assert os.path.exists(second_store)
+
+
+def _journal(env) -> str:
+    return env["VCRKIT_STORE"] + files.JOURNAL_SUFFIX
+
+
+def test_import_over_a_journaled_store_keeps_only_the_imported_store(
+    runner, env, tmp_path, loopback
+):
+    _, _, origin = loopback
+    _bootstrap(runner, env)
+    _run(runner, env, ["visit", origin + "/a"])
+    exported = tmp_path / "export.bin"
+    _run(runner, env, ["export", "--out", str(exported)])
+    _run(runner, env, ["visit", origin + "/b"])
+    _run(runner, env, ["visit", origin + "/c"])
+    assert os.path.exists(_journal(env))
+    _run(runner, env, ["import", "--in", str(exported)])
+    assert not os.path.exists(_journal(env))
+    assert Agent.load(env["VCRKIT_STORE"]).store.export() == exported.read_bytes()
+
+
+def test_export_includes_journaled_visits(runner, env, tmp_path, loopback):
+    _, _, origin = loopback
+    _bootstrap(runner, env)
+    _run(runner, env, ["visit", origin + "/a"])
+    _run(runner, env, ["visit", origin + "/b"])
+    assert os.path.exists(_journal(env))
+    exported = tmp_path / "export.bin"
+    _run(runner, env, ["export", "--out", str(exported)])
+    store = env["VCRKIT_STORE"]
+    Agent(Agent.load(store).store, store_path=store).save()  # compact in place
+    assert not os.path.exists(_journal(env))
+    assert exported.read_bytes() == Path(store).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["serve", "--listen", "127.0.0.1:abc"],
+        ["serve", "--listen", "127.0.0.1:0", "--key-file", "{key_file}"],
+        ["signer-init", "--seed-hex", "zz"],
+        ["agent-init", "--device-id", "0", "--device-xpub", "zz"],
+    ],
+)
+def test_unparseable_option_value_is_one_json_line(runner, env, tmp_path, args):
+    key_file = tmp_path / "server.key"
+    key_file.write_text("not a hex scalar\n")
+    args = [arg.format(key_file=key_file) for arg in args]
+    result = _run(runner, env, args, expect_exit=1)
+    [line] = result.stderr.splitlines()
+    error = json.loads(line)
+    assert set(error) == {"error", "message"}
+    assert error["error"] == "MalformedMessage"
+    assert "not a hex scalar" not in result.stderr
 
 
 def test_unknown_sid_fails_with_error_class(runner, env, loopback):
