@@ -518,7 +518,7 @@ class Agent:
     ) -> tuple[SessionRecord | None, httpwire.HttpExchange]:
         """Fetch a page; start a session when the server hands out a new
         cookie, otherwise append to the matching session's history. Saves
-        the store once, after the visit is recorded."""
+        the store once, after the visit (or only the pin) is recorded."""
         self.store.require_provisioned()
         parts = urlsplit(url)
         origin = f"{parts.scheme}://{parts.netloc}"
@@ -549,14 +549,10 @@ class Agent:
                 )
         elif existing is not None:
             session = existing
-        if session is None:
-            return None, exchange
-
-        cid = session.client_id
-        self.store.record_visit(
-            [(cid.cookie_name, cid.cookie_value)], url, now
-        )
-        self.save()
+        if session is not None:
+            cid = session.client_id
+            self.store.record_visit([(cid.cookie_name, cid.cookie_value)], url, now)
+        self.save()  # with no session, still keeps a key pinned on first sight
         return session, exchange
 
     @staticmethod

@@ -48,12 +48,12 @@ def surface_errors(fn):
     return wrapper
 
 
-def _parsed(convert, text: str, what: str):
-    """``convert(text)``, or MalformedMessage naming ``what``; the value
-    itself is not echoed, since it may be a secret."""
+def _parsed(convert, data: str | bytes, what: str):
+    """``convert(data)``, or MalformedMessage naming ``what`` on any of
+    ``encoding.DECODE_ERRORS``; the value is not echoed: it may be a secret."""
     try:
-        return convert(text)
-    except ValueError:
+        return convert(data)
+    except encoding.DECODE_ERRORS:
         raise MalformedMessage(f"cannot parse {what}") from None
 
 
@@ -382,10 +382,12 @@ def serve(listen: str, tolerance: int, key_file: str | None, snapshot: str | Non
     server_key = None
     if key_file:
         if os.path.exists(key_file):
-            with open(key_file, "r", encoding="utf-8") as fh:
-                text = fh.read().strip()
-            hex_int = functools.partial(int, base=16)
-            server_key = ServerKey(secret=_parsed(hex_int, text, "the --key-file contents"))
+            with open(key_file, "rb") as fh:
+                server_key = _parsed(
+                    lambda data: ServerKey(secret=int(data, 16)),
+                    fh.read(),
+                    "the --key-file contents",
+                )
         else:
             server_key = ServerKey.generate()
             files.write_private(key_file, f"{server_key.secret:064x}\n".encode())

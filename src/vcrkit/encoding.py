@@ -514,9 +514,9 @@ def _decode_fields(steps, build, data):
 
 # Errors raised while a message is built from JSON or canonical bytes: input
 # of the wrong shape or type, or a value a message refuses (a bad cookie, an
-# off-curve point, a bad path). The decode entry points turn any of them into
-# the message's decode error.
-_DECODE_ERRORS = (VcrkitError, TypeError, ValueError, LookupError, AttributeError)
+# off-curve point, a bad path). The decode entry points, and every other
+# reader of outside input, turn any of them into the one decode error.
+DECODE_ERRORS = (VcrkitError, TypeError, ValueError, LookupError, AttributeError)
 
 
 class Message:
@@ -547,7 +547,7 @@ class Message:
     def from_wire_dict(cls, data, mode: WireMode):
         try:
             return _decode_fields(cls._wire_in[mode], cls._from_fields, data)
-        except _DECODE_ERRORS as exc:
+        except DECODE_ERRORS as exc:
             raise MalformedMessage(f"bad {cls.__name__} wire form: {exc!r}") from None
 
     def _write_canonical(self, w: CanonicalWriter, signed_only: bool = False) -> None:
@@ -584,7 +584,7 @@ class Message:
         try:
             message = cls._read_canonical(r)
             r.expect_end()
-        except _DECODE_ERRORS as exc:
+        except DECODE_ERRORS as exc:
             raise cls.CANONICAL_ERROR(str(exc)) from None
         return message
 

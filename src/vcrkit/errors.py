@@ -24,7 +24,7 @@ class InvalidSeedLength(VcrkitError):
 
 
 class DegenerateKey(VcrkitError):
-    """Seed produced an invalid master scalar (zero or >= group order)."""
+    """A secret scalar (a seed's master, a server key) is 0 or >= N."""
 
 
 class HardenedIndexRejected(VcrkitError):

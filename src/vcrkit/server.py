@@ -2,9 +2,9 @@
 consumer-request verification and fulfillment.
 
 Collected data lives in memory keyed by the client-id cookie value, with an
-optional JSON snapshot file for demos. Page responses advertise the two
-protocol endpoints plus the server public key in response headers; the
-endpoints themselves are POST-only with OPTIMIZED JSON bodies.
+optional snapshot file for demos in the ACCESS body's layout. Page responses
+advertise the two protocol endpoints plus the server public key in response
+headers; the endpoints themselves are POST-only with OPTIMIZED JSON bodies.
 
 Verification failures answer 403 with the error class only — which
 signature or field failed is deliberately not revealed.
@@ -69,10 +69,13 @@ COOKIE_NAME = "vcid"
 WRAPPER_ENDPOINT = "/vcr/wrapper"
 VCR_ENDPOINT = "/vcr/submit"
 
-HDR_WRAPPER_ENDPOINT = "Vcr-Wrapper-Endpoint"
-HDR_VCR_ENDPOINT = "Vcr-Submit-Endpoint"
-HDR_SERVER_KEY = "Vcr-Server-Key"
-HDR_SERVER_KEY_ID = "Vcr-Server-Key-Id"
+# Header of each EndpointAdvertisement field, in order; values are VERBOSE.
+ADVERTISEMENT_HEADERS = {
+    "wrapper_endpoint": "Vcr-Wrapper-Endpoint",
+    "vcr_endpoint": "Vcr-Submit-Endpoint",
+    "server_pubkey": "Vcr-Server-Key",
+    "server_key_id": "Vcr-Server-Key-Id",
+}
 
 ACCESS_INFO = b"vcr-access-v1"
 
@@ -102,7 +105,7 @@ class ClientDataRecord(Message):
 
 @dataclass
 class AccessResponse(Message):
-    """ACCESS success body; with a response key, the sealed payload."""
+    """ACCESS success body (sealed with a response key) and snapshot file."""
 
     FIELDS = (Field("records", list_of(nested(ClientDataRecord), list), optional=True),)
 
@@ -131,32 +134,17 @@ class EndpointAdvertisement(Message):
                 raise MalformedMessage(f"endpoint path must be absolute: {path!r}")
 
     def to_headers(self) -> dict[str, str]:
-        return {
-            HDR_WRAPPER_ENDPOINT: self.wrapper_endpoint,
-            HDR_VCR_ENDPOINT: self.vcr_endpoint,
-            HDR_SERVER_KEY: self.server_pubkey.hex(),
-            HDR_SERVER_KEY_ID: self.server_key_id.hex(),
-        }
+        wire = self.to_wire_dict(WireMode.VERBOSE)
+        return {header: wire[name] for name, header in ADVERTISEMENT_HEADERS.items()}
 
     @classmethod
     def from_headers(cls, headers: dict) -> "EndpointAdvertisement | None":
         """Parse captured response headers (lowercase names); None when the
         server does not advertise support."""
-        wrapper_ep = headers.get(HDR_WRAPPER_ENDPOINT.lower())
-        vcr_ep = headers.get(HDR_VCR_ENDPOINT.lower())
-        key_hex = headers.get(HDR_SERVER_KEY.lower())
-        key_id_hex = headers.get(HDR_SERVER_KEY_ID.lower())
-        if not all((wrapper_ep, vcr_ep, key_hex, key_id_hex)):
+        wire = {n: headers.get(h.lower()) for n, h in ADVERTISEMENT_HEADERS.items()}
+        if not all(wire.values()):
             return None
-        try:
-            return cls(
-                wrapper_endpoint=wrapper_ep,
-                vcr_endpoint=vcr_ep,
-                server_pubkey=bytes.fromhex(key_hex),
-                server_key_id=bytes.fromhex(key_id_hex),
-            )
-        except ValueError as exc:
-            raise MalformedMessage(f"bad advertisement: {exc}") from None
+        return cls.from_wire_dict(wire, WireMode.VERBOSE)
 
 
 # Status of a refused request by the exact class of its error, so that a
@@ -173,8 +161,7 @@ def encrypt_access_response(
 ) -> HybridCiphertext:
     """Encrypt the ACCESS payload to the request's metadata key: a fresh
     symmetric key per response, wrapped via ephemeral ECDH."""
-    body = AccessResponse(records).to_wire_dict(WIRE_MODE)
-    payload = json.dumps(body, separators=(",", ":")).encode()
+    payload = encoding.to_wire(AccessResponse(records), WIRE_MODE).encode()
     return hybrid_encrypt(client_pub, payload, ACCESS_INFO)
 
 
@@ -333,19 +320,16 @@ class VcrServer:
         if not self.snapshot_path:
             return
         with self._lock:
-            payload = [r.to_wire_dict(WIRE_MODE) for r in self._records.values()]
-        files.write_private(self.snapshot_path, json.dumps(payload).encode())
+            data = encoding.to_wire(AccessResponse([*self._records.values()]), WIRE_MODE)
+        files.write_private(self.snapshot_path, data.encode())
 
     def _load_snapshot(self) -> None:
         try:
-            with open(self.snapshot_path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
+            with open(self.snapshot_path, "rb") as fh:
+                data = fh.read()
         except FileNotFoundError:
-            return
-        except (json.JSONDecodeError, OSError) as exc:
-            raise MalformedMessage(f"bad snapshot: {exc}") from None
-        for raw in payload:
-            record = ClientDataRecord.from_wire_dict(raw, WIRE_MODE)
+            return  # no snapshot yet
+        for record in encoding.from_wire(AccessResponse, data, WIRE_MODE).records:
             self._records[record.client_id.cookie_value] = record
 
 
@@ -390,7 +374,8 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:
         path = urlsplit(self.path).path
         if path in (WRAPPER_ENDPOINT, VCR_ENDPOINT):
-            self._reply(405, b'{"error":"PostOnly"}')
+            # RFC 9110 §15.5.6: a 405 names the methods the target allows.
+            self._reply(405, b'{"error":"PostOnly"}', extra_headers={"Allow": "POST"})
             return
         _, set_cookie = self.vcr.handle_page_request(path, self._cookie_value())
         body = f"<html><body>page {path}</body></html>".encode()
@@ -446,12 +431,20 @@ class VcrHttpServer(QuietDisconnects, ThreadingHTTPServer):
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
 
+    _serving = False  # set once a loop starts: shutdown() waits for one
+
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        self._serving = True
+        super().serve_forever(poll_interval)
+
     def serve_in_thread(self) -> threading.Thread:
+        self._serving = True  # close() must wait even if the thread is late
         thread = threading.Thread(target=self.serve_forever, daemon=True)
         thread.start()
         return thread
 
     def close(self) -> None:
-        self.shutdown()
+        if self._serving:
+            self.shutdown()
         self.server_close()
         self.vcr.save_snapshot()

@@ -132,22 +132,21 @@ class SignerState:
         if not os.path.exists(state_path):
             raise StateMissing(state_path)
         with open(state_path, "rb") as fh:
-            try:
-                envelope = json.load(fh)
-                salt = bytes.fromhex(envelope["kdf"]["salt"])
-                nonce = bytes.fromhex(envelope["nonce"])
-                ciphertext = bytes.fromhex(envelope["ciphertext"])
-                aad = json.dumps(envelope["kdf"], sort_keys=True).encode()
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise MalformedMessage(f"corrupt signer state: {exc}") from None
-        key = _derive_file_key(passphrase, salt)
+            data = fh.read()
         try:
-            plaintext = AESGCM(key).decrypt(nonce, ciphertext, aad)
+            envelope = encoding.json_object(data)
+            kdf = envelope["kdf"]
+            aad = json.dumps(kdf, sort_keys=True).encode()
+            key = _derive_file_key(passphrase, bytes.fromhex(kdf["salt"]))
+            nonce, box = (bytes.fromhex(envelope[k]) for k in ("nonce", "ciphertext"))
+            plaintext = AESGCM(key).decrypt(nonce, box, aad)
+            inner = encoding.json_object(plaintext)
+            master = deserialize_xprv(bytes.fromhex(inner["master"]))
+            devices = {int(k): v for k, v in inner["devices"].items()}
         except InvalidTag:
             raise WrongPassphrase("passphrase does not unlock this state") from None
-        inner = json.loads(plaintext)
-        master = deserialize_xprv(bytes.fromhex(inner["master"]))
-        devices = {int(k): v for k, v in inner["devices"].items()}
+        except encoding.DECODE_ERRORS as exc:
+            raise MalformedMessage(f"corrupt signer state: {exc!r}") from None
         return cls(master, devices, state_path, passphrase, policy, confirm_hook)
 
     def save(self) -> None:
@@ -362,7 +361,7 @@ class SignerDaemon(QuietDisconnects, socketserver.UnixStreamServer):
             return {"ok": False, "err": "UnknownOp", "message": f"no such op {op!r}"}
         except errors.VcrkitError as exc:
             return {"ok": False, "err": exc.code, "message": str(exc)}
-        except (KeyError, TypeError, ValueError) as exc:
+        except encoding.DECODE_ERRORS as exc:  # the rest of the one tuple
             return {"ok": False, "err": "MalformedMessage", "message": str(exc)}
 
 
@@ -374,7 +373,7 @@ class SignerClient:
     socket_path: str
     timeout: float = 10.0
 
-    def _request(self, payload: dict) -> dict:
+    def _request(self, payload: dict, decode=str):
         with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
             sock.settimeout(self.timeout)
             sock.connect(self.socket_path)
@@ -383,20 +382,25 @@ class SignerClient:
         if response is None:
             raise MalformedMessage("daemon closed the connection")
         if response.get("ok"):
-            return response
+            try:
+                return decode(response["result"])
+            except encoding.DECODE_ERRORS as exc:
+                raise MalformedMessage(f"bad signer reply: {exc!r}") from None
         err_cls = getattr(errors, str(response.get("err")), None)
-        if err_cls is not None and issubclass(err_cls, errors.VcrkitError):
+        if isinstance(err_cls, type) and issubclass(err_cls, errors.VcrkitError):
             raise err_cls(response.get("message", ""))
         raise MalformedMessage(
             f"{response.get('err')}: {response.get('message', '')}"
         )
 
     def ping(self) -> bool:
-        return self._request({"op": "ping"})["result"] == "pong"
+        return self._request({"op": "ping"}) == "pong"
 
     def issue_device_xpub(self, device_id: int) -> ExtendedPublicKey:
-        result = self._request({"op": "device_xpub", "device_id": device_id})
-        return ExtendedPublicKey.deserialize(bytes.fromhex(result["result"]))
+        return self._request(
+            {"op": "device_xpub", "device_id": device_id},
+            lambda result: ExtendedPublicKey.deserialize(bytes.fromhex(result)),
+        )
 
     def retire_device(self, device_id: int) -> None:
         self._request({"op": "retire_device", "device_id": device_id})
@@ -407,4 +411,4 @@ class SignerClient:
         payload = {"op": "sign", "path": str(path), "digest": digest.hex()}
         if summary is not None:
             payload["summary"] = summary
-        return bytes.fromhex(self._request(payload)["result"])
+        return self._request(payload, bytes.fromhex)

@@ -30,6 +30,7 @@ from .errors import (
     BadSignature,
     ClientIdMismatch,
     ClockUnavailable,
+    DegenerateKey,
     InvalidPublicKey,
     MalformedWrapper,
     PublicKeyMismatch,
@@ -95,6 +96,10 @@ class ServerKey:
     on first use and kept, like the public point and key id."""
 
     secret: int = field(repr=False)  # keep the scalar out of logs and tracebacks
+
+    def __post_init__(self) -> None:
+        if not 0 < self.secret < curve.N:
+            raise DegenerateKey("server key scalar out of range")
 
     @cached_property
     def private_key(self) -> curve.PrivateKey:

@@ -41,7 +41,7 @@ from vcrkit.sealing import hybrid_encrypt
 from vcrkit.server import ACCESS_INFO, EndpointAdvertisement
 from vcrkit.signer import ConfirmationPolicy, SignerState
 from vcrkit.vcr import ActionKind, VcrAction
-from vcrkit.wrapper import ClientId
+from vcrkit.wrapper import ClientId, ServerKey
 
 OPT = WireMode.OPTIMIZED
 SEED = bytes(range(32))
@@ -363,6 +363,25 @@ def test_invalid_advertised_key_is_not_pinned(tmp_path):
         agent.visit("http://127.0.0.1:9/", _now())
     # Pinning a bad key would lock the honest one out of this origin.
     assert agent.store.pinned_server_keys == {}
+
+
+def test_key_pinned_on_a_visit_that_starts_no_session_is_saved(tmp_path):
+    server_key = ServerKey.generate()
+    advertisement = EndpointAdvertisement(
+        "/vcr/wrapper", "/vcr/submit", server_key.public_point, server_key.key_id
+    )
+    advertised = {k.lower(): v for k, v in advertisement.to_headers().items()}
+
+    def stub(method, url, headers=None, body=b"", timeout=10.0):
+        return httpwire.HttpExchange(200, advertised, [], b"", 0, 0, 0, 0)
+
+    agent, _ = _fresh_agent(tmp_path, http=stub)
+    session, _ = agent.visit("http://127.0.0.1:9/", _now())
+    assert session is None  # no cookie set, no session for the origin
+    reloaded = Agent.load(str(tmp_path / "agent.store"))
+    assert reloaded.store.pinned_server_keys == {
+        "http://127.0.0.1:9": server_key.public_point
+    }
 
 
 def test_store_file_roundtrip(loopback, tmp_path):

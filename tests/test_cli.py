@@ -14,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import vcrkit
-from vcrkit import files, httpwire
+from vcrkit import curve, files, httpwire
 from vcrkit.agent import Agent
 from vcrkit.bench import run_bench
 from vcrkit.cli import main
@@ -296,6 +296,54 @@ def test_unparseable_option_value_is_one_json_line(runner, env, tmp_path, args):
     assert "not a hex scalar" not in result.stderr
 
 
+def _one_json_error(stderr: str) -> dict:
+    [line] = stderr.splitlines()
+    error = json.loads(line)
+    assert set(error) == {"error", "message"}
+    return error
+
+
+@pytest.mark.parametrize(
+    "contents",
+    [b"0\n", b"-1\n", f"{curve.N:064x}\n".encode(), b"\xff\xfe\n"],
+    ids=["zero", "negative", "group-order", "not-utf8"],
+)
+def test_serve_with_a_bad_key_file_exits_instead_of_hanging(env, tmp_path, contents):
+    key_file = tmp_path / "server.key"
+    key_file.write_bytes(contents)
+    src = os.path.dirname(os.path.dirname(vcrkit.__file__))
+    args = ["serve", "--listen", "127.0.0.1:0", "--key-file", str(key_file)]
+    done = subprocess.run(
+        [sys.executable, "-m", "vcrkit.cli", *args],
+        env={**os.environ, **env, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert _one_json_error(done.stderr)["error"] == "MalformedMessage"
+    assert f"{curve.N:064x}" not in done.stderr
+
+
+def test_serve_with_a_snapshot_that_is_not_utf8_is_one_json_line(runner, env, tmp_path):
+    snapshot = tmp_path / "snapshot.json"
+    snapshot.write_bytes(b"\xff\xfe[]")
+    args = ["serve", "--listen", "127.0.0.1:0", "--snapshot", str(snapshot)]
+    result = _run(runner, env, args, expect_exit=1)
+    assert _one_json_error(result.stderr)["error"] == "MalformedMessage"
+
+
+@pytest.mark.parametrize(
+    "contents", [b"[]", b'{"kdf":1,"nonce":"00","ciphertext":"00"}']
+)
+def test_device_issue_with_a_corrupt_state_is_one_json_line(runner, env, contents):
+    Path(env["VCRKIT_SIGNER_STATE"]).write_bytes(contents)
+    args = ["device-issue", "--device-id", "0", "--state", env["VCRKIT_SIGNER_STATE"]]
+    result = _run(runner, env, args, expect_exit=1)
+    assert _one_json_error(result.stderr)["error"] == "MalformedMessage"
+
+
 def test_unknown_sid_fails_with_error_class(runner, env, loopback):
     _, _, origin = loopback
     _bootstrap(runner, env)
@@ -383,7 +431,7 @@ def test_sigterm_saves_the_server_snapshot(env, tmp_path):
         assert httpwire.request("GET", ready["origin"] + "/").status == 200
         child.send_signal(signal.SIGTERM)
         assert child.wait(timeout=10) == 0
-    assert len(json.loads(snapshot.read_text())) == 1
+    assert len(json.loads(snapshot.read_text())["D"]) == 1  # records
 
 
 def test_sigterm_removes_the_signer_socket(runner, env, tmp_path):

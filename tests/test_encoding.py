@@ -467,3 +467,30 @@ def test_golden_digests_every_message_type():
             assert message.digest() == hashlib.sha256(message.signed_body()).digest()
         seen[name] = digests
     assert seen == GOLDEN_DIGESTS
+
+
+def test_only_the_codec_decodes_json():
+    """Outside input is decoded in one place: no module but encoding.py
+    calls json.load or json.loads, or imports either by name."""
+    import ast
+    from pathlib import Path
+
+    import vcrkit
+
+    found = []
+    for path in sorted(Path(vcrkit.__file__).parent.glob("*.py")):
+        if path.name == "encoding.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in ("load", "loads")
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "json"
+            ) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "json"
+                and {"load", "loads"} & {alias.name for alias in node.names}
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

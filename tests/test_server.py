@@ -12,7 +12,12 @@ import pytest
 
 from vcrkit import curve, encoding, httpwire
 from vcrkit.encoding import WireMode, wire_key
-from vcrkit.errors import DecryptFailed, InvalidPublicKey
+from vcrkit.errors import (
+    DecryptFailed,
+    DegenerateKey,
+    InvalidPublicKey,
+    MalformedMessage,
+)
 from vcrkit.keyhier import DerivationPath, derive_child_pub, derive_path, neuter
 from vcrkit.sealing import HybridCiphertext, hybrid_decrypt
 from vcrkit.server import (
@@ -20,6 +25,8 @@ from vcrkit.server import (
     COOKIE_NAME,
     MAX_BODY_BYTES,
     VCR_ENDPOINT,
+    WRAPPER_ENDPOINT,
+    AccessResponse,
     ClientDataRecord,
     EndpointAdvertisement,
     VcrHttpServer,
@@ -38,6 +45,7 @@ from vcrkit.wrapper import (
     WRAPPER_VERSION,
     ClientId,
     MultiSigPolicy,
+    ServerKey,
     Wrapper,
     WrapperRequest,
     issue_wrapper,
@@ -105,6 +113,24 @@ def test_first_visit_sets_cookie_and_advertises(loopback):
     client_id = _cookie_of(exchange)
     record = vcr_server.get_record(client_id.cookie_value)
     assert record is not None and len(record.visits) == 1
+
+
+def test_advertisement_headers_golden():
+    advertisement = EndpointAdvertisement(
+        "/vcr/wrapper",
+        "/vcr/submit",
+        bytes.fromhex("02" + "11" * 32),
+        bytes.fromhex("0123456789abcdef"),
+    )
+    headers = advertisement.to_headers()
+    assert list(headers.items()) == [
+        ("Vcr-Wrapper-Endpoint", "/vcr/wrapper"),
+        ("Vcr-Submit-Endpoint", "/vcr/submit"),
+        ("Vcr-Server-Key", "02" + "11" * 32),
+        ("Vcr-Server-Key-Id", "0123456789abcdef"),
+    ]
+    captured = {name.lower(): value for name, value in headers.items()}
+    assert EndpointAdvertisement.from_headers(captured) == advertisement
 
 
 def test_returning_visit_reuses_cookie(loopback):
@@ -841,3 +867,91 @@ def test_short_fixed_field_in_plain_request_is_malformed_body(
     exchange = _post_json(origin, vcr_server.advertisement.vcr_endpoint, json.dumps(payload))
     assert exchange.status == 400
     assert json.loads(exchange.body) == {"error": "MalformedBody"}
+
+
+# --- outside input goes through the codec ------------------------------------
+
+
+def test_get_on_a_post_endpoint_names_the_allowed_method(loopback):
+    vcr_server, _, origin = loopback
+    for path in (WRAPPER_ENDPOINT, VCR_ENDPOINT):
+        exchange = _get(origin, path)
+        assert exchange.status == 405
+        assert exchange.headers.get("allow") == "POST"  # RFC 9110 §15.5.6
+
+
+def _advertised_headers(**overrides):
+    advertisement = EndpointAdvertisement(
+        "/vcr/wrapper", "/vcr/submit", bytes.fromhex("02" + "11" * 32), bytes(8)
+    )
+    headers = {k.lower(): v for k, v in advertisement.to_headers().items()}
+    headers.update(overrides)
+    return headers
+
+
+@pytest.mark.parametrize(
+    "header, value",
+    [("vcr-server-key", "02"), ("vcr-server-key-id", "01"), ("vcr-server-key", "zz")],
+)
+def test_advertised_key_or_key_id_of_another_size_is_malformed(header, value):
+    with pytest.raises(MalformedMessage):
+        EndpointAdvertisement.from_headers(_advertised_headers(**{header: value}))
+
+
+@pytest.mark.parametrize("header", ["vcr-submit-endpoint", "vcr-server-key-id"])
+def test_missing_or_empty_advertisement_header_means_no_support(header):
+    headers = _advertised_headers(**{header: ""})
+    assert EndpointAdvertisement.from_headers(headers) is None
+    del headers[header]
+    assert EndpointAdvertisement.from_headers(headers) is None
+
+
+def _record(cookie_value):
+    return ClientDataRecord(
+        client_id=ClientId(COOKIE_NAME, cookie_value),
+        visits=[(1_754_650_000, "/")],
+        attributes={"email": "x@example.com"},
+    )
+
+
+def test_snapshot_file_is_the_records_table(tmp_path):
+    snapshot = tmp_path / "snap.json"
+    server = VcrServer(snapshot_path=str(snapshot))
+    server._records["abc"] = _record("abc")
+    server.save_snapshot()
+    records = AccessResponse([_record("abc")])
+    assert snapshot.read_text() == encoding.to_wire(records, OPT)
+    assert snapshot.read_text().startswith('{"D":[')
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"[]",  # the old bare-list layout, empty
+        json.dumps([_record("abc").to_wire_dict(OPT)]).encode(),  # and not empty
+        b"\xff\xfe[]",  # not UTF-8
+        b'{"D":[{"y":{"n":"vcid","c":""},"A":[]}]}',  # a record the codec refuses
+    ],
+    ids=["bare-list", "bare-list-of-records", "not-utf8", "empty-cookie"],
+)
+def test_snapshot_that_does_not_decode_is_refused_not_loaded_empty(tmp_path, data):
+    snapshot = tmp_path / "snap.json"
+    snapshot.write_bytes(data)
+    with pytest.raises(MalformedMessage):
+        VcrServer(snapshot_path=str(snapshot))
+
+
+def test_close_before_serving_returns_and_saves_the_snapshot(tmp_path):
+    snapshot = tmp_path / "snap.json"
+    httpd = VcrHttpServer(("127.0.0.1", 0), VcrServer(snapshot_path=str(snapshot)))
+    closer = threading.Thread(target=httpd.close, daemon=True)
+    closer.start()
+    closer.join(timeout=5)
+    assert not closer.is_alive(), "close() waited for a loop that never ran"
+    assert snapshot.read_text() == '{"D":[]}'
+
+
+@pytest.mark.parametrize("secret", [0, -1, curve.N, curve.N + 1])
+def test_server_key_outside_the_group_is_refused_when_built(secret):
+    with pytest.raises(DegenerateKey):
+        ServerKey(secret=secret)

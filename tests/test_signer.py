@@ -8,11 +8,13 @@ import sys
 import threading
 
 import pytest
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from vcrkit import curve, signer
 from vcrkit.errors import (
     DeviceRetired,
     Locked,
+    MalformedMessage,
     SignerRefused,
     StateExists,
     StateMissing,
@@ -73,6 +75,31 @@ def test_state_exists_and_missing(state, tmp_path):
         SignerState.init(PASSPHRASE, SEED, str(tmp_path / "signer.state"))
     with pytest.raises(StateMissing):
         SignerState.unlock(PASSPHRASE, str(tmp_path / "nothing.state"))
+
+
+# A state file as SignerState.save wrote it before the envelope was decoded
+# through encoding.json_object: seed SEED, device 0 active, device 1 retired.
+EARLIER_STATE = (
+    '{"kdf": {"name": "scrypt", "n": 16384, "r": 8, "p": 1, "salt": '
+    '"40bb4b2ce35a4a86df92dedb60923d5c"}, "nonce": "ba46758a97a1769dd31174a6", '
+    '"ciphertext": "c3648e62fedf8b6a060ae03c5999997a13d79c5918ad8a5fb32093d35d57'
+    "7440fbda674162031f45bb79433aed6f60991f641cdcf168bba583b5010afa12166af3c8a1"
+    "9e51a2e06b6673499ab2270884c3d9a929eb551fb7646cd3313854e79aaf76687d7ce082d6"
+    "4a2d6f6073297001d7bd35033251d12cd2b47fda5c65ede021ee45b51d967cd463db32c757"
+    "a62eecd3ea7ba753e161e0526675f517ecd7534526959066e37c904917ac00c34452118a45"
+    '795aa7b905459434ee8eb50d16d5eb3e6e5d63b3db719f4cadf37889f9ce0f937b12bcd75cb0"}'
+)
+
+
+def test_state_file_written_earlier_still_unlocks(tmp_path):
+    path = tmp_path / "earlier.state"
+    path.write_text(EARLIER_STATE)
+    unlocked = SignerState.unlock("fixture passphrase", str(path))
+    assert unlocked.device_status(0) == "active"
+    assert unlocked.device_status(1) == "retired"
+    expected = neuter(derive_path(generate_master(SEED), DerivationPath((0,))))
+    assert unlocked.issue_device_xpub(0).serialize() == expected.serialize()
+    assert path.read_text() == EARLIER_STATE  # nothing changed, nothing saved
 
 
 def test_state_file_contains_no_secrets(state, tmp_path):
@@ -434,3 +461,97 @@ def test_daemon_peer_gone_mid_frame_is_quiet(daemon, client, capfd):
     # abandoned connection has been dealt with.
     assert client.ping()
     assert capfd.readouterr().err == ""
+
+
+# --- state files and replies that do not decode ------------------------------
+
+
+def _sealed_state(inner: bytes) -> bytes:
+    """A state file laid out as SignerState.save lays it out, sealing
+    ``inner`` under PASSPHRASE."""
+    kdf = {"name": "scrypt", "n": 16384, "r": 8, "p": 1, "salt": "00" * 16}
+    aad = json.dumps(kdf, sort_keys=True).encode()
+    key = signer._derive_file_key(PASSPHRASE, bytes(16))
+    ciphertext = AESGCM(key).encrypt(bytes(12), inner, aad)
+    envelope = {"kdf": kdf, "nonce": "00" * 12, "ciphertext": ciphertext.hex()}
+    return json.dumps(envelope).encode()
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"[]",
+        b'{"kdf":1,"nonce":"00","ciphertext":"00"}',
+        b'{"kdf":{"salt":"00"},"nonce":"00","ciphertext":"00"}',  # 1-byte nonce
+        b"\xff\xfe{}",
+        _sealed_state(b"[]"),
+        _sealed_state(b'{"master":"00","devices":{}}'),
+        _sealed_state(b'{"master":' + b"1" * 5000 + b',"devices":{}}'),
+    ],
+    ids=[
+        "list",
+        "kdf-not-object",
+        "short-nonce",
+        "not-utf8",
+        "inner-list",
+        "inner-short-master",
+        "inner-huge-int",
+    ],
+)
+def test_state_file_that_does_not_decode_is_malformed(tmp_path, data):
+    path = tmp_path / "bad.state"
+    path.write_bytes(data)
+    with pytest.raises(MalformedMessage):
+        SignerState.unlock(PASSPHRASE, str(path))
+
+
+class _CannedDaemon(SignerDaemon):
+    """Answers every frame with ``reply``, through the real framing."""
+
+    reply: dict = {}
+
+    def _handle(self, frame: dict) -> dict:
+        return self.reply
+
+
+@pytest.mark.parametrize(
+    "reply, call",
+    [
+        ({"ok": False, "err": "sys"}, "ping"),
+        ({"ok": False, "err": "QuietDisconnects"}, "ping"),  # a class, not an error
+        ({"ok": False, "err": 7}, "ping"),
+        ({"ok": True}, "ping"),
+        ({"ok": True}, "retire"),
+        ({"ok": True, "result": "zz"}, "sign"),
+        ({"ok": True, "result": 7}, "sign"),
+        ({"ok": True, "result": "zz"}, "xpub"),
+        ({"ok": True, "result": "00"}, "xpub"),
+    ],
+)
+def test_reply_that_does_not_decode_is_malformed(state, tmp_path, reply, call):
+    daemon = _CannedDaemon(state, str(tmp_path / "canned.sock"))
+    daemon.reply = reply
+    daemon.serve_in_thread()
+    client = SignerClient(daemon.socket_path, timeout=5)
+    calls = {
+        "ping": client.ping,
+        "retire": lambda: client.retire_device(3),
+        "sign": lambda: client.sign_digest(DerivationPath((0, 1)), bytes(32)),
+        "xpub": lambda: client.issue_device_xpub(0),
+    }
+    try:
+        with pytest.raises(MalformedMessage):
+            calls[call]()
+    finally:
+        daemon.shutdown()
+
+
+def test_error_reply_naming_a_vcrkit_error_raises_it(state, tmp_path):
+    daemon = _CannedDaemon(state, str(tmp_path / "canned.sock"))
+    daemon.reply = {"ok": False, "err": "Locked", "message": "locked"}
+    daemon.serve_in_thread()
+    try:
+        with pytest.raises(Locked):
+            SignerClient(daemon.socket_path, timeout=5).ping()
+    finally:
+        daemon.shutdown()
