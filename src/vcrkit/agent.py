@@ -9,6 +9,7 @@ signing needs the trusted-device signer.
 
 from __future__ import annotations
 
+import os
 import threading
 from dataclasses import dataclass, field, replace
 from urllib.parse import urlsplit
@@ -394,21 +395,26 @@ class Agent:
 
     @classmethod
     def load(cls, store_path: str, http=None) -> "Agent":
-        """The store's snapshot with its journal replayed. Writes nothing."""
+        """The store's snapshot with the journal records after it replayed.
+        Writes nothing."""
+        beside = store_path + ".journal"
+        if os.path.exists(beside):
+            # Records kept beside the store file are never read: refusing
+            # the store keeps its visits from being silently dropped.
+            raise CorruptStore(f"{beside} holds records this store no longer reads")
         try:
-            with open(store_path, "rb") as fh:
-                snapshot = fh.read()
+            snapshot, records, journal = files.Journal.read(store_path)
         except FileNotFoundError:
             raise CorruptStore(f"no store at {store_path}") from None
         agent = cls(AgentStore.import_(snapshot), store_path, http)
-        agent._journal, records = files.Journal.read(store_path, snapshot)
         agent.store.replay(records)
+        agent._journal = journal
         return agent
 
     def save(self) -> None:
-        """Append what changed since the last save to the store's journal,
-        or write the whole store when there is no journal to append to or
-        the journal would outgrow the snapshot."""
+        """Append what changed since the last save to the store file, or
+        write the whole store when there is no journal to append to or the
+        records would outgrow the snapshot."""
         if not self.store_path:
             return
         with self.store.lock:  # an older state must not be written last
@@ -557,11 +563,16 @@ class Agent:
 
     @staticmethod
     def _cookie_from_set_cookie(set_cookies: list[str]) -> ClientId | None:
+        """The first cookie a ``ClientId`` accepts; one it refuses (too
+        long, say) is not a session cookie."""
         for raw in set_cookies:
             first = raw.split(";", 1)[0]
             name, _, value = first.partition("=")
             if name.strip() and value:
-                return ClientId(name.strip(), value.strip())
+                try:
+                    return ClientId(name.strip(), value.strip())
+                except encoding.DECODE_ERRORS:
+                    continue
         return None
 
     # --- request issuance -------------------------------------------------------------

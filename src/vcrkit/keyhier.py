@@ -63,7 +63,7 @@ class DerivationPath:
         if len(self.segments) > MAX_PATH_SEGMENTS:
             raise MalformedPath(f"path deeper than {MAX_PATH_SEGMENTS} segments")
         for seg in self.segments:
-            if not isinstance(seg, int) or seg < 0:
+            if isinstance(seg, bool) or not isinstance(seg, int) or seg < 0:
                 raise MalformedPath(f"bad path segment {seg!r}")
             if seg >= HARDENED:
                 raise HardenedIndexRejected(f"segment {seg} is hardened")

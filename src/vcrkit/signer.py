@@ -30,7 +30,6 @@ from .errors import (
     DeviceRetired,
     Locked,
     MalformedMessage,
-    MalformedPath,
     QuietDisconnects,
     SignerRefused,
     StateExists,
@@ -195,6 +194,7 @@ class SignerState:
     # --- operations ---------------------------------------------------------
 
     def issue_device_xpub(self, device_id: int) -> ExtendedPublicKey:
+        DerivationPath((device_id,))  # an int in [0, 2^31), or raises
         master = self._require_unlocked()
         if self._devices.get(device_id) == "retired":
             raise DeviceRetired(f"device {device_id} is retired")
@@ -205,6 +205,7 @@ class SignerState:
         return xpub
 
     def retire_device(self, device_id: int) -> None:
+        DerivationPath((device_id,))  # an int in [0, 2^31), or raises
         self._require_unlocked()
         if self._devices.get(device_id) != "retired":
             self._devices[device_id] = "retired"
@@ -230,7 +231,7 @@ class SignerState:
         if len(path) == 0:
             raise UnknownPath("signing under the bare master is not allowed")
         if len(digest) != 32:
-            raise MalformedPath("digest must be 32 bytes")
+            raise MalformedMessage("digest must be 32 bytes")
         if self._devices.get(path.segments[0]) == "retired":
             raise DeviceRetired(f"device {path.segments[0]} is retired")
         if not self._confirm(path, summary):
@@ -346,10 +347,10 @@ class SignerDaemon(QuietDisconnects, socketserver.UnixStreamServer):
             if op == "ping":
                 return {"ok": True, "result": "pong"}
             if op == "device_xpub":
-                xpub = self.state.issue_device_xpub(int(frame["device_id"]))
+                xpub = self.state.issue_device_xpub(frame["device_id"])
                 return {"ok": True, "result": xpub.serialize().hex()}
             if op == "retire_device":
-                self.state.retire_device(int(frame["device_id"]))
+                self.state.retire_device(frame["device_id"])
                 return {"ok": True, "result": "retired"}
             if op == "sign":
                 path = DerivationPath.parse(str(frame["path"]))

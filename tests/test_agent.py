@@ -384,6 +384,31 @@ def test_key_pinned_on_a_visit_that_starts_no_session_is_saved(tmp_path):
     }
 
 
+def test_a_cookie_the_client_id_refuses_starts_no_session(tmp_path):
+    """An over-long Set-Cookie value is not a session cookie: the visit
+    starts no session, asks for no wrapper, and keeps the pin."""
+    server_key = ServerKey.generate()
+    advertisement = EndpointAdvertisement(
+        "/vcr/wrapper", "/vcr/submit", server_key.public_point, server_key.key_id
+    )
+    advertised = {k.lower(): v for k, v in advertisement.to_headers().items()}
+    calls = []
+
+    def stub(method, url, headers=None, body=b"", timeout=10.0):
+        calls.append(method)
+        cookies = ["vcid=" + "a" * 300 + "; Path=/"]
+        return httpwire.HttpExchange(200, advertised, cookies, b"", 0, 0, 0, 0)
+
+    agent, _ = _fresh_agent(tmp_path, http=stub)
+    session, _ = agent.visit("http://127.0.0.1:9/", _now())
+    assert session is None and calls == ["GET"]
+    reloaded = Agent.load(str(tmp_path / "agent.store"))
+    assert reloaded.store.sessions == []
+    assert reloaded.store.pinned_server_keys == {
+        "http://127.0.0.1:9": server_key.public_point
+    }
+
+
 def test_store_file_roundtrip(loopback, tmp_path):
     _, _, origin = loopback
     agent, _ = _fresh_agent(tmp_path)
@@ -547,8 +572,18 @@ def _visit_and_save(agent, j, page, now=1754650000):
     agent.save()
 
 
-def _journal(agent) -> Path:
-    return Path(agent.store_path + files.JOURNAL_SUFFIX)
+def _store(agent) -> Path:
+    return Path(agent.store_path)
+
+
+def _records(agent) -> bytes:
+    """The store file's bytes after its snapshot line, newline included."""
+    _, newline, records = _store(agent).read_bytes().partition(b"\n")
+    return newline + records
+
+
+def _pages(agent, j=0) -> list[str]:
+    return [p for _, p in agent.store.sessions[j].history]
 
 
 def _reload(agent) -> Agent:
@@ -561,20 +596,20 @@ def test_torn_last_journal_record_gives_the_store_before_it(tmp_path):
     agent.store.next_j = 3
     _visit_and_save(agent, 1, "/b")
     before = agent.store.export()
-    start = _journal(agent).stat().st_size
+    start = _store(agent).stat().st_size
     _visit_and_save(agent, 2, "/c")
-    whole = _journal(agent).read_bytes()
+    whole = _store(agent).read_bytes()
     assert _reload(agent).store.export() == agent.store.export() != before
 
     for cut in range(start, len(whole)):
         torn = whole[:cut]
-        _journal(agent).write_bytes(torn)
+        _store(agent).write_bytes(torn)
         assert _reload(agent).store.export() == before, cut
-        assert _journal(agent).read_bytes() == torn  # a load writes nothing
+        assert _store(agent).read_bytes() == torn  # a load writes nothing
     for offset in range(start, len(whole)):
         flipped = bytearray(whole)
         flipped[offset] ^= 0x40
-        _journal(agent).write_bytes(bytes(flipped))
+        _store(agent).write_bytes(bytes(flipped))
         assert _reload(agent).store.export() == before, offset
 
 
@@ -582,21 +617,20 @@ def test_save_after_a_torn_tail_keeps_the_next_visit(tmp_path):
     agent = _journal_agent(tmp_path)
     _visit_and_save(agent, 0, "/a")
     _visit_and_save(agent, 0, "/b")
-    _journal(agent).write_bytes(_journal(agent).read_bytes()[:-3])
+    _store(agent).write_bytes(_store(agent).read_bytes()[:-3])
     reloaded = _reload(agent)
     _visit_and_save(reloaded, 0, "/c")
     again = _reload(reloaded)
-    assert [p for _, p in again.store.sessions[0].history] == ["/a", "/c"]
+    assert _pages(again) == ["/a", "/c"]
     assert again.store.export() == reloaded.store.export()
 
 
 def _save_until_compaction(agent, page="/p"):
     """Visit and save until a save writes a new snapshot; returns how many
     visits that took."""
-    snapshot = Path(agent.store_path).read_bytes()
     for n in range(1, 1000):
         _visit_and_save(agent, 0, f"{page}{n}")
-        if Path(agent.store_path).read_bytes() != snapshot:
+        if not _records(agent):
             return n
     raise AssertionError("the journal never compacted")
 
@@ -604,54 +638,56 @@ def _save_until_compaction(agent, page="/p"):
 def test_journal_stays_below_its_snapshot_and_compaction_removes_it(tmp_path):
     agent = _journal_agent(tmp_path)
     _visit_and_save(agent, 0, "/first")
-    snapshot_size = Path(agent.store_path).stat().st_size
+    snapshot = _store(agent).read_bytes().partition(b"\n")[0]
     largest = 0
     for n in range(1, 1000):
         _visit_and_save(agent, 0, f"/p{n}")
-        if not _journal(agent).exists():
+        if not _records(agent):
             break
-        largest = max(largest, _journal(agent).stat().st_size)
-    assert 0 < largest <= snapshot_size
-    assert Path(agent.store_path).read_bytes() == agent.store.export()
+        assert _store(agent).read_bytes().startswith(snapshot + b"\n")
+        largest = max(largest, len(_records(agent)))
+    assert 0 < largest <= len(snapshot)
+    assert _store(agent).read_bytes() == agent.store.export()
     assert _reload(agent).store.export() == agent.store.export()
 
 
-def test_crash_between_compaction_steps_replays_nothing_twice(tmp_path, monkeypatch):
+def test_crash_inside_compaction_keeps_the_store_before_it(tmp_path, monkeypatch):
+    """The rename that would replace snapshot and records fails: the file
+    keeps the old snapshot and records, each page once, and the next save
+    compacts."""
     agent = _journal_agent(tmp_path)
     _visit_and_save(agent, 0, "/first")
-    remove = os.remove
 
-    def crash_on_journal(path):
-        if path.endswith(files.JOURNAL_SUFFIX):
-            raise OSError("injected: crash before the journal is removed")
-        remove(path)
+    def crash(src, dst):
+        raise OSError("injected: crash before the rename")
 
-    monkeypatch.setattr(os, "remove", crash_on_journal)
+    monkeypatch.setattr(os, "replace", crash)
     with pytest.raises(OSError, match="injected"):
         _save_until_compaction(agent)
-    monkeypatch.setattr(os, "remove", remove)
-    assert _journal(agent).exists()  # the stale journal is still there
+    monkeypatch.undo()
+    assert os.listdir(tmp_path) == ["agent.store"]
     reloaded = _reload(agent)
-    assert reloaded.store.export() == Path(agent.store_path).read_bytes()
-    assert reloaded.store.export() == agent.store.export()
-    pages = [p for _, p in reloaded.store.sessions[0].history]
-    assert len(pages) == len(set(pages))
+    assert _pages(reloaded) == _pages(agent)[:-1]
+    assert len(set(_pages(reloaded))) == len(_pages(reloaded))
+    agent.save()
+    assert not _records(agent)
+    assert _pages(_reload(agent)) == _pages(agent)
 
 
 def test_flipped_byte_in_a_middle_journal_record_is_corrupt(tmp_path):
     agent = _journal_agent(tmp_path)
     _visit_and_save(agent, 0, "/a")
-    start = _journal(agent).stat().st_size
+    start = _store(agent).stat().st_size
     _visit_and_save(agent, 1, "/b")
-    end = _journal(agent).stat().st_size
+    end = _store(agent).stat().st_size
     _visit_and_save(agent, 2, "/c")
-    whole = _journal(agent).read_bytes()
+    whole = _store(agent).read_bytes()
     # The CRC field and the record bytes; a length pointing past the end of
     # the file reads as a torn tail, as in any length-prefixed log.
     for offset in [*range(start, start + 4), *range(start + 8, end)]:
         flipped = bytearray(whole)
         flipped[offset] ^= 0x01
-        _journal(agent).write_bytes(bytes(flipped))
+        _store(agent).write_bytes(bytes(flipped))
         with pytest.raises(CorruptStore):
             _reload(agent)
 
@@ -669,19 +705,73 @@ def test_failed_append_then_save_keeps_each_visit_once(tmp_path, monkeypatch):
         _visit_and_save(agent, 0, "/b")
     monkeypatch.setattr(os, "fsync", fsync)
     # The failed append's bytes reached the file: a crash now keeps "/b".
-    assert [p for _, p in _reload(agent).store.sessions[0].history] == ["/a", "/b"]
+    assert _pages(_reload(agent)) == ["/a", "/b"]
     _visit_and_save(agent, 0, "/c")
-    assert not _journal(agent).exists()  # the save after a failure compacts
+    assert not _records(agent)  # the save after a failure compacts
     reloaded = _reload(agent)
-    assert [p for _, p in reloaded.store.sessions[0].history] == ["/a", "/b", "/c"]
+    assert _pages(reloaded) == ["/a", "/b", "/c"]
     assert reloaded.store.export() == agent.store.export()
 
 
-def test_journal_file_is_private(tmp_path):
+def test_store_file_stays_private_after_appends(tmp_path):
     agent = _journal_agent(tmp_path)
     _visit_and_save(agent, 0, "/a")
     _visit_and_save(agent, 0, "/b")
-    assert stat.S_IMODE(_journal(agent).stat().st_mode) == 0o600
+    assert _records(agent)
+    assert stat.S_IMODE(_store(agent).stat().st_mode) == 0o600
+
+
+def test_a_store_is_one_file(tmp_path, monkeypatch):
+    """Visits, a new session, a compaction and a failed append leave
+    nothing beside the store file."""
+    agent = _journal_agent(tmp_path)
+    _visit_and_save(agent, 0, "/a")
+    agent.store.add_session(
+        replace(
+            random_session_record(random.Random(12)),
+            path=DerivationPath((0, 3)),
+            client_id=ClientId("vcid", f"{3:08d}"),
+            history=[],
+        )
+    )
+    _visit_and_save(agent, 3, "/new")
+    _save_until_compaction(agent)
+    _visit_and_save(agent, 1, "/b")
+
+    def failing_fsync(fd):
+        raise OSError("injected: disk gone")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(OSError, match="injected"):
+            _visit_and_save(agent, 2, "/c")
+    assert os.listdir(tmp_path) == ["agent.store"]
+    assert _reload(agent).store.export() == agent.store.export()
+
+
+def test_a_copy_of_the_store_file_alone_loads_every_visit(tmp_path):
+    (tmp_path / "a").mkdir()
+    agent = _journal_agent(tmp_path / "a")
+    for j, page in enumerate(["/x", "/y", "/z"]):
+        _visit_and_save(agent, j, page)
+    assert _records(agent)
+    (tmp_path / "b").mkdir()
+    copy = tmp_path / "b" / "copy.store"
+    copy.write_bytes(_store(agent).read_bytes())
+    loaded = Agent.load(str(copy))
+    assert [_pages(loaded, j) for j in range(3)] == [["/x"], ["/y"], ["/z"]]
+    assert loaded.store.export() == agent.store.export()
+
+
+def test_a_journal_beside_the_store_is_refused(tmp_path):
+    """A store whose records sit in ``<store>.journal`` (the layout before
+    records followed the snapshot) would load without them: it is refused,
+    naming that file."""
+    agent = _journal_agent(tmp_path)
+    beside = tmp_path / "agent.store.journal"
+    beside.write_bytes(b"records")
+    with pytest.raises(CorruptStore, match="agent.store.journal"):
+        _reload(agent)
 
 
 def test_a_visit_appends_the_same_bytes_at_any_store_size(tmp_path, monkeypatch):
@@ -695,12 +785,12 @@ def test_a_visit_appends_the_same_bytes_at_any_store_size(tmp_path, monkeypatch)
         (tmp_path / str(sessions)).mkdir()
         agent = _journal_agent(tmp_path / str(sessions), sessions)
         _visit_and_save(agent, 0, "/first")
-        before = _journal(agent).stat().st_size
+        before = _store(agent).stat().st_size
         with monkeypatch.context() as patch:
             patch.setattr(AgentStore, "export", refuse)
             patch.setattr(files, "write_private", refuse)
             _visit_and_save(agent, 0, "/page")
-        appended.append(_journal(agent).stat().st_size - before)
+        appended.append(_store(agent).stat().st_size - before)
     assert appended[0] == appended[1] < 100
 
 

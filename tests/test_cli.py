@@ -14,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import vcrkit
-from vcrkit import curve, files, httpwire
+from vcrkit import curve, httpwire
 from vcrkit.agent import Agent
 from vcrkit.bench import run_bench
 from vcrkit.cli import main
@@ -241,8 +241,9 @@ def test_export_import(runner, env, tmp_path, loopback):
     assert os.path.exists(second_store)
 
 
-def _journal(env) -> str:
-    return env["VCRKIT_STORE"] + files.JOURNAL_SUFFIX
+def _records(env) -> bytes:
+    """The store file's bytes after its snapshot line."""
+    return Path(env["VCRKIT_STORE"]).read_bytes().partition(b"\n")[2]
 
 
 def test_import_over_a_journaled_store_keeps_only_the_imported_store(
@@ -255,9 +256,9 @@ def test_import_over_a_journaled_store_keeps_only_the_imported_store(
     _run(runner, env, ["export", "--out", str(exported)])
     _run(runner, env, ["visit", origin + "/b"])
     _run(runner, env, ["visit", origin + "/c"])
-    assert os.path.exists(_journal(env))
+    assert _records(env)
     _run(runner, env, ["import", "--in", str(exported)])
-    assert not os.path.exists(_journal(env))
+    assert Path(env["VCRKIT_STORE"]).read_bytes() == exported.read_bytes()
     assert Agent.load(env["VCRKIT_STORE"]).store.export() == exported.read_bytes()
 
 
@@ -266,13 +267,47 @@ def test_export_includes_journaled_visits(runner, env, tmp_path, loopback):
     _bootstrap(runner, env)
     _run(runner, env, ["visit", origin + "/a"])
     _run(runner, env, ["visit", origin + "/b"])
-    assert os.path.exists(_journal(env))
+    assert _records(env)
     exported = tmp_path / "export.bin"
     _run(runner, env, ["export", "--out", str(exported)])
     store = env["VCRKIT_STORE"]
     Agent(Agent.load(store).store, store_path=store).save()  # compact in place
-    assert not os.path.exists(_journal(env))
+    assert _records(env) == b""
     assert exported.read_bytes() == Path(store).read_bytes()
+
+
+def test_import_of_a_store_file_with_records_is_one_json_line(
+    runner, env, tmp_path, loopback
+):
+    """Only an export imports: a store file with records after its snapshot
+    is refused whole, not imported without its latest visits."""
+    _, _, origin = loopback
+    _bootstrap(runner, env)
+    _run(runner, env, ["visit", origin + "/a"])
+    _run(runner, env, ["visit", origin + "/b"])
+    assert _records(env)
+    second = tmp_path / "second.store"
+    args = ["import", "--in", env["VCRKIT_STORE"], "--store", str(second)]
+    result = _run(runner, env, args, expect_exit=1)
+    assert _one_json_error(result.stderr)["error"] == "CorruptStore"
+    assert not second.exists()
+
+
+@pytest.mark.parametrize("device_id", ["-1", str(2**31), str(2**40)])
+def test_device_retire_of_an_id_outside_the_range_is_one_json_line(
+    runner, env, device_id
+):
+    _run(runner, env, ["signer-init"])
+    state = Path(env["VCRKIT_SIGNER_STATE"])
+    before = state.read_bytes()
+    args = ["device-retire", "--device-id", device_id, "--state", str(state)]
+    result = _run(runner, env, args, expect_exit=1)
+    assert result.stdout == ""
+    assert _one_json_error(result.stderr)["error"] in (
+        "MalformedPath",
+        "HardenedIndexRejected",
+    )
+    assert state.read_bytes() == before
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Every file vcrkit writes: created 0600, replaced atomically and durably."""
 
+import ast
 import os
 import stat
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import vcrkit
 from vcrkit import cli
 from vcrkit.agent import Agent, AgentStore
 from vcrkit.keyhier import DerivationPath, derive_path, generate_master, neuter
@@ -52,6 +54,11 @@ def _add_session_counter(agent: Agent) -> str:
     return agent.store_path
 
 
+def _save_as_new_agent(agent: Agent) -> None:
+    """The first save of a newly built Agent writes a whole snapshot."""
+    Agent(agent.store, store_path=agent.store_path).save()
+
+
 def _add_record(server: VcrServer) -> str:
     server._records["def"] = ClientDataRecord(client_id=ClientId("vcid", "def"))
     return server.snapshot_path
@@ -60,7 +67,7 @@ def _add_record(server: VcrServer) -> str:
 @pytest.mark.parametrize(
     "make, change, save",
     [
-        (_agent, _add_session_counter, Agent.save),
+        (_agent, _add_session_counter, _save_as_new_agent),
         (_server, _add_record, VcrServer.save_snapshot),
     ],
 )
@@ -95,3 +102,45 @@ def test_generated_server_key_file_is_private(tmp_path, monkeypatch):
     assert result.exit_code == 0, result.output
     assert _mode(key_file) == 0o600
     assert len(key_file.read_text().strip()) == 64
+
+
+_WRITE_CALLS = {"open", "write", "fdopen", "replace"}  # as attributes of os
+
+
+def _writes(node: ast.AST) -> bool:
+    """Whether ``node`` is a call that writes a file or may: ``os.open``,
+    ``os.write``, ``os.fdopen``, ``os.replace``, or ``open`` whose mode is
+    not a constant without "w", "a", "x" or "+"."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Attribute):
+        return (
+            isinstance(func.value, ast.Name)
+            and func.value.id == "os"
+            and func.attr in _WRITE_CALLS
+        )
+    if not (isinstance(func, ast.Name) and func.id == "open"):
+        return False
+    modes = [kw.value for kw in node.keywords if kw.arg == "mode"] + node.args[1:2]
+    if not modes:
+        return False
+    [mode] = modes
+    return not (isinstance(mode, ast.Constant) and not set("wax+") & set(mode.value))
+
+
+def test_only_files_py_writes_files():
+    """Every file goes through one write helper: no module but files.py
+    opens a file for writing or calls the os-level write functions."""
+    found = []
+    for path in sorted(Path(vcrkit.__file__).parent.glob("*.py")):
+        if path.name == "files.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if _writes(node) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "os"
+                and _WRITE_CALLS & {alias.name for alias in node.names}
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

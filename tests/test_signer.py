@@ -423,6 +423,35 @@ def test_daemon_answers_a_frame_that_is_not_an_object(daemon, client):
     assert client.ping()
 
 
+def test_daemon_takes_only_a_json_integer_device_id_in_range(daemon, state, tmp_path):
+    """A device id that is a bool, a float, a string, negative or 2^31 and
+    up gets an error frame and touches neither the ledger nor the file."""
+    import socket as socketlib
+
+    from vcrkit.signer import read_frame, write_frame
+
+    state.issue_device_xpub(3)
+    ledger = dict(state._devices)
+    state_file = (tmp_path / "signer.state").read_bytes()
+    bad_ids = [True, False, 1.9, 5.5, "7", -1, 2**31, 2**40]
+    for op in ("device_xpub", "retire_device"):
+        for device_id in bad_ids:
+            with socketlib.socket(socketlib.AF_UNIX, socketlib.SOCK_STREAM) as sock:
+                sock.connect(daemon.socket_path)
+                write_frame(sock, {"op": op, "device_id": device_id})
+                response = read_frame(sock)
+            assert response["ok"] is False, (op, device_id)
+            assert "result" not in response
+    assert state._devices == ledger
+    assert (tmp_path / "signer.state").read_bytes() == state_file
+
+
+@pytest.mark.parametrize("length", [0, 31, 33])
+def test_digest_of_the_wrong_length_is_malformed_message(state, length):
+    with pytest.raises(MalformedMessage, match="32 bytes"):
+        state.sign_digest(DerivationPath((0, 0)), bytes(length))
+
+
 def test_daemon_socket_file_removed_on_shutdown(state, tmp_path):
     socket_path = str(tmp_path / "ephemeral.sock")
     daemon = SignerDaemon(state, socket_path)
