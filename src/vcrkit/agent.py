@@ -177,11 +177,12 @@ class AgentStore(Message):
     # --- provisioning ---------------------------------------------------------
 
     def provision_device(self, device_xpub: ExtendedPublicKey, device_id: int) -> None:
+        (device_id,) = DerivationPath((device_id,)).segments  # an int in [0, 2^31)
         with self.lock:
             if self.device_xpub is not None:
                 raise AlreadyProvisioned(f"device {self.device_id} already set")
             self.device_xpub = device_xpub
-            self.device_id = int(device_id)
+            self.device_id = device_id
             self.next_j = 0
 
     def require_provisioned(self) -> ExtendedPublicKey:

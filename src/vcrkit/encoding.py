@@ -17,14 +17,17 @@ Two distinct encodings live here:
 Each message is described once: a ``Message`` subclass lists its fields in
 wire order as ``FIELDS``, each with a kind (``STR``, ``TIME``, ``BIN``,
 ``integer``, ``fixed``, ``nested``, ``list_of``, ``map_of``, ...). Both JSON
-modes and the canonical writer and reader are derived from that list; the
-per-mode key tables are built once, when the class is defined.
+modes and the canonical writer and reader are derived from that list. The
+JSON decoders are generated once per class and mode, when the class is
+defined: one straight-line function per field table, the way ``dataclasses``
+writes ``__init__``, built only from the table itself.
 """
 
 from __future__ import annotations
 
 import binascii
 import json
+import keyword
 from dataclasses import KW_ONLY, dataclass
 from datetime import datetime, timezone
 from enum import Enum
@@ -226,10 +229,42 @@ class Kind:
         self.decode = decode or _modes(_same)
 
 
+# --- generated decoders ------------------------------------------------------
+# A decoder is written as source once, when its row or message class is
+# defined, and compiled with ``exec``. The source holds only class-definition
+# data: attribute names checked by ``_check_identifier``, wire keys placed by
+# ``repr`` and the local names below. Decoded input never reaches it.
+
+
+def _check_identifier(name: str) -> None:
+    if not name.isidentifier() or keyword.iskeyword(name):
+        raise TypeError(f"{name!r} is not an identifier")
+
+
+def _compile(label: str, arg: str, body: list[str], names: dict):
+    """``def decode(<arg>): <body>``, with ``names`` bound in its closure;
+    ``label`` names its source in tracebacks and profiles."""
+    source = "\n".join(
+        [
+            f"def make({', '.join(names)}):",
+            f"    def decode({arg}):",
+            *(f"        {line}" for line in body),
+            "    return decode",
+        ]
+    )
+    scope: dict = {}
+    exec(compile(source, f"<decode {label}>", "exec"), scope)
+    return scope["make"](**names)
+
+
+def _tuple(items) -> str:
+    return "(" + "".join(f"{item}, " for item in items) + ")"
+
+
 # Unpadded urlsafe base64, straight through binascii: the base64 module's
 # wrappers cost more than the conversion for these short fields.
 _TO_URLSAFE = bytes.maketrans(b"+/", b"-_")
-_FROM_URLSAFE = bytes.maketrans(b"-_", b"+/")
+_PADDING = ("", "===", "==", "=")  # by length mod 4
 
 
 def _b64_encode(data: bytes) -> str:
@@ -238,8 +273,8 @@ def _b64_encode(data: bytes) -> str:
 
 
 def _b64_decode(text: str) -> bytes:
-    data = text.encode("ascii").translate(_FROM_URLSAFE)
-    return binascii.a2b_base64(data + b"=" * (-len(data) % 4))
+    text = text.replace("-", "+").replace("_", "/")
+    return binascii.a2b_base64(text + _PADDING[len(text) % 4])
 
 
 def _iso_from_unix(ts: int) -> str:
@@ -383,8 +418,23 @@ def row(*columns: tuple[str, Kind]) -> Kind:
     optimized, verbose = WireMode.OPTIMIZED, WireMode.VERBOSE
     to_array = [kind.encode[optimized] for kind in kinds]
     to_object = [kind.encode[verbose] for kind in kinds]
-    from_array = [kind.decode[optimized] for kind in kinds]
-    from_object = [kind.decode[verbose] for kind in kinds]
+    # OPTIMIZED unpacks the array, which refuses one of another length.
+    items = [f"a{i}" for i in range(len(kinds))]
+    from_array = _compile(
+        f"row({', '.join(names)}) optimized",
+        "raw",
+        [
+            f"[{', '.join(items)}] = raw",
+            "return " + _tuple(f"d{i}({item})" for i, item in enumerate(items)),
+        ],
+        {f"d{i}": kind.decode[optimized] for i, kind in enumerate(kinds)},
+    )
+    from_object = _compile(
+        f"row({', '.join(names)}) verbose",
+        "raw",
+        ["return " + _tuple(f"d{i}(raw[{n!r}])" for i, n in enumerate(names))],
+        {f"d{i}": kind.decode[verbose] for i, kind in enumerate(kinds)},
+    )
     return Kind(
         write,
         lambda r: tuple([kind.read(r) for kind in kinds]),
@@ -392,12 +442,7 @@ def row(*columns: tuple[str, Kind]) -> Kind:
             lambda value: [e(item) for e, item in zip(to_array, value)],
             lambda value: {n: e(item) for n, e, item in zip(names, to_object, value)},
         ),
-        _modes(
-            lambda raw: tuple(
-                [d(item) for d, item in zip(from_array, raw, strict=True)]
-            ),
-            lambda raw: tuple([d(raw[n]) for n, d in zip(names, from_object)]),
-        ),
+        _modes(from_array, from_object),
     )
 
 
@@ -407,10 +452,7 @@ def nested(cls: type["Message"]) -> Kind:
         lambda w, value: value._write_canonical(w),
         cls._read_canonical,
         {m: partial(_encode_fields, cls._wire_out[m]) for m in WireMode},
-        {
-            m: partial(_decode_fields, cls._wire_in[m], cls._from_fields)
-            for m in WireMode
-        },
+        cls._wire_in,
     )
 
 
@@ -500,23 +542,60 @@ def _encode_fields(steps, message) -> dict:
     return out
 
 
-def _decode_fields(steps, build, data):
-    values: dict = {}
-    for attr, key, decode, required in steps:
-        if attr is None:
-            decode(data, values)
-        elif key in data:
-            values[attr] = decode(data[key])
-        elif required:
-            raise MalformedMessage(f"missing wire field {attr} ({key})")
-    return build(values)
+def _missing(data, required) -> None:
+    """Name the first of the ``required`` (attr, key) pairs ``data`` lacks."""
+    for attr, key in required:
+        if key not in data:
+            raise MalformedMessage(f"missing wire field {attr} ({key})") from None
+
+
+def _message_decoder(cls, mode: WireMode, steps):
+    """``decode(data)`` for ``cls``'s decode ``steps`` in ``mode``.
+
+    With the default ``_from_fields`` and only plain required fields it is
+    one ``cls(attr=d0(data[key]), ...)`` call; otherwise it fills a dict of
+    attributes for ``_from_fields``. A KeyError with a required key absent
+    is that key's MalformedMessage; any other (an unknown word inside a
+    field) goes on as it is."""
+    names = {f"d{i}": decode for i, (_, _, decode, _) in enumerate(steps)}
+    names.update(cls=cls, build=cls._from_fields, missing=_missing)
+    required = tuple((attr, key) for attr, key, _, req in steps if attr and req)
+    default = cls._from_fields.__func__ is Message._from_fields.__func__
+    if default and len(required) == len(steps):
+        # Attributes are identifiers: __init_subclass__ checked them.
+        args = [f"{attr}=d{i}(data[{key!r}])" for i, (attr, key) in enumerate(required)]
+        body = [f"return cls({', '.join(args)})"]
+    else:
+        body = ["values = {}"]
+        for i, (attr, key, _, req) in enumerate(steps):
+            value = f"values[{attr!r}] = d{i}(data[{key!r}])"
+            if attr is None:
+                body.append(f"d{i}(data, values)")
+            elif req:
+                body.append(value)
+            else:
+                body += [f"if {key!r} in data:", f"    {value}"]
+        body.append("return cls(**values)" if default else "return build(values)")
+    if required:
+        names["required"] = required
+        body = ["try:", *(f"    {line}" for line in body)]
+        body += ["except KeyError:", "    missing(data, required)", "    raise"]
+    return _compile(f"{cls.__qualname__} {mode.value}", "data", body, names)
 
 
 # Errors raised while a message is built from JSON or canonical bytes: input
 # of the wrong shape or type, or a value a message refuses (a bad cookie, an
 # off-curve point, a bad path). The decode entry points, and every other
 # reader of outside input, turn any of them into the one decode error.
-DECODE_ERRORS = (VcrkitError, TypeError, ValueError, LookupError, AttributeError)
+# OverflowError is an integer field given an infinite JSON number (1e400).
+DECODE_ERRORS = (
+    VcrkitError,
+    TypeError,
+    ValueError,
+    LookupError,
+    AttributeError,
+    OverflowError,
+)
 
 
 class Message:
@@ -530,11 +609,15 @@ class Message:
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
+        for f in cls.FIELDS:
+            _check_identifier(f.attr)
+        # Per mode: the encode steps, and the decoder generated from the
+        # decode steps.
         cls._wire_out, cls._wire_in = {}, {}
         for mode in WireMode:
             steps = [f.json_entries(mode) for f in cls.FIELDS]
             cls._wire_out[mode] = tuple(out for out, _ in steps)
-            cls._wire_in[mode] = tuple(step for _, step in steps)
+            cls._wire_in[mode] = _message_decoder(cls, mode, [s for _, s in steps])
 
     @classmethod
     def _from_fields(cls, values: dict):
@@ -545,8 +628,10 @@ class Message:
 
     @classmethod
     def from_wire_dict(cls, data, mode: WireMode):
+        if not isinstance(data, dict):
+            raise MalformedMessage(f"{cls.__name__} wire form is not an object")
         try:
-            return _decode_fields(cls._wire_in[mode], cls._from_fields, data)
+            return cls._wire_in[mode](data)
         except DECODE_ERRORS as exc:
             raise MalformedMessage(f"bad {cls.__name__} wire form: {exc!r}") from None
 

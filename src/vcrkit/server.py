@@ -83,6 +83,10 @@ ACCESS_INFO = b"vcr-access-v1"
 # (RFC 9110 §15.5.14) without reading it.
 MAX_BODY_BYTES = 1 << 20
 
+# How often the serve loop looks for a shutdown request: close() waits for
+# the loop up to this long.
+POLL_SECONDS = 0.05
+
 
 # One page visit: (unix time, URL path).
 VISIT = row(("visit_time", TIME), ("visit_url", STR))
@@ -433,7 +437,7 @@ class VcrHttpServer(QuietDisconnects, ThreadingHTTPServer):
 
     _serving = False  # set once a loop starts: shutdown() waits for one
 
-    def serve_forever(self, poll_interval: float = 0.5) -> None:
+    def serve_forever(self, poll_interval: float = POLL_SECONDS) -> None:
         self._serving = True
         super().serve_forever(poll_interval)
 

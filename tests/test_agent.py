@@ -23,8 +23,10 @@ from vcrkit.errors import (
     AlreadyProvisioned,
     CorruptStore,
     DeviceRetired,
+    HardenedIndexRejected,
     InvalidPublicKey,
     MalformedMessage,
+    MalformedPath,
     NetworkError,
     NotProvisioned,
     PinnedKeyMismatch,
@@ -71,6 +73,18 @@ def test_double_provision_rejected(tmp_path):
         agent.store.provision_device(
             neuter(derive_path(master, DerivationPath((1,)))), 1
         )
+
+
+@pytest.mark.parametrize("device_id", [-1, 2**31, True, "0"])
+def test_provision_refuses_an_id_that_is_not_a_path_segment(device_id):
+    """The device id is the first segment of every session path: one
+    outside [0, 2^31) would make each later session start fail."""
+    master = generate_master(SEED)
+    store = AgentStore()
+    with pytest.raises((MalformedPath, HardenedIndexRejected)):
+        store.provision_device(neuter(derive_path(master, DerivationPath((0,)))), device_id)
+    with pytest.raises(NotProvisioned):
+        store.require_provisioned()
 
 
 def test_unprovisioned_store_refuses_work():

@@ -18,6 +18,7 @@ from vcrkit import curve, httpwire
 from vcrkit.agent import Agent
 from vcrkit.bench import run_bench
 from vcrkit.cli import main
+from vcrkit.keyhier import derive_child_priv, generate_master, neuter
 from vcrkit.signer import ConfirmationPolicy, SignerDaemon, SignerState
 
 PASSPHRASE = "cli test passphrase"
@@ -336,6 +337,22 @@ def _one_json_error(stderr: str) -> dict:
     error = json.loads(line)
     assert set(error) == {"error", "message"}
     return error
+
+
+@pytest.mark.parametrize("device_id", ["-1", str(2**31)])
+def test_agent_init_of_an_id_outside_the_range_writes_no_store(
+    runner, env, device_id
+):
+    master = generate_master(bytes(range(32)))
+    xpub_hex = neuter(derive_child_priv(master, 0)).serialize().hex()
+    args = ["agent-init", "--device-id", device_id, "--device-xpub", xpub_hex]
+    result = _run(runner, env, args, expect_exit=1)
+    assert result.stdout == ""
+    assert _one_json_error(result.stderr)["error"] in (
+        "MalformedPath",
+        "HardenedIndexRejected",
+    )
+    assert not os.path.exists(env["VCRKIT_STORE"])
 
 
 @pytest.mark.parametrize(

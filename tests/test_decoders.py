@@ -1,0 +1,318 @@
+"""Every decoder generated from a field table, against the table itself.
+
+For each ``Message`` subclass: both JSON modes and, where the message has
+one, the canonical form round-trip; and input mutated in each way below is
+refused with the one decode error and nothing else.
+"""
+
+import json
+import random
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from builders import (
+    random_action,
+    random_advertisement,
+    random_client_id,
+    random_data_record,
+    random_request,
+    random_session_record,
+    random_wrapper,
+    some_point,
+    some_text,
+)
+from vcrkit import encoding
+from vcrkit.agent import AgentStore, SessionRecord, StoreChange, StoreHeader
+from vcrkit.encoding import BIN, Field, Message, WireMode, bin_to_wire, nested, wire_key
+from vcrkit.errors import MalformedMessage
+from vcrkit.keyhier import derive_child_pub, generate_master, neuter
+from vcrkit.sealing import NONCE_BYTES, HybridCiphertext
+from vcrkit.server import AccessResponse, ClientDataRecord, EndpointAdvertisement
+from vcrkit.vcr import ActionKind, UnifiedProof, VcrAction, VcrRequest
+from vcrkit.wrapper import ClientId, Wrapper, WrapperRequest
+
+MODES = (WireMode.OPTIMIZED, WireMode.VERBOSE)
+EXAMPLES = settings(max_examples=15, deadline=None, derandomize=True)
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+_PARENT = neuter(generate_master(b"decoder-test-seed"))
+_DEVICE = derive_child_pub(_PARENT, 0)
+
+
+def _unified(rng):
+    return UnifiedProof(
+        server_xpub=derive_child_pub(_PARENT, rng.randrange(4)),
+        session_indices=tuple(rng.randrange(2**31) for _ in range(rng.randint(1, 3))),
+    )
+
+
+def _store(rng):
+    store = AgentStore()
+    store.provision_device(_DEVICE, 0)
+    store.next_j = rng.randrange(2**31)
+    store.server_counters = {rng.randrange(100): rng.randrange(100) for _ in range(2)}
+    store.server_ids = {f"https://s{i}.example": i for i in range(rng.randint(0, 2))}
+    store.sessions = [random_session_record(rng) for _ in range(rng.randint(0, 2))]
+    store.pinned_server_keys = {"https://s0.example": some_point(rng)}
+    store.retired = rng.random() < 0.5
+    return store
+
+
+def _store_change(rng):
+    pick = rng.randrange(3)
+    if pick == 0:
+        return StoreChange(header=_store(rng))
+    if pick == 1:
+        return StoreChange(sessions=[random_session_record(rng)])
+    cid = random_client_id(rng)
+    visit = (cid.cookie_name, cid.cookie_value, rng.randrange(2**32), "/" + some_text(rng))
+    return StoreChange(visit=visit)
+
+
+# One builder per message class: a message to encode from a seeded rng.
+# StoreHeader encodes from an AgentStore.
+BUILDERS = {
+    ClientId: random_client_id,
+    Wrapper: random_wrapper,
+    WrapperRequest: lambda rng: WrapperRequest(
+        client_id=random_client_id(rng),
+        vcr_pubkeys=tuple(some_point(rng) for _ in range(rng.randint(1, 3))),
+    ),
+    VcrAction: random_action,
+    UnifiedProof: _unified,
+    VcrRequest: random_request,
+    HybridCiphertext: lambda rng: HybridCiphertext(
+        ephemeral_pubkey=some_point(rng),
+        nonce=rng.randbytes(NONCE_BYTES),
+        ciphertext=rng.randbytes(rng.randrange(40)),
+    ),
+    EndpointAdvertisement: random_advertisement,
+    ClientDataRecord: random_data_record,
+    AccessResponse: lambda rng: AccessResponse(
+        [random_data_record(rng) for _ in range(rng.randint(0, 2))]
+    ),
+    SessionRecord: random_session_record,
+    AgentStore: _store,
+    StoreHeader: _store,
+    StoreChange: _store_change,
+}
+# The messages with a canonical form (every field has a canonical kind).
+CANONICAL = (
+    ClientId,
+    Wrapper,
+    WrapperRequest,
+    VcrAction,
+    UnifiedProof,
+    VcrRequest,
+    HybridCiphertext,
+    EndpointAdvertisement,
+    SessionRecord,
+)
+CLASSES = list(BUILDERS)
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_message_class_is_covered():
+    defined = {c for c in _subclasses(Message) if c.__module__.startswith("vcrkit.")}
+    assert defined == set(BUILDERS)
+
+
+def _message(cls, seed):
+    return BUILDERS[cls](random.Random(seed))
+
+
+def _wire(cls, message, mode) -> dict:
+    """The JSON object ``message`` encodes to, parsed back: a fresh copy."""
+    return json.loads(json.dumps(nested(cls).encode[mode](message)))
+
+
+def _header(store) -> dict:
+    return {f.attr: getattr(store, f.attr) for f in StoreHeader.FIELDS}
+
+
+def _assert_same(cls, decoded, message, mode):
+    if cls is StoreHeader:
+        assert decoded == _header(message)
+    elif cls is StoreChange:
+        header = message.header and _header(message.header)
+        assert (decoded.header, decoded.sessions, decoded.visit) == (
+            header,
+            message.sessions,
+            message.visit,
+        )
+    elif cls is AgentStore:
+        assert encoding.to_wire(decoded, mode) == encoding.to_wire(message, mode)
+    else:
+        assert decoded == message
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+@EXAMPLES
+@given(seed=SEEDS)
+def test_json_round_trip(cls, mode, seed):
+    message = _message(cls, seed)
+    decoded = cls.from_wire_dict(_wire(cls, message, mode), mode)
+    _assert_same(cls, decoded, message, mode)
+
+
+@pytest.mark.parametrize("cls", CANONICAL, ids=lambda c: c.__name__)
+@EXAMPLES
+@given(seed=SEEDS)
+def test_canonical_round_trip(cls, seed):
+    message = _message(cls, seed)
+    assert cls.from_canonical(message.to_canonical()) == message
+
+
+def _required(cls, mode):
+    """The (attr, key) of each top-level field whose key must be present."""
+    for f in cls.FIELDS:
+        hooked = f.verbose is not None and mode is WireMode.VERBOSE
+        if not (f.optional or f.omit_empty or f.flatten or hooked):
+            yield f.attr, wire_key(f.name, mode)
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+@EXAMPLES
+@given(seed=SEEDS)
+def test_a_dropped_required_key_is_named(cls, mode, seed):
+    wire = _wire(cls, _message(cls, seed), mode)
+    for attr, key in _required(cls, mode):
+        data = {k: v for k, v in wire.items() if k != key}
+        named = re.escape(f"missing wire field {attr} ({key})")
+        with pytest.raises(MalformedMessage, match=named):
+            cls.from_wire_dict(data, mode)
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+@EXAMPLES
+@given(seed=SEEDS)
+def test_an_extra_key_is_ignored(cls, mode, seed):
+    message = _message(cls, seed)
+    data = {**_wire(cls, message, mode), "~extra": [1, {"n": None}]}
+    _assert_same(cls, cls.from_wire_dict(data, mode), message, mode)
+
+
+def _positions(value):
+    """Every (container, index) in a parsed JSON value, depth first."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for index, item in list(items):
+        yield value, index
+        if isinstance(item, (dict, list)):
+            yield from _positions(item)
+
+
+# A value of each JSON type, and numbers no unsigned integer field can hold.
+OTHER_VALUES = (None, True, 0, -1, 1.5, 1e400, "", "x", [], [0], {}, {"n": 0})
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(seed=SEEDS)
+def test_any_value_anywhere_decodes_or_is_malformed(cls, mode, seed):
+    """Each value in the object, at any depth, replaced by each of
+    OTHER_VALUES in turn (most of a wrong JSON type): decoding succeeds or
+    raises MalformedMessage, never anything else."""
+    wire = _wire(cls, _message(cls, seed), mode)
+    for container, index in _positions(wire):
+        original = container[index]
+        for other in OTHER_VALUES:
+            container[index] = other
+            try:
+                cls.from_wire_dict(wire, mode)
+            except MalformedMessage:
+                pass
+        container[index] = original
+
+
+@pytest.mark.parametrize("data", [[], [{}], "x", "", 0, 1.5, None], ids=repr)
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_a_non_object_is_malformed(cls, mode, data):
+    with pytest.raises(MalformedMessage):
+        cls.from_wire_dict(data, mode)
+
+
+def _fixed_fields(cls, message):
+    """The top-level fields of a fixed size set in ``message``: (field,
+    the bytes, whether they are the first item of a list)."""
+    for f in cls.FIELDS:
+        value = getattr(message, f.attr, None)
+        if f.kind is not BIN and isinstance(value, bytes):
+            yield f, value, False
+        elif isinstance(value, tuple) and value and isinstance(value[0], bytes):
+            yield f, value[0], True
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+@EXAMPLES
+@given(seed=SEEDS)
+def test_a_fixed_field_of_the_wrong_length_is_malformed(cls, mode, delta, seed):
+    message = _message(cls, seed)
+    for f, value, listed in _fixed_fields(cls, message):
+        data = _wire(cls, message, mode)
+        resized = bin_to_wire(bytes(len(value) + delta), mode)
+        key = wire_key(f.name, mode)
+        if listed:
+            data[key][0] = resized
+        else:
+            data[key] = resized
+        with pytest.raises(MalformedMessage):
+            cls.from_wire_dict(data, mode)
+
+
+@pytest.mark.parametrize("cls", CANONICAL, ids=lambda c: c.__name__)
+@EXAMPLES
+@given(seed=SEEDS, extra=st.binary(min_size=1, max_size=4))
+def test_truncated_or_extended_canonical_bytes_are_refused(cls, seed, extra):
+    blob = _message(cls, seed).to_canonical()
+    for cut in range(len(blob)):
+        with pytest.raises(cls.CANONICAL_ERROR):
+            cls.from_canonical(blob[:cut])
+    with pytest.raises(cls.CANONICAL_ERROR):
+        cls.from_canonical(blob + extra)
+
+
+@pytest.mark.parametrize(
+    "row", [[], [1760000000], [1760000000, "/", "x"]], ids=["empty", "short", "long"]
+)
+def test_a_row_of_another_length_is_malformed(row):
+    """An OPTIMIZED row is an array of exactly its columns."""
+    data = random_session_record(random.Random(1)).to_wire_dict(WireMode.OPTIMIZED)
+    data[wire_key("history", WireMode.OPTIMIZED)] = [row]
+    with pytest.raises(MalformedMessage):
+        SessionRecord.from_wire_dict(data, WireMode.OPTIMIZED)
+
+
+def test_a_key_error_inside_a_field_is_not_renamed():
+    """An unknown word in a VERBOSE choice is a KeyError of its own: it is
+    reported as itself, not as a missing key of the message around it."""
+    data = VcrAction(ActionKind.DELETE).to_wire_dict(WireMode.VERBOSE)
+    data["kind"] = "erase"
+    with pytest.raises(MalformedMessage) as caught:
+        VcrAction.from_wire_dict(data, WireMode.VERBOSE)
+    assert "missing wire field" not in str(caught.value)
+    assert "erase" in str(caught.value)
+
+
+def test_a_field_attribute_that_is_not_an_identifier_is_refused():
+    """Attribute names are written into the generated decoders' source, so
+    a class whose table has any other name is refused when it is defined."""
+    for attr in ("cookie-name", "cookie_name)", "class", "a b"):
+        with pytest.raises(TypeError, match="not an identifier"):
+
+            class Bad(Message):
+                FIELDS = (Field("cookie_name", encoding.STR, attr),)

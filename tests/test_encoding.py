@@ -494,3 +494,24 @@ def test_only_the_codec_decodes_json():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_only_the_codec_generates_code():
+    """Source is compiled in one place, from field tables only: no module
+    but encoding.py calls exec, eval or compile."""
+    import ast
+    from pathlib import Path
+
+    import vcrkit
+
+    found = []
+    for path in sorted(Path(vcrkit.__file__).parent.glob("*.py")):
+        if path.name == "encoding.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and (
+                (isinstance(node.func, ast.Name) and node.func.id in ("exec", "eval", "compile"))
+                or (isinstance(node.func, ast.Attribute) and node.func.attr in ("exec", "eval"))
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

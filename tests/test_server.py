@@ -226,6 +226,16 @@ def test_submit_endpoint_rejects_garbage(loopback, body):
     _assert_garbage_refused(vcr_server, origin, path, body)
 
 
+@pytest.mark.parametrize("number", [b"1e400", b"Infinity", b"-Infinity"])
+def test_submit_of_an_infinite_timestamp_is_malformed(loopback, number):
+    """An infinite JSON number where an integer belongs is a decode error
+    like any other, not an escape from the handler."""
+    vcr_server, _, origin = loopback
+    body = b'{"V":1,"w":[],"a":{"k":1},"t":' + number + b',"s":[]}'
+    path = vcr_server.advertisement.vcr_endpoint
+    _assert_garbage_refused(vcr_server, origin, path, body)
+
+
 def test_wrapper_endpoint_rejects_bad_point(loopback):
     vcr_server, _, origin = loopback
     payload = {
@@ -949,6 +959,18 @@ def test_close_before_serving_returns_and_saves_the_snapshot(tmp_path):
     closer.join(timeout=5)
     assert not closer.is_alive(), "close() waited for a loop that never ran"
     assert snapshot.read_text() == '{"D":[]}'
+
+
+def test_close_of_a_serving_server_returns_promptly():
+    """close() waits for the serve loop's next poll, not half a second."""
+    elapsed = []
+    for _ in range(5):
+        httpd = VcrHttpServer(("127.0.0.1", 0), VcrServer())
+        httpd.serve_in_thread()
+        started = time.perf_counter()
+        httpd.close()
+        elapsed.append(time.perf_counter() - started)
+    assert sum(elapsed) / len(elapsed) < 0.1, elapsed
 
 
 @pytest.mark.parametrize("secret", [0, -1, curve.N, curve.N + 1])
