@@ -17,10 +17,12 @@ Two distinct encodings live here:
 Each message is described once: a ``Message`` subclass lists its fields in
 wire order as ``FIELDS``, each with a kind (``STR``, ``TIME``, ``BIN``,
 ``integer``, ``fixed``, ``nested``, ``list_of``, ``map_of``, ...). Both JSON
-modes and the canonical writer and reader are derived from that list. The
-JSON decoders are generated once per class and mode, when the class is
-defined: one straight-line function per field table, the way ``dataclasses``
-writes ``__init__``, built only from the table itself.
+modes and the canonical writer and reader are derived from that list. Each
+class's JSON encoder and decoder are generated once per mode, when the class
+is defined: two straight-line functions written in one pass over the field
+table, the way ``dataclasses`` writes ``__init__``, built only from the table
+itself. A JSON value is decoded only from its own JSON type: a string field
+takes a string, an integer field an integer (not a bool), and so on.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import keyword
 from dataclasses import KW_ONLY, dataclass
 from datetime import datetime, timezone
 from enum import Enum
-from functools import partial
 
 from .errors import MalformedMessage, UnencodableField, VcrkitError
 
@@ -229,11 +230,12 @@ class Kind:
         self.decode = decode or _modes(_same)
 
 
-# --- generated decoders ------------------------------------------------------
-# A decoder is written as source once, when its row or message class is
-# defined, and compiled with ``exec``. The source holds only class-definition
-# data: attribute names checked by ``_check_identifier``, wire keys placed by
-# ``repr`` and the local names below. Decoded input never reaches it.
+# --- generated codecs --------------------------------------------------------
+# An encoder or decoder is written as source once, when its row or message
+# class is defined, and compiled with ``exec``. The source holds only
+# class-definition data: attribute names checked by ``_check_identifier``,
+# wire keys placed by ``repr`` and the local names below. Neither a message
+# nor decoded input ever reaches it.
 
 
 def _check_identifier(name: str) -> None:
@@ -241,19 +243,21 @@ def _check_identifier(name: str) -> None:
         raise TypeError(f"{name!r} is not an identifier")
 
 
-def _compile(label: str, arg: str, body: list[str], names: dict):
-    """``def decode(<arg>): <body>``, with ``names`` bound in its closure;
-    ``label`` names its source in tracebacks and profiles."""
+def _compile(name: str, label: str, arg: str, body: list[str], names: dict):
+    """``def <name>(<arg>): <body>``, with ``names`` bound in its closure;
+    ``<name label>`` names its source in tracebacks and profiles. Every
+    message's ``encode`` and ``decode`` and every row's decoders are built
+    here."""
     source = "\n".join(
         [
             f"def make({', '.join(names)}):",
-            f"    def decode({arg}):",
+            f"    def {name}({arg}):",
             *(f"        {line}" for line in body),
-            "    return decode",
+            f"    return {name}",
         ]
     )
     scope: dict = {}
-    exec(compile(source, f"<decode {label}>", "exec"), scope)
+    exec(compile(source, f"<{name} {label}>", "exec"), scope)
     return scope["make"](**names)
 
 
@@ -285,18 +289,32 @@ def _iso_from_unix(ts: int) -> str:
     )
 
 
-def _unix_from_iso(value) -> int:
-    return int(datetime.fromisoformat(str(value).replace("Z", "+00:00")).timestamp())
+def _unix_from_iso(text: str) -> int:
+    return int(datetime.fromisoformat(text.replace("Z", "+00:00")).timestamp())
 
 
-STR = Kind(CanonicalWriter.vstr, CanonicalReader.vstr, decode=_modes(str))
-BOOL = Kind(decode=_modes(bool))
+def _exactly(json_type: type):
+    """A decoder that passes a value of exactly ``json_type`` and refuses any
+    other with TypeError: no value is coerced, and a bool is not an int."""
+
+    def decode(raw):
+        if type(raw) is not json_type:
+            raise TypeError(f"expected {json_type.__name__}, got {type(raw).__name__}")
+        return raw
+
+    return decode
+
+
+_STR, _INT, _LIST = _exactly(str), _exactly(int), _exactly(list)
+
+STR = Kind(CanonicalWriter.vstr, CanonicalReader.vstr, decode=_modes(_STR))
+BOOL = Kind(decode=_modes(_exactly(bool)))
 # Unix seconds: a JSON integer in OPTIMIZED, ISO-8601 text in VERBOSE.
 TIME = Kind(
     CanonicalWriter.u64,
     CanonicalReader.u64,
     _modes(int, _iso_from_unix),
-    _modes(int, _unix_from_iso),
+    _modes(_INT, _unix_from_iso),
 )
 # Length-prefixed bytes: unpadded urlsafe base64 in OPTIMIZED, hex in VERBOSE.
 BIN = Kind(
@@ -312,7 +330,7 @@ def integer(bits: int = 64) -> Kind:
     return Kind(
         getattr(CanonicalWriter, f"u{bits}"),
         getattr(CanonicalReader, f"u{bits}"),
-        decode=_modes(int),
+        decode=_modes(_INT),
     )
 
 
@@ -344,7 +362,7 @@ def choice(enum, words: dict) -> Kind:
         lambda w, value: w.u8(int(value)),
         lambda r: enum(r.u8()),
         _modes(int, words.__getitem__),
-        _modes(lambda raw: enum(int(raw)), lambda raw: by_word[str(raw)]),
+        _modes(lambda raw: enum(_INT(raw)), by_word.__getitem__),
     )
 
 
@@ -387,7 +405,9 @@ def list_of(kind: Kind, container=tuple) -> Kind:
         write,
         lambda r: container([kind.read(r) for _ in range(r.count())]),
         _lift(kind.encode, lambda encode: lambda value: list(map(encode, value))),
-        _lift(kind.decode, lambda decode: lambda raw: container(map(decode, raw))),
+        _lift(
+            kind.decode, lambda decode: lambda raw: container(map(decode, _LIST(raw)))
+        ),
     )
 
 
@@ -420,16 +440,19 @@ def row(*columns: tuple[str, Kind]) -> Kind:
     to_object = [kind.encode[verbose] for kind in kinds]
     # OPTIMIZED unpacks the array, which refuses one of another length.
     items = [f"a{i}" for i in range(len(kinds))]
+    from_items = {f"d{i}": kind.decode[optimized] for i, kind in enumerate(kinds)}
     from_array = _compile(
+        "decode",
         f"row({', '.join(names)}) optimized",
         "raw",
         [
-            f"[{', '.join(items)}] = raw",
+            f"[{', '.join(items)}] = array(raw)",
             "return " + _tuple(f"d{i}({item})" for i, item in enumerate(items)),
         ],
-        {f"d{i}": kind.decode[optimized] for i, kind in enumerate(kinds)},
+        {"array": _LIST, **from_items},
     )
     from_object = _compile(
+        "decode",
         f"row({', '.join(names)}) verbose",
         "raw",
         ["return " + _tuple(f"d{i}(raw[{n!r}])" for i, n in enumerate(names))],
@@ -451,24 +474,13 @@ def nested(cls: type["Message"]) -> Kind:
     return Kind(
         lambda w, value: value._write_canonical(w),
         cls._read_canonical,
-        {m: partial(_encode_fields, cls._wire_out[m]) for m in WireMode},
+        cls._wire_out,
         cls._wire_in,
     )
 
 
-def bin_to_wire(data: bytes, mode: WireMode) -> str:
-    return BIN.encode[mode](data)
-
-
 def time_to_wire(ts: int, mode: WireMode):
     return TIME.encode[mode](ts)
-
-
-def time_from_wire(value, mode: WireMode) -> int:
-    try:
-        return TIME.decode[mode](value)
-    except (TypeError, ValueError) as exc:
-        raise MalformedMessage(f"bad timestamp: {exc}") from None
 
 
 # --- messages ------------------------------------------------------------------
@@ -486,60 +498,10 @@ class Field:
     signed: bool = True  # False on the trailing fields no signature covers
     when: tuple | None = None  # (attr, value): canonical only if attr is value
     flatten: str | None = None  # nested keys go here; names the one marking it
-    verbose: tuple | None = None  # VERBOSE hook: (encode, decode), see below
+    verbose: tuple | None = None  # VERBOSE hook: (encode, decode); see _json_codec
 
     def __post_init__(self) -> None:
         self.attr = self.attr or self.name
-
-    def json_entries(self, mode: WireMode) -> tuple:
-        """The field's encode and decode steps in ``mode``. A plain field
-        gives (key, attr, encode, omit_empty) and (attr, key, decode,
-        required). A flattened or hooked one gives steps that see the whole
-        message: (None, None, write(message, out), False) and (None, None,
-        read(data, values), False). A ``verbose`` hook's encode gets the
-        message; its decode gets the raw value and the fields decoded so
-        far."""
-        attr = self.attr
-        encode, decode = self.kind.encode[mode], self.kind.decode[mode]
-        if self.flatten:
-            present = wire_key(self.flatten, mode)
-
-            def write(message, out):
-                value = getattr(message, attr)
-                if value is not None:
-                    out.update(encode(value))
-
-            def read(data, values):
-                if data.get(present) is not None:
-                    values[attr] = decode(data)
-
-            return (None, None, write, False), (None, None, read, False)
-        key = wire_key(self.name, mode)
-        if self.verbose is None or mode is not WireMode.VERBOSE:
-            required = not (self.optional or self.omit_empty)
-            return (key, attr, encode, self.omit_empty), (attr, key, decode, required)
-        encode_all, decode_all = self.verbose
-
-        def write(message, out):
-            out[key] = encode_all(message)
-
-        def read(data, values):
-            values[attr] = decode_all(data[key], values)
-
-        return (None, None, write, False), (None, None, read, False)
-
-
-def _encode_fields(steps, message) -> dict:
-    out: dict = {}
-    for key, attr, encode, omit_empty in steps:
-        if key is None:
-            encode(message, out)
-            continue
-        value = getattr(message, attr)
-        if omit_empty and not value:
-            continue
-        out[key] = encode(value)
-    return out
 
 
 def _missing(data, required) -> None:
@@ -549,38 +511,65 @@ def _missing(data, required) -> None:
             raise MalformedMessage(f"missing wire field {attr} ({key})") from None
 
 
-def _message_decoder(cls, mode: WireMode, steps):
-    """``decode(data)`` for ``cls``'s decode ``steps`` in ``mode``.
+def _under(test, line: str) -> list[str]:
+    """``line``, under ``if <test>:`` when there is a test."""
+    return [f"if {test}:", f"    {line}"] if test else [line]
 
-    With the default ``_from_fields`` and only plain required fields it is
-    one ``cls(attr=d0(data[key]), ...)`` call; otherwise it fills a dict of
+
+def _json_codec(cls, mode: WireMode):
+    """``cls``'s ``encode(m)`` and ``decode(data)`` in ``mode``, written in
+    one pass over its field table: one line per field each way.
+
+    An ``omit_empty`` field is written under ``if m.<attr>:``; it and an
+    ``optional`` field are read under ``if <key> in data:``. A flattened
+    field's keys are merged into the object, and read back from it when its
+    marker key is set. A ``verbose`` hook encodes from the message and
+    decodes the raw value with the fields decoded so far. With the default
+    ``_from_fields`` and only plain required fields, the decoder is one
+    ``cls(attr=d0(data[key]), ...)`` call; otherwise it fills a dict of
     attributes for ``_from_fields``. A KeyError with a required key absent
     is that key's MalformedMessage; any other (an unknown word inside a
     field) goes on as it is."""
-    names = {f"d{i}": decode for i, (_, _, decode, _) in enumerate(steps)}
-    names.update(cls=cls, build=cls._from_fields, missing=_missing)
-    required = tuple((attr, key) for attr, key, _, req in steps if attr and req)
+    names = {"cls": cls, "build": cls._from_fields, "missing": _missing}
+    encode, decode, args, required = ["out = {}"], ["values = {}"], [], []
+    for i, f in enumerate(cls.FIELDS):
+        e, d, attr = f"e{i}", f"d{i}", f.attr
+        names[e], names[d] = f.kind.encode[mode], f.kind.decode[mode]
+        into = f"values[{attr!r}] ="
+        if f.flatten:
+            marker = wire_key(f.flatten, mode)
+            encode += _under(f"m.{attr} is not None", f"out.update({e}(m.{attr}))")
+            decode += _under(f"data.get({marker!r}) is not None", f"{into} {d}(data)")
+            continue
+        key = wire_key(f.name, mode)
+        hooked = f.verbose is not None and mode is WireMode.VERBOSE
+        if hooked:
+            names[e], names[d] = f.verbose
+        encoded = f"{e}(m)" if hooked else f"{e}(m.{attr})"
+        decoded = f"{d}(data[{key!r}], values)" if hooked else f"{d}(data[{key!r}])"
+        encode += _under(f.omit_empty and f"m.{attr}", f"out[{key!r}] = {encoded}")
+        optional = f.optional or f.omit_empty
+        decode += _under(optional and f"{key!r} in data", f"{into} {decoded}")
+        if not optional:
+            required.append((attr, key))
+            if not hooked:
+                args.append(f"{attr}={decoded}")
+    encode.append("return out")
     default = cls._from_fields.__func__ is Message._from_fields.__func__
-    if default and len(required) == len(steps):
+    if default and len(args) == len(cls.FIELDS):
         # Attributes are identifiers: __init_subclass__ checked them.
-        args = [f"{attr}=d{i}(data[{key!r}])" for i, (attr, key) in enumerate(required)]
-        body = [f"return cls({', '.join(args)})"]
+        decode = [f"return cls({', '.join(args)})"]
     else:
-        body = ["values = {}"]
-        for i, (attr, key, _, req) in enumerate(steps):
-            value = f"values[{attr!r}] = d{i}(data[{key!r}])"
-            if attr is None:
-                body.append(f"d{i}(data, values)")
-            elif req:
-                body.append(value)
-            else:
-                body += [f"if {key!r} in data:", f"    {value}"]
-        body.append("return cls(**values)" if default else "return build(values)")
+        decode.append("return cls(**values)" if default else "return build(values)")
     if required:
-        names["required"] = required
-        body = ["try:", *(f"    {line}" for line in body)]
-        body += ["except KeyError:", "    missing(data, required)", "    raise"]
-    return _compile(f"{cls.__qualname__} {mode.value}", "data", body, names)
+        names["required"] = tuple(required)
+        decode = ["try:", *(f"    {line}" for line in decode)]
+        decode += ["except KeyError:", "    missing(data, required)", "    raise"]
+    label = f"{cls.__qualname__} {mode.value}"
+    return (
+        _compile("encode", label, "m", encode, names),
+        _compile("decode", label, "data", decode, names),
+    )
 
 
 # Errors raised while a message is built from JSON or canonical bytes: input
@@ -611,20 +600,17 @@ class Message:
         super().__init_subclass__(**kwargs)
         for f in cls.FIELDS:
             _check_identifier(f.attr)
-        # Per mode: the encode steps, and the decoder generated from the
-        # decode steps.
+        # Per mode, the encoder and decoder generated from the field table.
         cls._wire_out, cls._wire_in = {}, {}
         for mode in WireMode:
-            steps = [f.json_entries(mode) for f in cls.FIELDS]
-            cls._wire_out[mode] = tuple(out for out, _ in steps)
-            cls._wire_in[mode] = _message_decoder(cls, mode, [s for _, s in steps])
+            cls._wire_out[mode], cls._wire_in[mode] = _json_codec(cls, mode)
 
     @classmethod
     def _from_fields(cls, values: dict):
         return cls(**values)
 
     def to_wire_dict(self, mode: WireMode) -> dict:
-        return _encode_fields(self._wire_out[mode], self)
+        return self._wire_out[mode](self)
 
     @classmethod
     def from_wire_dict(cls, data, mode: WireMode):

@@ -181,11 +181,6 @@ class SignerState:
             self._master = None
             self._keys.clear()
 
-    def export_backup(self) -> bytes:
-        """Encrypted backup = the state file bytes; never plaintext."""
-        with open(self._state_path, "rb") as fh:
-            return fh.read()
-
     def _require_unlocked(self) -> ExtendedPrivateKey:
         if self._master is None:
             raise Locked("signer state is locked")

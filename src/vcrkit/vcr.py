@@ -152,12 +152,7 @@ class VcrRequest(Message):
         Field("wrappers", list_of(nested(Wrapper))),
         Field("action", nested(VcrAction)),
         Field("timestamp", TIME),
-        Field(
-            "unified",
-            maybe(nested(UnifiedProof)),
-            omit_empty=True,
-            flatten="unified_xpub",
-        ),
+        Field("unified", maybe(nested(UnifiedProof)), flatten="unified_xpub"),
         Field("signer_paths", list_of(STR), omit_empty=True, signed=False),
         Field("signatures", list_of(fixed(SIGNATURE_BYTES)), signed=False),
     )

@@ -2,6 +2,7 @@ import os
 import time
 
 import pytest
+from hypothesis import settings
 
 from vcrkit import curve
 from vcrkit.agent import Agent, AgentStore
@@ -11,6 +12,11 @@ from vcrkit.signer import ConfirmationPolicy, SignerState
 from vcrkit.wrapper import ServerKey
 
 V1_SEED = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
+
+# Every property test draws the same examples on every run, and none has a
+# time limit; each test's own settings keep its example count.
+settings.register_profile("vcrkit", derandomize=True, deadline=None)
+settings.load_profile("vcrkit")
 
 
 @pytest.fixture(scope="session")

@@ -149,7 +149,7 @@ def test_mitm_key_substitution_detected(loopback, tmp_path):
         if method == "POST" and "/vcr/wrapper" in url:
             payload = json.loads(body)
             payload[wire_key("vcr_pubkeys", OPT)] = [
-                encoding.bin_to_wire(attacker_point, OPT)
+                encoding.BIN.encode[OPT](attacker_point)
             ]
             body = json.dumps(payload, separators=(",", ":")).encode()
         return httpwire.request(method, url, headers=headers, body=body)
@@ -464,8 +464,10 @@ def _session_with_path(text):
     return raw
 
 
-# The last three inputs are values the store refuses rather than mistyped
+# Inputs four to six are values the store refuses rather than mistyped
 # ones: a bad path, the same session twice and a session of another device.
+# The last three are scalars of another JSON type, refused and not coerced:
+# "false" is not a true retired flag, nor true version 1.
 @pytest.mark.parametrize(
     "key, value",
     [
@@ -475,6 +477,9 @@ def _session_with_path(text):
         ("L", [_session_with_path("x/1")]),
         ("L", [_session_with_path("m/0/1")] * 2),
         ("L", [_session_with_path("m/9/1")]),
+        ("Z", "false"),
+        ("V", True),
+        ("J", "1"),
     ],
 )
 def test_import_of_mistyped_field_is_corrupt_store(tmp_path, key, value):

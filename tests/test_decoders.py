@@ -24,13 +24,19 @@ from builders import (
     some_point,
     some_text,
 )
-from vcrkit import encoding
+from vcrkit import encoding, httpwire
 from vcrkit.agent import AgentStore, SessionRecord, StoreChange, StoreHeader
-from vcrkit.encoding import BIN, Field, Message, WireMode, bin_to_wire, nested, wire_key
+from vcrkit.encoding import BIN, Field, Message, WireMode, nested, wire_key
 from vcrkit.errors import MalformedMessage
 from vcrkit.keyhier import derive_child_pub, generate_master, neuter
 from vcrkit.sealing import NONCE_BYTES, HybridCiphertext
-from vcrkit.server import AccessResponse, ClientDataRecord, EndpointAdvertisement
+from vcrkit.server import (
+    VCR_ENDPOINT,
+    WRAPPER_ENDPOINT,
+    AccessResponse,
+    ClientDataRecord,
+    EndpointAdvertisement,
+)
 from vcrkit.vcr import ActionKind, UnifiedProof, VcrAction, VcrRequest
 from vcrkit.wrapper import ClientId, Wrapper, WrapperRequest
 
@@ -236,7 +242,10 @@ def test_any_value_anywhere_decodes_or_is_malformed(cls, mode, seed):
         container[index] = original
 
 
-@pytest.mark.parametrize("data", [[], [{}], "x", "", 0, 1.5, None], ids=repr)
+NON_OBJECTS = ([], [{}], "x", "", 0, 1.5, None)
+
+
+@pytest.mark.parametrize("data", NON_OBJECTS, ids=repr)
 @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
 def test_a_non_object_is_malformed(cls, mode, data):
@@ -264,7 +273,7 @@ def test_a_fixed_field_of_the_wrong_length_is_malformed(cls, mode, delta, seed):
     message = _message(cls, seed)
     for f, value, listed in _fixed_fields(cls, message):
         data = _wire(cls, message, mode)
-        resized = bin_to_wire(bytes(len(value) + delta), mode)
+        resized = BIN.encode[mode](bytes(len(value) + delta))
         key = wire_key(f.name, mode)
         if listed:
             data[key][0] = resized
@@ -316,3 +325,52 @@ def test_a_field_attribute_that_is_not_an_identifier_is_refused():
 
             class Bad(Message):
                 FIELDS = (Field("cookie_name", encoding.STR, attr),)
+
+
+# --- at the HTTP layer ----------------------------------------------------------
+
+
+def _retyped(value):
+    """The same content as another JSON type: a number as text, text in a
+    list, a list as an object keyed by position, an object as a list."""
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, str):
+        return [value]
+    if isinstance(value, list):
+        return {str(i): item for i, item in enumerate(value)}
+    return list(value.values())
+
+
+def _mutated_bodies(cls, seed):
+    """(what, body): a message of ``cls`` in the HTTP path's OPTIMIZED form
+    without each required key, with each value at any depth retyped, and
+    each non-object in its place."""
+    wire = _wire(cls, _message(cls, seed), WireMode.OPTIMIZED)
+    for _, key in _required(cls, WireMode.OPTIMIZED):
+        yield f"without {key}", json.dumps({k: v for k, v in wire.items() if k != key})
+    for container, index in _positions(wire):
+        original = container[index]
+        container[index] = _retyped(original)
+        yield f"{index} = {container[index]!r}", json.dumps(wire)
+        container[index] = original
+    for data in NON_OBJECTS:
+        yield repr(data), json.dumps(data)
+
+
+@pytest.mark.parametrize(
+    "path, cls",
+    [(WRAPPER_ENDPOINT, WrapperRequest), (VCR_ENDPOINT, VcrRequest)],
+    ids=["wrapper", "submit"],
+)
+def test_a_mutated_body_is_malformed_over_http(loopback, path, cls):
+    """Each mutated POST body answers 400 MalformedBody, and a new
+    connection is served afterwards."""
+    _, _, origin = loopback
+    for what, body in _mutated_bodies(cls, seed=1):
+        exchange = httpwire.request("POST", origin + path, body=body.encode())
+        assert (exchange.status, json.loads(exchange.body)) == (
+            400,
+            {"error": "MalformedBody"},
+        ), what
+    assert httpwire.request("GET", origin + "/").status == 200

@@ -18,14 +18,14 @@ from builders import (
 )
 from vcrkit.agent import SessionRecord
 from vcrkit.encoding import (
+    BIN,
+    TIME,
     WIRE_KEYS,
     CanonicalReader,
     CanonicalWriter,
     WireMode,
-    bin_to_wire,
     byte_size,
     from_wire,
-    time_from_wire,
     time_to_wire,
     to_wire,
     wire_key,
@@ -215,7 +215,7 @@ def test_timestamps_unix_in_optimized_iso_in_verbose():
     iso = time_to_wire(1754650000, WireMode.VERBOSE)
     assert isinstance(iso, str) and iso.endswith("Z")
     for mode in MODES:
-        assert time_from_wire(time_to_wire(1754650000, mode), mode) == 1754650000
+        assert TIME.decode[mode](time_to_wire(1754650000, mode)) == 1754650000
 
 
 def test_writer_bounds():
@@ -247,9 +247,41 @@ def test_fixed_field_of_wrong_size_rejected_in_json(mode, delta):
     )
     raw = wrapper.to_wire_dict(mode)
     resized = bytes(len(wrapper.server_key_id) + delta)
-    raw[wire_key("server_key_id", mode)] = bin_to_wire(resized, mode)
+    raw[wire_key("server_key_id", mode)] = BIN.encode[mode](resized)
     with pytest.raises(MalformedMessage):
         Wrapper.from_wire_dict(raw, mode)
+
+
+_KEY = ServerKey(secret=7)
+_WRAPPER = issue_wrapper(
+    _KEY, ClientId("vcid", "abc"), MultiSigPolicy((_KEY.public_point,)), 1_700_000_000
+)
+_REQUEST = random_request(random.Random(5))
+
+# A value of another JSON type than its field's, each of which decoders
+# once coerced to the field's type.
+RETYPED = {
+    "cookie name in a list": (ClientId("vcid", "abc"), "n", ["vcid"]),
+    "cookie value as a number": (ClientId("vcid", "123"), "c", 123),
+    "issued_at with a fraction": (_WRAPPER, "i", 1_700_000_000.9),
+    "issued_at as text": (_WRAPPER, "i", "1700000000"),
+    "version as true": (_REQUEST, "V", True),
+    "kind as text": (VcrAction(ActionKind.DELETE), "k", "3"),
+    "kind as true": (VcrAction(ActionKind.ACCESS), "k", True),
+    "change triple as text": (
+        VcrAction(ActionKind.MODIFY, changes=(("a", "b", "c"),)),
+        "m",
+        ["abc"],
+    ),
+    "signer paths as an object": (_REQUEST, "p", {"m/0/1": 0}),
+}
+
+
+@pytest.mark.parametrize("message, key, value", RETYPED.values(), ids=RETYPED.keys())
+def test_a_value_of_another_json_type_is_malformed(message, key, value):
+    data = {**message.to_wire_dict(WireMode.OPTIMIZED), key: value}
+    with pytest.raises(MalformedMessage):
+        type(message).from_wire_dict(data, WireMode.OPTIMIZED)
 
 
 def test_reader_truncation():

@@ -236,11 +236,24 @@ def test_submit_of_an_infinite_timestamp_is_malformed(loopback, number):
     _assert_garbage_refused(vcr_server, origin, path, body)
 
 
+def test_wrapper_request_with_a_list_for_a_cookie_name_is_malformed_body(loopback):
+    """A JSON value of another type is refused, not coerced: a list is not
+    turned into the cookie name "['vcid']" and issued a wrapper."""
+    vcr_server, _, origin = loopback
+    point = vcr_server.server_key.public_point
+    payload = WrapperRequest(ClientId("vcid", "abc"), (point,)).to_wire_dict(OPT)
+    payload[wire_key("client_id", OPT)][wire_key("cookie_name", OPT)] = ["vcid"]
+    path = vcr_server.advertisement.wrapper_endpoint
+    exchange = _post_json(origin, path, json.dumps(payload))
+    assert exchange.status == 400
+    assert json.loads(exchange.body) == {"error": "MalformedBody"}
+
+
 def test_wrapper_endpoint_rejects_bad_point(loopback):
     vcr_server, _, origin = loopback
     payload = {
         wire_key("client_id", OPT): ClientId("vcid", "abc").to_wire_dict(OPT),
-        wire_key("vcr_pubkeys", OPT): [encoding.bin_to_wire(b"\x02" + b"\xff" * 32, OPT)],
+        wire_key("vcr_pubkeys", OPT): [encoding.BIN.encode[OPT](b"\x02" + b"\xff" * 32)],
     }
     exchange = _post_json(
         origin, vcr_server.advertisement.wrapper_endpoint, json.dumps(payload)
@@ -807,8 +820,8 @@ def test_off_curve_response_key_is_malformed_body(master, local_signer):
     vcr_server = VcrServer()
     payload = _access(vcr_server, master, local_signer, 33).to_wire_dict(OPT)
     action = payload[wire_key("action", OPT)]
-    action[wire_key("response_pubkey", OPT)] = encoding.bin_to_wire(
-        _off_curve_point(), OPT
+    action[wire_key("response_pubkey", OPT)] = encoding.BIN.encode[OPT](
+        _off_curve_point()
     )
     body = json.dumps(payload).encode()
     assert vcr_server.handle_vcr(body) == (400, {"error": "MalformedBody"})
@@ -868,11 +881,11 @@ def test_short_fixed_field_in_plain_request_is_malformed_body(
     if field == "wrapper key":  # 32 of 33 bytes
         wrapper = payload[wire_key("wrappers", OPT)][0]
         wrapper[wire_key("vcr_pubkeys", OPT)] = [
-            encoding.bin_to_wire(request.wrappers[0].vcr_pubkeys[0][:32], OPT)
+            encoding.BIN.encode[OPT](request.wrappers[0].vcr_pubkeys[0][:32])
         ]
     else:  # 63 of 64 bytes
         payload[wire_key("signatures", OPT)] = [
-            encoding.bin_to_wire(request.signatures[0][:63], OPT)
+            encoding.BIN.encode[OPT](request.signatures[0][:63])
         ]
     exchange = _post_json(origin, vcr_server.advertisement.vcr_endpoint, json.dumps(payload))
     assert exchange.status == 400

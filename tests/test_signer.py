@@ -311,10 +311,6 @@ def test_lock_unlock_roundtrip_preserves_derivations(state, tmp_path):
     assert unlocked.issue_device_xpub(1).serialize() == before
 
 
-def test_backup_is_the_encrypted_file(state, tmp_path):
-    assert state.export_backup() == (tmp_path / "signer.state").read_bytes()
-
-
 # --- daemon -------------------------------------------------------------------
 
 
