@@ -310,6 +310,8 @@ class AgentStore(Message):
         for data in records:
             try:
                 change = encoding.from_wire(StoreChange, data, WIRE_MODE)
+                if change == StoreChange():  # never written: a key was dropped
+                    raise MalformedMessage("record changes nothing")
                 if change.header is not None:
                     vars(self).update(change.header)
                 for record in change.sessions:

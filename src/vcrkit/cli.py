@@ -57,10 +57,17 @@ def _parsed(convert, data: str | bytes, what: str):
         raise MalformedMessage(f"cannot parse {what}") from None
 
 
-def _interrupt_on_sigterm() -> None:
-    """SIGTERM stops a serving command the way Ctrl-C does, so its clean
-    close runs (the server's snapshot, the signer's socket file)."""
+def _serve(daemon, ready_line: dict) -> None:
+    """Print the ready line, serve until Ctrl-C or SIGTERM (alike), then close:
+    the server saves its snapshot, the signer removes its socket file."""
     signal.signal(signal.SIGTERM, signal.default_int_handler)
+    try:
+        click.echo(json.dumps(ready_line))
+        daemon.serve_forever()
+    except KeyboardInterrupt:
+        pass
+    finally:
+        daemon.close()
 
 
 def _passphrase() -> str:
@@ -140,14 +147,7 @@ def signer_unlock(state: str, socket: str, policy: str) -> None:
         confirm_hook=confirm,
     )
     daemon = SignerDaemon(signer, socket)
-    _interrupt_on_sigterm()
-    try:
-        click.echo(json.dumps({"ok": True, "socket": socket, "policy": policy}))
-        daemon.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        daemon.server_close()  # also removes the socket file
+    _serve(daemon, {"ok": True, "socket": socket, "policy": policy})
 
 
 @main.command("device-issue")
@@ -372,7 +372,7 @@ def vcr_command(
 @click.option(
     "--tolerance", type=int, default=DEFAULT_TOLERANCE_SECONDS, envvar="VCRKIT_TOLERANCE"
 )
-@click.option("--key-file", default=None, help="server signing key (hex scalar)")
+@click.option("--key-file", default=None, help="server key (hex); default <snapshot>.key")
 @click.option("--snapshot", default=None, help="JSON snapshot path")
 @surface_errors
 def serve(listen: str, tolerance: int, key_file: str | None, snapshot: str | None) -> None:
@@ -380,6 +380,7 @@ def serve(listen: str, tolerance: int, key_file: str | None, snapshot: str | Non
     host, _, port_text = listen.rpartition(":")
     port = _parsed(int, port_text, "the --listen port")
     server_key = None
+    key_file = key_file or (snapshot and snapshot + ".key")  # records need their key
     if key_file:
         if os.path.exists(key_file):
             with open(key_file, "rb") as fh:
@@ -395,22 +396,8 @@ def serve(listen: str, tolerance: int, key_file: str | None, snapshot: str | Non
         server_key=server_key, tolerance=tolerance, snapshot_path=snapshot
     )
     httpd = VcrHttpServer((host or "127.0.0.1", port), vcr_server)
-    _interrupt_on_sigterm()
-    try:
-        click.echo(
-            json.dumps(
-                {
-                    "ok": True,
-                    "origin": httpd.origin,
-                    "server_key_id": vcr_server.server_key.key_id.hex(),
-                }
-            )
-        )
-        httpd.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        httpd.close()
+    server_key_id = vcr_server.server_key.key_id.hex()
+    _serve(httpd, {"ok": True, "origin": httpd.origin, "server_key_id": server_key_id})
 
 
 @main.command("bench")

@@ -290,7 +290,10 @@ def _iso_from_unix(ts: int) -> str:
 
 
 def _unix_from_iso(text: str) -> int:
-    return int(datetime.fromisoformat(text.replace("Z", "+00:00")).timestamp())
+    ts = int(datetime.fromisoformat(text.replace("Z", "+00:00")).timestamp())
+    if _iso_from_unix(ts) != text:
+        raise ValueError(f"time {text!r} is not written as {_iso_from_unix(ts)!r}")
+    return ts
 
 
 def _exactly(json_type: type):
@@ -412,7 +415,14 @@ def list_of(kind: Kind, container=tuple) -> Kind:
 
 
 def map_of(kind: Kind, key=str) -> Kind:
-    """A dict whose keys are str on the wire; ``key`` converts them back."""
+    """A dict whose keys are str on the wire; ``key`` converts them back,
+    and a key is read only as it is written (``"1"``, not ``"01"``)."""
+
+    def exact(text: str):
+        if str(value := key(text)) != text:
+            raise ValueError(f"map key {text!r} is not written as {str(value)!r}")
+        return value
+
     return Kind(
         encode=_lift(
             kind.encode,
@@ -420,7 +430,7 @@ def map_of(kind: Kind, key=str) -> Kind:
         ),
         decode=_lift(
             kind.decode,
-            lambda decode: lambda raw: {key(k): decode(v) for k, v in raw.items()},
+            lambda decode: lambda raw: {exact(k): decode(v) for k, v in raw.items()},
         ),
     )
 

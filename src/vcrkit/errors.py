@@ -2,11 +2,13 @@
 
 Every error carries a stable machine-readable ``code`` (the class name) so
 the CLI and the reference server can surface error classes without leaking
-anything beyond the class itself. ``QuietDisconnects`` is the one rule both
-servers follow for errors they report on stderr.
+anything beyond the class itself. ``QuietDisconnects`` is the one serving
+base of both servers: how they serve, stop and close, and which errors they
+report on stderr.
 """
 
 import sys
+import threading
 
 
 class VcrkitError(Exception):
@@ -204,8 +206,31 @@ class BenchEnvironmentError(VcrkitError):
 # --- servers ---------------------------------------------------------------
 
 class QuietDisconnects:
-    """``socketserver`` mixin: a peer that went away mid-request (reset,
-    broken pipe) is dropped silently; any other error is still printed."""
+    """Serving base of both servers: the loop polls for shutdown every
+    ``POLL_SECONDS`` and closes the listening socket when it ends; ``close()``
+    stops a started loop, then closes the socket. A peer gone mid-request
+    (reset, broken pipe) is dropped silently; other errors are printed."""
+
+    POLL_SECONDS = 0.05  # close() waits for the loop up to this long
+    _serving = False  # set once a loop starts: shutdown() waits for one
+
+    def serve_forever(self, poll_interval: float = POLL_SECONDS) -> None:
+        self._serving = True
+        try:
+            super().serve_forever(poll_interval)
+        finally:
+            self.server_close()
+
+    def serve_in_thread(self) -> threading.Thread:
+        self._serving = True  # close() must wait even if the thread is late
+        thread = threading.Thread(target=self.serve_forever, daemon=True)
+        thread.start()
+        return thread
+
+    def close(self) -> None:
+        if self._serving:
+            self.shutdown()
+        self.server_close()
 
     def handle_error(self, request, client_address) -> None:
         if not isinstance(sys.exc_info()[1], ConnectionError):

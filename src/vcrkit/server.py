@@ -83,10 +83,6 @@ ACCESS_INFO = b"vcr-access-v1"
 # (RFC 9110 §15.5.14) without reading it.
 MAX_BODY_BYTES = 1 << 20
 
-# How often the serve loop looks for a shutdown request: close() waits for
-# the loop up to this long.
-POLL_SECONDS = 0.05
-
 
 # One page visit: (unix time, URL path).
 VISIT = row(("visit_time", TIME), ("visit_url", STR))
@@ -435,20 +431,6 @@ class VcrHttpServer(QuietDisconnects, ThreadingHTTPServer):
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
 
-    _serving = False  # set once a loop starts: shutdown() waits for one
-
-    def serve_forever(self, poll_interval: float = POLL_SECONDS) -> None:
-        self._serving = True
-        super().serve_forever(poll_interval)
-
-    def serve_in_thread(self) -> threading.Thread:
-        self._serving = True  # close() must wait even if the thread is late
-        thread = threading.Thread(target=self.serve_forever, daemon=True)
-        thread.start()
-        return thread
-
     def close(self) -> None:
-        if self._serving:
-            self.shutdown()
-        self.server_close()
+        super().close()
         self.vcr.save_snapshot()

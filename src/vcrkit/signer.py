@@ -11,6 +11,7 @@ never private material.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -47,6 +48,8 @@ from .keyhier import (
     generate_master,
     neuter,
 )
+from .vcr import XPUB
+from .wrapper import SIGNATURE_BYTES
 
 MAX_FRAME_BYTES = 1 << 20
 
@@ -58,6 +61,12 @@ KEY_CACHE_SIZE = 512
 _SCRYPT_N = 1 << 14
 _SCRYPT_R = 8
 _SCRYPT_P = 1
+
+# Frame values, read as VERBOSE JSON is: a number is no digest, a list no text.
+_TEXT = encoding.STR.decode[encoding.WireMode.VERBOSE]
+_DIGEST = encoding.fixed(32).decode[encoding.WireMode.VERBOSE]
+_SIGNATURE = encoding.fixed(SIGNATURE_BYTES).decode[encoding.WireMode.VERBOSE]
+_XPUB = XPUB.decode[encoding.WireMode.VERBOSE]
 
 
 class ConfirmationPolicy(Enum):
@@ -319,22 +328,11 @@ class SignerDaemon(QuietDisconnects, socketserver.UnixStreamServer):
         super().server_bind()
         os.chmod(self.socket_path, 0o600)
 
-    def serve_forever(self, poll_interval: float = 0.2) -> None:
-        try:
-            super().serve_forever(poll_interval)
-        finally:
-            self.server_close()
-
     def server_close(self) -> None:
-        """Close the listening socket and remove its file."""
+        """Close the listening socket and remove its file (loop end or close())."""
         super().server_close()
-        if os.path.exists(self.socket_path):
+        with contextlib.suppress(FileNotFoundError):
             os.unlink(self.socket_path)
-
-    def serve_in_thread(self) -> threading.Thread:
-        thread = threading.Thread(target=self.serve_forever, daemon=True)
-        thread.start()
-        return thread
 
     def _handle(self, frame: dict) -> dict:
         op = frame.get("op")
@@ -348,11 +346,10 @@ class SignerDaemon(QuietDisconnects, socketserver.UnixStreamServer):
                 self.state.retire_device(frame["device_id"])
                 return {"ok": True, "result": "retired"}
             if op == "sign":
-                path = DerivationPath.parse(str(frame["path"]))
-                digest = bytes.fromhex(str(frame["digest"]))
-                signature = self.state.sign_digest(
-                    path, digest, frame.get("summary")
-                )
+                path = DerivationPath.parse(_TEXT(frame["path"]))
+                digest = _DIGEST(frame["digest"])
+                summary = _TEXT(frame["summary"]) if "summary" in frame else None
+                signature = self.state.sign_digest(path, digest, summary)
                 return {"ok": True, "result": signature.hex()}
             return {"ok": False, "err": "UnknownOp", "message": f"no such op {op!r}"}
         except errors.VcrkitError as exc:
@@ -369,7 +366,7 @@ class SignerClient:
     socket_path: str
     timeout: float = 10.0
 
-    def _request(self, payload: dict, decode=str):
+    def _request(self, payload: dict, decode=_TEXT):
         with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
             sock.settimeout(self.timeout)
             sock.connect(self.socket_path)
@@ -393,10 +390,7 @@ class SignerClient:
         return self._request({"op": "ping"}) == "pong"
 
     def issue_device_xpub(self, device_id: int) -> ExtendedPublicKey:
-        return self._request(
-            {"op": "device_xpub", "device_id": device_id},
-            lambda result: ExtendedPublicKey.deserialize(bytes.fromhex(result)),
-        )
+        return self._request({"op": "device_xpub", "device_id": device_id}, _XPUB)
 
     def retire_device(self, device_id: int) -> None:
         self._request({"op": "retire_device", "device_id": device_id})
@@ -407,4 +401,4 @@ class SignerClient:
         payload = {"op": "sign", "path": str(path), "digest": digest.hex()}
         if summary is not None:
             payload["summary"] = summary
-        return self._request(payload, bytes.fromhex)
+        return self._request(payload, _SIGNATURE)

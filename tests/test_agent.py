@@ -490,6 +490,23 @@ def test_import_of_mistyped_field_is_corrupt_store(tmp_path, key, value):
         AgentStore.import_(json.dumps(data).encode())
 
 
+@pytest.mark.parametrize(
+    "counters",
+    [{"1": 5, "01": 7, " 1 ": 9}, {"01": 7}, {" 1": 5}, {"+1": 5}, {"1_0": 5}],
+    ids=["three-spellings", "leading-zero", "space", "plus", "underscore"],
+)
+def test_import_of_an_integer_key_not_as_written_is_corrupt_store(tmp_path, counters):
+    """Two spellings of one server id would become one key, and all but
+    the last value would be dropped without an error."""
+    agent, _ = _fresh_agent(tmp_path)
+    data = json.loads(agent.store.export())
+    data["S"] = {"10": 2}
+    assert AgentStore.import_(json.dumps(data).encode()).server_counters == {10: 2}
+    data["S"] = counters
+    with pytest.raises(CorruptStore):
+        AgentStore.import_(json.dumps(data).encode())
+
+
 def test_add_session_refuses_duplicate_and_foreign_paths(tmp_path):
     agent, _ = _fresh_agent(tmp_path)
     record = random_session_record(random.Random(8))

@@ -4,6 +4,7 @@ import contextlib
 import json
 import os
 import signal
+import stat
 import subprocess
 import sys
 import tempfile
@@ -495,3 +496,19 @@ def test_sigterm_removes_the_signer_socket(runner, env, tmp_path):
         child.send_signal(signal.SIGTERM)
         assert child.wait(timeout=10) == 0
     assert not socket_path.exists()
+
+
+def test_serve_with_a_snapshot_keeps_its_key_beside_it(env, tmp_path):
+    """Without --key-file, a restart on the same snapshot serves under the
+    same key, so its owners can still reach the data it holds."""
+    snapshot = tmp_path / "snapshot.json"
+    args = ["serve", "--listen", "127.0.0.1:0", "--snapshot", str(snapshot)]
+    key_ids = []
+    for _ in range(2):
+        with _child(args, env) as (child, ready):
+            key_ids.append(ready["server_key_id"])
+            child.send_signal(signal.SIGTERM)
+            assert child.wait(timeout=10) == 0
+    assert key_ids[0] == key_ids[1]
+    key_file = Path(str(snapshot) + ".key")
+    assert stat.S_IMODE(key_file.stat().st_mode) == 0o600

@@ -8,6 +8,7 @@ refused with the one decode error and nothing else.
 import json
 import random
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -24,11 +25,11 @@ from builders import (
     some_point,
     some_text,
 )
-from vcrkit import encoding, httpwire
-from vcrkit.agent import AgentStore, SessionRecord, StoreChange, StoreHeader
+from vcrkit import encoding, files, httpwire
+from vcrkit.agent import Agent, AgentStore, SessionRecord, StoreChange, StoreHeader
 from vcrkit.encoding import BIN, Field, Message, WireMode, nested, wire_key
-from vcrkit.errors import MalformedMessage
-from vcrkit.keyhier import derive_child_pub, generate_master, neuter
+from vcrkit.errors import CorruptStore, MalformedMessage
+from vcrkit.keyhier import DerivationPath, derive_child_pub, generate_master, neuter
 from vcrkit.sealing import NONCE_BYTES, HybridCiphertext
 from vcrkit.server import (
     VCR_ENDPOINT,
@@ -374,3 +375,80 @@ def test_a_mutated_body_is_malformed_over_http(loopback, path, cls):
             {"error": "MalformedBody"},
         ), what
     assert httpwire.request("GET", origin + "/").status == 200
+
+
+# --- in the agent store file ---------------------------------------------------
+
+OPT = WireMode.OPTIMIZED
+
+
+def _store_of_two_sessions():
+    store = AgentStore()
+    store.provision_device(_DEVICE, 0)
+    store.server_counters, store.server_ids = {3: 1}, {"https://s.example": 3}
+    for j in range(2):
+        store.add_session(_session(j))
+    return store
+
+
+def _session(j, device_id=0):
+    """A session of ``device_id`` with path (device_id, j) and cookie j."""
+    return replace(
+        random_session_record(random.Random(j)),
+        path=DerivationPath((device_id, j)),
+        client_id=ClientId("vcid", f"{j:08d}"),
+        history=[],
+    )
+
+
+# One record of each kind the store writes, for _store_of_two_sessions.
+RECORDS = {
+    "header": lambda store: StoreChange(header=store),
+    "session": lambda store: StoreChange(sessions=[_session(5)]),
+    "visit": lambda store: StoreChange(visit=("vcid", "00000001", 1754650000, "/a")),
+}
+
+
+def _mutated_records(kind, store):
+    """(what, record): the ``kind`` record without each key it needs, with
+    each value at any depth retyped, and two the rules refuse."""
+    wire = RECORDS[kind](store).to_wire_dict(OPT)
+    needed = [key for _, key in _required(StoreHeader, OPT)] if kind == "header" else wire
+    for key in needed:
+        yield f"without {key}", {k: v for k, v in wire.items() if k != key}
+    if kind == "session":
+        for _, key in _required(SessionRecord, OPT):
+            session = {k: v for k, v in wire["L"][0].items() if k != key}
+            yield f"session without {key}", {"L": [session]}
+    for container, index in _positions(wire):
+        original = container[index]
+        container[index] = _retyped(original)
+        yield f"{index} = {container[index]!r}", json.loads(json.dumps(wire))
+        container[index] = original
+    if kind == "visit":
+        yield "visit to a cookie the store lacks", {"A": ["vcid", "00000009", 1, "/"]}
+    if kind == "session":
+        foreign = StoreChange(sessions=[_session(5, device_id=1)])
+        yield "session of another device", foreign.to_wire_dict(OPT)
+
+
+def _load_with_record(path: str, snapshot: bytes, record: dict) -> Agent:
+    """Load a store file of ``snapshot`` and one CRC-valid ``record``."""
+    assert files.compact(path, snapshot).append([json.dumps(record).encode()])
+    return Agent.load(path)
+
+
+@pytest.mark.parametrize("kind", RECORDS)
+def test_a_mutated_journal_record_is_a_corrupt_store(tmp_path, kind):
+    """A record that frames and checks but that the store never wrote makes
+    Agent.load raise CorruptStore, and nothing else."""
+    store = _store_of_two_sessions()
+    path, snapshot = str(tmp_path / "agent.store"), store.export()
+    record = RECORDS[kind](store).to_wire_dict(OPT)
+    _load_with_record(path, snapshot, record)  # as the store writes it, it loads
+    for what, mutated in _mutated_records(kind, store):
+        try:
+            _load_with_record(path, snapshot, mutated)
+        except CorruptStore:
+            continue
+        pytest.fail(f"loaded with {what}")

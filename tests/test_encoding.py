@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -217,6 +218,44 @@ def test_timestamps_unix_in_optimized_iso_in_verbose():
     for mode in MODES:
         assert TIME.decode[mode](time_to_wire(1754650000, mode)) == 1754650000
 
+
+@pytest.fixture()
+def time_zone(monkeypatch):
+    """Sets the process's local time zone; the one before comes back after."""
+
+    def set_zone(name: str) -> None:
+        monkeypatch.setenv("TZ", name)
+        time.tzset()
+
+    yield set_zone
+    monkeypatch.undo()
+    time.tzset()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "2025-08-08T10:46:40",  # no zone: would read in the host's local zone
+        "2025-08-08T10:46:40+00:00",
+        "2025-08-08T12:46:40+02:00",
+        "2025-08-08T10:46:40.900Z",  # would lose its fraction
+        "2025-08-08 10:46:40Z",
+        "20250808T104640Z",
+    ],
+)
+def test_verbose_time_reads_only_the_text_it_writes(time_zone, text):
+    """One time, one text, whatever the host's zone: every other spelling of
+    an instant is refused, in a message too."""
+    verbose = WireMode.VERBOSE
+    record = {"client_id": {"cookie_name": "vcid", "cookie_value": "c"}}
+    for zone in ("UTC", "America/New_York"):
+        time_zone(zone)
+        assert TIME.decode[verbose]("2025-08-08T10:46:40Z") == 1754650000
+        with pytest.raises(ValueError):
+            TIME.decode[verbose](text)
+        visits = [{"visit_time": text, "visit_url": "/"}]
+        with pytest.raises(MalformedMessage):
+            ClientDataRecord.from_wire_dict({**record, "visits": visits}, verbose)
 
 def test_writer_bounds():
     writer = CanonicalWriter()

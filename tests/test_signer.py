@@ -3,9 +3,11 @@
 import json
 import os
 import random
+import socket as socketlib
 import stat
 import sys
 import threading
+import time
 
 import pytest
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -28,6 +30,8 @@ from vcrkit.signer import (
     SignerClient,
     SignerDaemon,
     SignerState,
+    read_frame,
+    write_frame,
 )
 
 SEED = bytes(range(32))
@@ -458,6 +462,30 @@ def test_daemon_socket_file_removed_on_shutdown(state, tmp_path):
     assert not os.path.exists(socket_path)
 
 
+def test_close_before_serving_returns_and_removes_the_socket_file(state, tmp_path):
+    socket_path = tmp_path / "unserved.sock"
+    daemon = SignerDaemon(state, str(socket_path))
+    closer = threading.Thread(target=daemon.close, daemon=True)
+    closer.start()
+    closer.join(timeout=5)
+    assert not closer.is_alive(), "close() waited for a loop that never ran"
+    assert not socket_path.exists()
+
+
+def test_close_of_a_serving_daemon_returns_promptly(state, tmp_path):
+    """close() waits for the serve loop's next poll, not a fifth of a second."""
+    elapsed = []
+    for n in range(5):
+        socket_path = tmp_path / f"serving{n}.sock"
+        daemon = SignerDaemon(state, str(socket_path))
+        daemon.serve_in_thread()
+        started = time.perf_counter()
+        daemon.close()
+        elapsed.append(time.perf_counter() - started)
+        assert not socket_path.exists()
+    assert sum(elapsed) / len(elapsed) < 0.1, elapsed
+
+
 def test_daemon_socket_exists_0600_before_serving(state, tmp_path):
     socket_path = str(tmp_path / "early.sock")
     import socket as socketlib
@@ -551,6 +579,10 @@ class _CannedDaemon(SignerDaemon):
         ({"ok": True, "result": 7}, "sign"),
         ({"ok": True, "result": "zz"}, "xpub"),
         ({"ok": True, "result": "00"}, "xpub"),
+        ({"ok": True, "result": "00" * 63}, "sign"),  # one byte short
+        ({"ok": True, "result": "00" * 65}, "sign"),
+        ({"ok": True, "result": 7}, "ping"),
+        ({"ok": True, "result": ["pong"]}, "ping"),
     ],
 )
 def test_reply_that_does_not_decode_is_malformed(state, tmp_path, reply, call):
@@ -580,3 +612,69 @@ def test_error_reply_naming_a_vcrkit_error_raises_it(state, tmp_path):
             SignerClient(daemon.socket_path, timeout=5).ping()
     finally:
         daemon.shutdown()
+
+
+# --- mutated frames ------------------------------------------------------------
+
+# One frame per op that the daemon answers with ok; each mutation below
+# changes one thing in one of them.
+VALID_FRAMES = {
+    "ping": {"op": "ping"},
+    "device_xpub": {"op": "device_xpub", "device_id": 0},
+    "retire_device": {"op": "retire_device", "device_id": 4},
+    "sign": {"op": "sign", "path": "m/0/1", "digest": "11" * 32, "summary": "pay"},
+}
+OPTIONAL_KEYS = {"summary"}
+
+
+def _retyped(value) -> dict:
+    """``value`` as each other JSON type, by type name; a string of digits
+    also as the number it spells."""
+    others = {
+        "int": 7,
+        "float": 7.5,
+        "bool": True,
+        "null": None,
+        "list": [value],
+        "object": {"v": value},
+        "str": str(value),
+    }
+    if isinstance(value, str) and value.isdigit():
+        others["number"] = int(value)
+    return {name: v for name, v in others.items() if type(v) is not type(value)}
+
+
+def _mutated_frames():
+    for op, frame in VALID_FRAMES.items():
+        for key, value in frame.items():
+            if key not in OPTIONAL_KEYS:
+                dropped = {k: v for k, v in frame.items() if k != key}
+                yield pytest.param(dropped, id=f"{op}-without-{key}")
+            for name, other in _retyped(value).items():
+                yield pytest.param({**frame, key: other}, id=f"{op}-{key}-as-{name}")
+    for name, body in {"list": [], "str": "ping", "int": 7, "null": None}.items():
+        yield pytest.param(body, id=f"{name}-frame")
+
+
+def _exchange(socket_path: str, frame) -> dict:
+    with socketlib.socket(socketlib.AF_UNIX, socketlib.SOCK_STREAM) as sock:
+        sock.connect(socket_path)
+        write_frame(sock, frame)
+        return read_frame(sock)
+
+
+@pytest.mark.parametrize("op", VALID_FRAMES)
+def test_each_valid_frame_is_answered_ok(daemon, op):
+    assert _exchange(daemon.socket_path, VALID_FRAMES[op])["ok"] is True
+
+
+@pytest.mark.parametrize("frame", _mutated_frames())
+def test_mutated_frame_gets_an_error_frame_and_the_daemon_serves_on(
+    daemon, client, frame
+):
+    """A frame with a key dropped or a value of another JSON type is refused,
+    not coerced: a number is no digest and an object no summary."""
+    response = _exchange(daemon.socket_path, frame)
+    assert response["ok"] is False, response
+    assert "result" not in response
+    assert client.ping()
