@@ -45,7 +45,7 @@ from .errors import (
     UnknownServerKey,
     WrapperVerifyFailed,
 )
-from .keyhier import DerivationPath, ExtendedPublicKey, derive_child_pub
+from .keyhier import DerivationPath, ExtendedPublicKey, derive_child_pub, derive_path
 from .sealing import HybridCiphertext, hybrid_decrypt
 from .server import (
     ACCESS_INFO,
@@ -157,7 +157,7 @@ class AgentStore(Message):
         ),
         Field("retired", BOOL, optional=True),
     )
-    version = STORE_VERSION  # written into every store file, not checked on load
+    version = STORE_VERSION  # written into every store file; another is refused
 
     def __init__(self) -> None:
         self.device_id: int | None = None
@@ -234,11 +234,30 @@ class AgentStore(Message):
     def server_id_for(self, origin: str) -> int:
         """Client-local server id used in server-scoped derivation paths."""
         with self.lock:
-            if origin not in self.server_ids:
-                self.server_ids[origin] = (
-                    max(self.server_ids.values(), default=-1) + 1
-                )
-            return self.server_ids[origin]
+            return self._server_id(origin)
+
+    def _server_id(self, origin: str) -> int:
+        if origin not in self.server_ids:
+            self.server_ids[origin] = max(self.server_ids.values(), default=-1) + 1
+        return self.server_ids[origin]
+
+    def claim_path(self, origin: str, unified: bool) -> DerivationPath:
+        """The one rule for spending a session index: the device's next
+        index, or with ``unified`` the next under the origin's server id.
+        Nothing hands an index back, so no key is offered twice."""
+        with self.lock:
+            if self.retired:
+                raise DeviceRetired(f"device {self.device_id} is unlinked")
+            if unified:
+                s = self._server_id(origin)
+                j = self.server_counters.get(s, 0)
+                path = DerivationPath((self.device_id, s, j))
+                self.server_counters[s] = j + 1
+            else:
+                j = self.next_j
+                path = DerivationPath((self.device_id, j))
+                self.next_j = j + 1
+            return path
 
     def record_visit(self, cookie_header_pairs, url: str, now: int) -> int:
         """Append (now, url path) to each session whose cookie appears in
@@ -265,7 +284,8 @@ class AgentStore(Message):
     @classmethod
     def _from_fields(cls, values: dict) -> "AgentStore":
         store = cls()
-        values.pop("version", None)
+        if values.pop("version", STORE_VERSION) != STORE_VERSION:
+            raise MalformedMessage(f"store version is not {STORE_VERSION}")
         sessions = values.pop("sessions")
         vars(store).update(values)
         for record in sessions:
@@ -389,10 +409,6 @@ class Agent:
         # written a snapshot, and after a save that raised: the next save
         # then writes the whole store.
         self._journal: files.Journal | None = None
-        # Single-writer rule: whole session establishments are serialized,
-        # network round trip included, so concurrent calls cannot race the
-        # session counter.
-        self._session_lock = threading.Lock()
 
     # --- persistence ------------------------------------------------------------
 
@@ -452,73 +468,53 @@ class Agent:
         now: int,
         unified: bool,
     ) -> SessionRecord:
-        """Derive a session key, obtain and echo-check a wrapper, add the
-        session to the store; the caller saves. The session counter only
-        advances when everything succeeds."""
-        with self._session_lock:
-            if self.store.retired:
-                raise DeviceRetired(f"device {self.store.device_id} is unlinked")
+        """Claim a session index, obtain and echo-check a wrapper for its
+        key, add the session to the store; the caller saves. The index is
+        spent even when this fails, so its key is never offered again."""
+        path = self.store.claim_path(origin, unified)
+        relative = DerivationPath(path.segments[1:])
+        session_xpub = derive_path(self.store.device_xpub, relative)
+        policy = MultiSigPolicy((session_xpub.public_point,))
 
-            if unified:
-                s = self.store.server_id_for(origin)
-                j = self.store.server_counters.get(s, 0)
-                rel_segments = (s, j)
-            else:
-                s = None
-                j = self.store.next_j
-                rel_segments = (j,)
-
-            session_xpub = self.store.device_xpub
-            for index in rel_segments:
-                session_xpub = derive_child_pub(session_xpub, index)
-            path = DerivationPath((self.store.device_id,) + rel_segments)
-            policy = MultiSigPolicy((session_xpub.public_point,))
-
-            body = encoding.to_wire(
-                WrapperRequest(client_id=client_id, vcr_pubkeys=policy.member_pubkeys),
-                WIRE_MODE,
-            ).encode()
-            exchange = self.http(
-                "POST",
-                origin + advertisement.wrapper_endpoint,
-                headers={
-                    "Content-Type": "application/json",
-                    "Cookie": f"{client_id.cookie_name}={client_id.cookie_value}",
-                },
-                body=body,
+        body = encoding.to_wire(
+            WrapperRequest(client_id=client_id, vcr_pubkeys=policy.member_pubkeys),
+            WIRE_MODE,
+        ).encode()
+        exchange = self.http(
+            "POST",
+            origin + advertisement.wrapper_endpoint,
+            headers={
+                "Content-Type": "application/json",
+                "Cookie": f"{client_id.cookie_name}={client_id.cookie_value}",
+            },
+            body=body,
+        )
+        if exchange.status != 200:
+            raise NetworkError(f"wrapper endpoint answered {exchange.status}")
+        try:
+            wrapper = encoding.from_wire(Wrapper, exchange.body, WIRE_MODE)
+        except MalformedMessage as exc:
+            raise WrapperVerifyFailed(str(exc)) from None
+        try:
+            verify_wrapper(
+                advertisement.server_pubkey,
+                wrapper,
+                expected_key_id=advertisement.server_key_id,
             )
-            if exchange.status != 200:
-                raise NetworkError(f"wrapper endpoint answered {exchange.status}")
-            try:
-                wrapper = encoding.from_wire(Wrapper, exchange.body, WIRE_MODE)
-            except MalformedMessage as exc:
-                raise WrapperVerifyFailed(str(exc)) from None
-            try:
-                verify_wrapper(
-                    advertisement.server_pubkey,
-                    wrapper,
-                    expected_key_id=advertisement.server_key_id,
-                )
-            except (BadSignature, MalformedWrapper, UnknownServerKey) as exc:
-                raise WrapperVerifyFailed(exc.code) from None
-            check_wrapper_echo(policy, client_id, wrapper)
+        except (BadSignature, MalformedWrapper, UnknownServerKey) as exc:
+            raise WrapperVerifyFailed(exc.code) from None
+        check_wrapper_echo(policy, client_id, wrapper)
 
-            record = SessionRecord(
-                server_origin=origin,
-                endpoints=advertisement,
-                client_id=client_id,
-                path=path,
-                wrapper=wrapper,
-                created_at=int(now),
-            )
-            self.store.add_session(record)
-            # Counters advance only now: any failure above leaves them untouched.
-            with self.store.lock:
-                if unified:
-                    self.store.server_counters[s] = j + 1
-                else:
-                    self.store.next_j = j + 1
-            return record
+        record = SessionRecord(
+            server_origin=origin,
+            endpoints=advertisement,
+            client_id=client_id,
+            path=path,
+            wrapper=wrapper,
+            created_at=int(now),
+        )
+        self.store.add_session(record)
+        return record
 
     # --- browsing ------------------------------------------------------------------
 
@@ -527,7 +523,8 @@ class Agent:
     ) -> tuple[SessionRecord | None, httpwire.HttpExchange]:
         """Fetch a page; start a session when the server hands out a new
         cookie, otherwise append to the matching session's history. Saves
-        the store once, after the visit (or only the pin) is recorded."""
+        the store once, after the visit is recorded or the session start
+        failed: a first-sight pin and a spent index are kept either way."""
         self.store.require_provisioned()
         parts = urlsplit(url)
         origin = f"{parts.scheme}://{parts.netloc}"
@@ -544,24 +541,25 @@ class Agent:
         advertisement = EndpointAdvertisement.from_headers(exchange.headers)
         if advertisement is None:
             return None, exchange
-        self._check_pin(origin, advertisement)
-
-        client_id = self._cookie_from_set_cookie(exchange.set_cookies)
-        session = None
-        if client_id is not None:
-            session = self.store.find_by_cookie(
-                client_id.cookie_name, client_id.cookie_value
-            )
-            if session is None:
-                session = self._start_session(
-                    origin, advertisement, client_id, now, unified
+        try:
+            self._check_pin(origin, advertisement)
+            client_id = self._cookie_from_set_cookie(exchange.set_cookies)
+            session = None
+            if client_id is not None:
+                session = self.store.find_by_cookie(
+                    client_id.cookie_name, client_id.cookie_value
                 )
-        elif existing is not None:
-            session = existing
-        if session is not None:
-            cid = session.client_id
-            self.store.record_visit([(cid.cookie_name, cid.cookie_value)], url, now)
-        self.save()  # with no session, still keeps a key pinned on first sight
+                if session is None:
+                    session = self._start_session(
+                        origin, advertisement, client_id, now, unified
+                    )
+            elif existing is not None:
+                session = existing
+            if session is not None:
+                cid = session.client_id
+                self.store.record_visit([(cid.cookie_name, cid.cookie_value)], url, now)
+        finally:
+            self.save()
         return session, exchange
 
     @staticmethod

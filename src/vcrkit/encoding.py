@@ -22,7 +22,9 @@ class's JSON encoder and decoder are generated once per mode, when the class
 is defined: two straight-line functions written in one pass over the field
 table, the way ``dataclasses`` writes ``__init__``, built only from the table
 itself. A JSON value is decoded only from its own JSON type: a string field
-takes a string, an integer field an integer (not a bool), and so on.
+takes a string, an integer field an integer (not a bool), and so on, and
+a text value (base64, hex, a time) only in the one spelling its encoder
+writes.
 """
 
 from __future__ import annotations
@@ -72,7 +74,6 @@ WIRE_KEYS = {
     "old_value": "o",
     "new_value": "e",
     "timestamp": "t",
-    "signer_paths": "p",
     "signatures": "s",
     "unified_xpub": "u",
     "session_indices": "j",
@@ -266,9 +267,18 @@ def _tuple(items) -> str:
 
 
 # Unpadded urlsafe base64, straight through binascii: the base64 module's
-# wrappers cost more than the conversion for these short fields.
+# wrappers cost more than the conversion for these short fields. Each value
+# is read only as it is written: binascii skips characters outside its
+# alphabet, so "+", "/" and "=" are mapped to one it skips, and a skipped
+# character shows as a short result. A last character's bits beyond the
+# data must be zero, or "AB" would read as "AA" does.
+_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_"
 _TO_URLSAFE = bytes.maketrans(b"+/", b"-_")
-_PADDING = ("", "===", "==", "=")  # by length mod 4
+_FROM_URLSAFE = bytes.maketrans(b"-_+/=", b"+/!!!")
+# By length mod 4: the padding binascii wants, and the characters a value
+# may end with (none for a length no value has).
+_PADDING = (b"", b"===", b"==", b"=")
+_LAST_CHARS = ("", "", _ALPHABET[::16], _ALPHABET[::4])
 
 
 def _b64_encode(data: bytes) -> str:
@@ -277,8 +287,21 @@ def _b64_encode(data: bytes) -> str:
 
 
 def _b64_decode(text: str) -> bytes:
-    text = text.replace("-", "+").replace("_", "/")
-    return binascii.a2b_base64(text + _PADDING[len(text) % 4])
+    tail = len(text) % 4
+    padded = text.encode("ascii").translate(_FROM_URLSAFE) + _PADDING[tail]
+    data = binascii.a2b_base64(padded)
+    if len(data) != len(text) * 3 // 4 or tail and text[-1] not in _LAST_CHARS[tail]:
+        raise ValueError(f"{text!r} is not unpadded urlsafe base64 as written")
+    return data
+
+
+def _hex_decode(text: str) -> bytes:
+    """Lowercase hex pairs, nothing between them: ``bytes.fromhex`` would
+    also take spaces and uppercase."""
+    data = bytes.fromhex(text)
+    if data.hex() != text:
+        raise ValueError(f"{text!r} is not lowercase hex as written")
+    return data
 
 
 def _iso_from_unix(ts: int) -> str:
@@ -324,7 +347,7 @@ BIN = Kind(
     CanonicalWriter.vbytes,
     CanonicalReader.vbytes,
     _modes(_b64_encode, bytes.hex),
-    _modes(_b64_decode, bytes.fromhex),
+    _modes(_b64_decode, _hex_decode),
 )
 
 

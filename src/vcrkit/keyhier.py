@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -35,6 +36,8 @@ from .errors import (
 
 HARDENED = 0x80000000
 MAX_PATH_SEGMENTS = 4
+# A path as ``str(DerivationPath)`` writes it: ASCII decimal, no leading zeros.
+_PATH_TEXT = re.compile(r"m(/(0|[1-9][0-9]*))*")
 
 VERSION_PRIVATE = 0x10
 VERSION_PUBLIC = 0x11
@@ -70,18 +73,13 @@ class DerivationPath:
 
     @classmethod
     def parse(cls, text: str) -> "DerivationPath":
-        """Parse "m", "m/0/1" etc. Hardened markers are rejected."""
-        parts = text.strip().split("/")
-        if not parts or parts[0] not in ("m", "M"):
-            raise MalformedPath(f"path must start with m: {text!r}")
-        segments = []
-        for part in parts[1:]:
-            if part.endswith(("'", "h", "H")):
+        """Parse "m", "m/0/1" etc., only as ``str`` writes them: no spaces,
+        no leading zeros, ASCII digits. Hardened markers are rejected."""
+        if _PATH_TEXT.fullmatch(text) is None:
+            if any(part.endswith(("'", "h", "H")) for part in text.split("/")[1:]):
                 raise HardenedIndexRejected(f"hardened segment in {text!r}")
-            if not part.isdigit():
-                raise MalformedPath(f"bad path segment {part!r}")
-            segments.append(int(part))
-        return cls(tuple(segments))
+            raise MalformedPath(f"path not written as m/<index>/...: {text!r}")
+        return cls(tuple(map(int, text.split("/")[1:])))
 
     def __str__(self) -> str:
         return "/".join(["m"] + [str(s) for s in self.segments])

@@ -67,6 +67,11 @@ _TEXT = encoding.STR.decode[encoding.WireMode.VERBOSE]
 _DIGEST = encoding.fixed(32).decode[encoding.WireMode.VERBOSE]
 _SIGNATURE = encoding.fixed(SIGNATURE_BYTES).decode[encoding.WireMode.VERBOSE]
 _XPUB = XPUB.decode[encoding.WireMode.VERBOSE]
+# State file values: exact lowercase hex, and a device ledger whose keys are
+# read only as written ("1", not "01") and whose values are a known status.
+_HEX = encoding.BIN.decode[encoding.WireMode.VERBOSE]
+_LEDGER = encoding.map_of(encoding.STR, key=int).decode[encoding.WireMode.VERBOSE]
+_STATUSES = {"active", "retired"}
 
 
 class ConfirmationPolicy(Enum):
@@ -145,12 +150,14 @@ class SignerState:
             envelope = encoding.json_object(data)
             kdf = envelope["kdf"]
             aad = json.dumps(kdf, sort_keys=True).encode()
-            key = _derive_file_key(passphrase, bytes.fromhex(kdf["salt"]))
-            nonce, box = (bytes.fromhex(envelope[k]) for k in ("nonce", "ciphertext"))
+            key = _derive_file_key(passphrase, _HEX(kdf["salt"]))
+            nonce, box = (_HEX(envelope[k]) for k in ("nonce", "ciphertext"))
             plaintext = AESGCM(key).decrypt(nonce, box, aad)
             inner = encoding.json_object(plaintext)
-            master = deserialize_xprv(bytes.fromhex(inner["master"]))
-            devices = {int(k): v for k, v in inner["devices"].items()}
+            master = deserialize_xprv(_HEX(inner["master"]))
+            devices = _LEDGER(inner["devices"])
+            if not _STATUSES.issuperset(devices.values()):
+                raise MalformedMessage("device status is not active or retired")
         except InvalidTag:
             raise WrongPassphrase("passphrase does not unlock this state") from None
         except encoding.DECODE_ERRORS as exc:

@@ -153,7 +153,6 @@ class VcrRequest(Message):
         Field("action", nested(VcrAction)),
         Field("timestamp", TIME),
         Field("unified", maybe(nested(UnifiedProof)), flatten="unified_xpub"),
-        Field("signer_paths", list_of(STR), omit_empty=True, signed=False),
         Field("signatures", list_of(fixed(SIGNATURE_BYTES)), signed=False),
     )
 
@@ -162,7 +161,6 @@ class VcrRequest(Message):
     action: VcrAction
     timestamp: int
     unified: UnifiedProof | None = None
-    signer_paths: tuple[str, ...] = ()
     signatures: tuple[bytes, ...] = ()
 
     signed_body = Message.signed_canonical
@@ -282,11 +280,7 @@ def sign_vcr(request: VcrRequest, signer, path: DerivationPath) -> VcrRequest:
     once per required signer; each call appends positionally.
     """
     signature = signer.sign_digest(path, request.digest())
-    return replace(
-        request,
-        signer_paths=request.signer_paths + (str(path),),
-        signatures=request.signatures + (signature,),
-    )
+    return replace(request, signatures=request.signatures + (signature,))
 
 
 def required_signer_keys(request: VcrRequest) -> tuple[bytes, ...]:

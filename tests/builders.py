@@ -80,10 +80,6 @@ def random_request(rng: random.Random) -> VcrRequest:
         action=random_action(rng),
         timestamp=rng.randrange(1, 2**33),
         unified=unified,
-        signer_paths=tuple(
-            f"m/{rng.randrange(100)}/{rng.randrange(100)}"
-            for _ in range(rng.randint(0, 2))
-        ),
         signatures=tuple(
             rng.getrandbits(512).to_bytes(64, "big")
             for _ in range(rng.randint(0, 3))

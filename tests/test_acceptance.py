@@ -219,10 +219,9 @@ def test_unforgeability(master, server_key, local_signer):
                 pass
     assert wrapper_false_accepts == 0
 
-    # Exhaustive single-bit sweep over one serialized signed request
-    # (no unsigned bookkeeping in the fixture: every byte is load-bearing).
-    bare = replace(request, signer_paths=())
-    request_blob = bytearray(bare.to_canonical())
+    # Exhaustive single-bit sweep over one serialized signed request:
+    # every byte is signed material or a signature.
+    request_blob = bytearray(request.to_canonical())
     request_false_accepts = 0
     for byte_index in range(len(request_blob)):
         for bit in range(8):

@@ -1,5 +1,6 @@
 """Client agent: provisioning, session flow, history, store portability."""
 
+import ast
 import json
 import os
 import random
@@ -40,7 +41,7 @@ from vcrkit.keyhier import (
     neuter,
 )
 from vcrkit.sealing import hybrid_encrypt
-from vcrkit.server import ACCESS_INFO, EndpointAdvertisement
+from vcrkit.server import ACCESS_INFO, EndpointAdvertisement, VcrHttpServer, VcrServer
 from vcrkit.signer import ConfirmationPolicy, SignerState
 from vcrkit.vcr import ActionKind, VcrAction
 from vcrkit.wrapper import ClientId, ServerKey
@@ -158,17 +159,27 @@ def test_mitm_key_substitution_detected(loopback, tmp_path):
     with pytest.raises(PublicKeyMismatch):
         agent.visit(origin + "/", _now())
     assert agent.store.sessions == []
-    assert agent.store.next_j == 0
+    assert agent.store.next_j == 1  # the substituted request spent its index
 
 
-def test_counter_rollback_on_network_failure(loopback, tmp_path):
+def _offered_key(body: bytes) -> str:
+    (key,) = json.loads(body)[wire_key("vcr_pubkeys", OPT)]
+    return key
+
+
+def test_no_key_is_offered_twice_over_network_failures(loopback, tmp_path):
+    """Every attempt spends its index, failed or not: a key a server may
+    have seen is never offered again."""
     _, _, origin = loopback
     fail_next = {"flag": False}
+    offered = []
 
     def flaky(method, url, headers=None, body=b"", timeout=10.0):
-        if method == "POST" and fail_next["flag"]:
-            fail_next["flag"] = False
-            raise NetworkError("injected outage")
+        if method == "POST":
+            offered.append(_offered_key(body))
+            if fail_next["flag"]:
+                fail_next["flag"] = False
+                raise NetworkError("injected outage")
         return httpwire.request(method, url, headers=headers, body=body)
 
     agent, _ = _fresh_agent(tmp_path, http=flaky)
@@ -180,12 +191,44 @@ def test_counter_rollback_on_network_failure(loopback, tmp_path):
             outcomes.append(str(session.path))
         except NetworkError:
             outcomes.append(None)
-    paths = [p for p in outcomes if p]
-    # Counter advances once per success, never on failure, no reuse.
-    assert paths == [f"m/0/{j}" for j in range(len(paths))]
-    assert agent.store.next_j == len(paths)
-    stored = [str(s.path) for s in agent.store.sessions]
-    assert len(set(stored)) == len(stored)
+    assert len(offered) == len(set(offered)) == 6
+    assert agent.store.next_j == 6
+    assert [p for p in outcomes if p] == ["m/0/0", "m/0/2", "m/0/4"]
+    assert [str(s.path) for s in agent.store.sessions] == ["m/0/0", "m/0/2", "m/0/4"]
+
+
+@pytest.mark.parametrize("reload", [False, True], ids=["same-agent", "after-load"])
+def test_key_whose_wrapper_reply_was_lost_is_not_offered_to_another_server(
+    loopback, tmp_path, reload
+):
+    """Server A receives the wrapper request, but its reply is lost. A first
+    visit to server B must offer another key: offering the same one would
+    let A and B link the two sessions."""
+    _, _, origin_a = loopback
+    offered = []
+
+    def lossy(method, url, headers=None, body=b"", timeout=10.0):
+        exchange = httpwire.request(method, url, headers=headers, body=body)
+        if method == "POST":
+            offered.append(_offered_key(body))
+            if url.startswith(origin_a):
+                raise NetworkError("reply lost")
+        return exchange
+
+    server_b = VcrHttpServer(("127.0.0.1", 0), VcrServer())
+    server_b.serve_in_thread()
+    try:
+        agent, _ = _fresh_agent(tmp_path, http=lossy)
+        agent.save()
+        with pytest.raises(NetworkError):
+            agent.visit(origin_a + "/", _now())
+        if reload:
+            agent = Agent.load(agent.store_path, http=lossy)
+        session, _ = agent.visit(server_b.origin + "/", _now())
+    finally:
+        server_b.close()
+    assert len(offered) == 2 and offered[0] != offered[1]
+    assert str(session.path) == "m/0/1"
 
 
 def test_record_visit_known_and_unknown_cookies(loopback, tmp_path):
@@ -466,8 +509,10 @@ def _session_with_path(text):
 
 # Inputs four to six are values the store refuses rather than mistyped
 # ones: a bad path, the same session twice and a session of another device.
-# The last three are scalars of another JSON type, refused and not coerced:
-# "false" is not a true retired flag, nor true version 1.
+# The next three are scalars of another JSON type, refused and not coerced:
+# "false" is not a true retired flag, nor true version 1. Then come four
+# paths not as written (each once read as m/0/1 or m/0/3) and a store
+# version this code does not read.
 @pytest.mark.parametrize(
     "key, value",
     [
@@ -480,6 +525,11 @@ def _session_with_path(text):
         ("Z", "false"),
         ("V", True),
         ("J", "1"),
+        ("L", [_session_with_path(" m/0/1 ")]),
+        ("L", [_session_with_path("m/00/1")]),
+        ("L", [_session_with_path("M/0/1")]),
+        ("L", [_session_with_path("m/0/\u0663")]),
+        ("V", 2),
     ],
 )
 def test_import_of_mistyped_field_is_corrupt_store(tmp_path, key, value):
@@ -885,3 +935,38 @@ def test_any_interleaving_reloads_to_the_same_store(steps):
                 agent = Agent.load(agent.store_path)
         agent.save()
         assert Agent.load(agent.store_path).store.export() == agent.store.export()
+
+
+
+def test_only_claim_path_advances_a_session_counter():
+    """A session index is spent in one rule, ``AgentStore.claim_path``;
+    nothing else assigns to a counter, so nothing can hand an index back."""
+    import vcrkit
+
+    def counter(target) -> bool:
+        if isinstance(target, (ast.Tuple, ast.List)):
+            return any(map(counter, target.elts))
+        if isinstance(target, (ast.Starred, ast.Subscript)):
+            target = target.value
+        return isinstance(target, ast.Attribute) and target.attr in (
+            "next_j",
+            "server_counters",
+        )
+
+    def writes(node, scope: str):
+        """The scope of each assignment to a counter below ``node``."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from writes(child, f"{scope}.{child.name}")
+                continue
+            targets = getattr(child, "targets", [getattr(child, "target", None)])
+            if any(map(counter, targets)):
+                yield f"{scope}:{child.lineno}"
+            yield from writes(child, scope)
+
+    found = []
+    for path in sorted(Path(vcrkit.__file__).parent.glob("*.py")):
+        found += writes(ast.parse(path.read_text(), str(path)), path.stem)
+    allowed = {f"agent.AgentStore.{f}" for f in ("__init__", "provision_device", "claim_path")}
+    assert [w for w in found if w.split(":")[0] not in allowed] == []
+    assert any(w.startswith("agent.AgentStore.claim_path:") for w in found)

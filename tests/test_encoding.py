@@ -173,7 +173,7 @@ def test_golden_envelope_sizes_pinned():
     assert byte_size(record, WireMode.OPTIMIZED) == 486
     assert byte_size(record, WireMode.VERBOSE) == 813
     unsigned = build_vcr([wrapper], VcrAction(ActionKind.DELETE), 1754650001)
-    assert len(unsigned.to_canonical()) == 192
+    assert len(unsigned.to_canonical()) == 188
 
 
 def test_baseline_record_within_budget():
@@ -296,9 +296,11 @@ _WRAPPER = issue_wrapper(
     _KEY, ClientId("vcid", "abc"), MultiSigPolicy((_KEY.public_point,)), 1_700_000_000
 )
 _REQUEST = random_request(random.Random(5))
+_SEALED = HybridCiphertext(_KEY.public_point, bytes(12), bytes(3))  # "C": "AAAA"
 
 # A value of another JSON type than its field's, each of which decoders
-# once coerced to the field's type.
+# once coerced to the field's type, and a value of the field's type that
+# is not as the encoder writes it, each of which they once read as another.
 RETYPED = {
     "cookie name in a list": (ClientId("vcid", "abc"), "n", ["vcid"]),
     "cookie value as a number": (ClientId("vcid", "123"), "c", 123),
@@ -312,7 +314,11 @@ RETYPED = {
         "m",
         ["abc"],
     ),
-    "signer paths as an object": (_REQUEST, "p", {"m/0/1": 0}),
+    "base64 with characters outside the alphabet": (_SEALED, "C", "A!A.A*A"),
+    "base64 with a space": (_SEALED, "C", "AA AA"),
+    "base64 with spare bits set": (_SEALED, "C", "AB"),
+    "base64 in the standard alphabet": (_SEALED, "C", "AA+/"),
+    "base64 padded": (_SEALED, "C", "AA=="),
 }
 
 
@@ -390,14 +396,13 @@ def _golden_messages():
     wrappers = [random_wrapper(rng) for _ in range(3)]
     signatures = tuple(bytes([i]) * 64 for i in (1, 2))
 
-    def request(action, unified=None, paths=("m/0/7", "m/0/8")):
+    def request(action, unified=None):
         return VcrRequest(
             version=1,
             wrappers=tuple(wrappers[:2]),
             action=action,
             timestamp=1754650005,
             unified=unified,
-            signer_paths=paths,
             signatures=signatures,
         )
 
@@ -424,7 +429,7 @@ def _golden_messages():
         ),
         "access": request(VcrAction(ActionKind.ACCESS)),
         "access_response_key": request(
-            VcrAction(ActionKind.ACCESS, response_pubkey=some_point(rng)), paths=()
+            VcrAction(ActionKind.ACCESS, response_pubkey=some_point(rng))
         ),
         "modify": request(
             VcrAction(
@@ -433,7 +438,7 @@ def _golden_messages():
             )
         ),
         "delete": request(VcrAction(ActionKind.DELETE)),
-        "unified": request(VcrAction(ActionKind.ACCESS), unified=unified, paths=("m/0/0",)),
+        "unified": request(VcrAction(ActionKind.ACCESS), unified=unified),
         "sealed": HybridCiphertext(
             ephemeral_pubkey=some_point(rng), nonce=bytes(range(12)), ciphertext=b"\x00\xff" * 20
         ),
@@ -465,33 +470,33 @@ GOLDEN_DIGESTS = {
         "verbose": "04df4b5df24339b345342e6e3b984492",
     },
     "access": {
-        "optimized": "5fd378f057f6e8601da3f249c1a74be1",
-        "verbose": "d3109e9f8cab397ee5108c032b5ea157",
-        "canonical": "1750d393efb835a3f03f6cad72891f22",
+        "optimized": "922c3470c0853cae9544edf46b85edb4",
+        "verbose": "cb558b24ac5c30ceed7a898f26560848",
+        "canonical": "1fab58293a07fc051f4efbe3f55b88b2",
         "signed": "7faa052a27c94123061275f34c58e63a",
     },
     "access_response_key": {
         "optimized": "6a2007102c953aecd4f0ef8851d02881",
         "verbose": "79faf30a888d78ba2350c35b1fb00076",
-        "canonical": "628255fb03079b1c9f9d454c75ad4aac",
+        "canonical": "47e3dae7048834e4bb8c163edb4038ce",
         "signed": "5f308639466a1f418a331d528b2b0b33",
     },
     "modify": {
-        "optimized": "23cbac8afc4961f4196f3ad5d46dbe24",
-        "verbose": "75397092731ebd5fceedb3360a843738",
-        "canonical": "0dd4a9a5b29de12e203531f183010bff",
+        "optimized": "7ea5bc7854f02c24af1dfe0da64ca8f7",
+        "verbose": "e877d4292be2b4ef0c89a24da47aade9",
+        "canonical": "71aea0a13726dbd48a8c401f50ec9d7e",
         "signed": "1cfbb52434b5ff28ec9390055ff2d61a",
     },
     "delete": {
-        "optimized": "ff74aab24a2de860703ecb2a8dcd532f",
-        "verbose": "07e9e29cd12f32ddfd1e50877ec00fc6",
-        "canonical": "70d6ee13ce76f353f4e05cfbd9f22cad",
+        "optimized": "c7e54567d45367b86470d90ae968ec8b",
+        "verbose": "0f7a73edc1d680e749cbc72074d4f117",
+        "canonical": "5475c6df33a4e1cf08533d7ad41d8aab",
         "signed": "1a2e75b36f0adf2780ee932a620a3470",
     },
     "unified": {
-        "optimized": "b8efc82c4cd11d2996ee7b36d9d1e823",
-        "verbose": "0f542cae6abcea74f71eacc24a3b2a65",
-        "canonical": "192775781e1b5638fcb88ba5b48f7fb2",
+        "optimized": "b1ce797f5752451dd351b8a6fe70cb8d",
+        "verbose": "3cc3b77a58e240d125881662b16bb883",
+        "canonical": "f017e29a792d271179ff40b394ca22b1",
         "signed": "22e7362a514d9717a450a4bdc557dc25",
     },
     "sealed": {

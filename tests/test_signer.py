@@ -530,6 +530,22 @@ def _sealed_state(inner: bytes) -> bytes:
     return json.dumps(envelope).encode()
 
 
+_MASTER_HEX = generate_master(SEED).serialize().hex()
+
+
+def _sealed_ledger(master_hex: str, devices: str) -> bytes:
+    return _sealed_state(f'{{"master":"{master_hex}","devices":{devices}}}'.encode())
+
+
+def test_sealed_ledger_read_as_written_unlocks(tmp_path):
+    """The refusals below are of one value each: this file, with every
+    value as written, unlocks."""
+    path = tmp_path / "ok.state"
+    path.write_bytes(_sealed_ledger(_MASTER_HEX, '{"0":"active","1":"retired"}'))
+    unlocked = SignerState.unlock(PASSPHRASE, str(path))
+    assert (unlocked.device_status(0), unlocked.device_status(1)) == ("active", "retired")
+
+
 @pytest.mark.parametrize(
     "data",
     [
@@ -540,6 +556,12 @@ def _sealed_state(inner: bytes) -> bytes:
         _sealed_state(b"[]"),
         _sealed_state(b'{"master":"00","devices":{}}'),
         _sealed_state(b'{"master":' + b"1" * 5000 + b',"devices":{}}'),
+        _sealed_ledger(_MASTER_HEX, '{"1":"retired","01":"active"}'),
+        _sealed_ledger(_MASTER_HEX, '{"1":"retired"," 1":"active"}'),
+        _sealed_ledger(_MASTER_HEX, '{"1":7}'),
+        _sealed_ledger(_MASTER_HEX, '{"1":"unknown"}'),
+        _sealed_ledger(_MASTER_HEX.upper(), "{}"),
+        _sealed_ledger(bytes.fromhex(_MASTER_HEX).hex(" "), "{}"),
     ],
     ids=[
         "list",
@@ -549,6 +571,12 @@ def _sealed_state(inner: bytes) -> bytes:
         "inner-list",
         "inner-short-master",
         "inner-huge-int",
+        "device-id-leading-zero",
+        "device-id-space",
+        "device-status-number",
+        "device-status-unknown",
+        "master-uppercase-hex",
+        "master-spaced-hex",
     ],
 )
 def test_state_file_that_does_not_decode_is_malformed(tmp_path, data):
@@ -625,6 +653,16 @@ VALID_FRAMES = {
     "sign": {"op": "sign", "path": "m/0/1", "digest": "11" * 32, "summary": "pay"},
 }
 OPTIONAL_KEYS = {"summary"}
+# Another spelling of a sign frame's value, once read as the value itself.
+RESPELLED = {
+    "path": {
+        "padded": " m/0/1 ",
+        "leading-zero": "m/00/1",
+        "capital-m": "M/0/1",
+        "arabic-indic-digit": "m/0/\u0661",
+    },
+    "digest": {"spaced": " ".join(["11"] * 32), "uppercase": "1A" * 32},
+}
 
 
 def _retyped(value) -> dict:
@@ -652,6 +690,9 @@ def _mutated_frames():
                 yield pytest.param(dropped, id=f"{op}-without-{key}")
             for name, other in _retyped(value).items():
                 yield pytest.param({**frame, key: other}, id=f"{op}-{key}-as-{name}")
+    for key, spellings in RESPELLED.items():
+        for name, text in spellings.items():
+            yield pytest.param({**VALID_FRAMES["sign"], key: text}, id=f"sign-{key}-{name}")
     for name, body in {"list": [], "str": "ping", "int": 7, "null": None}.items():
         yield pytest.param(body, id=f"{name}-frame")
 

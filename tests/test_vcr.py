@@ -109,7 +109,7 @@ def test_signer_refusal_leaves_request_unchanged(master, server_key):
 
     with pytest.raises(SignerRefused):
         sign_vcr(request, Refuser(), path)
-    assert request.signatures == () and request.signer_paths == ()
+    assert request.signatures == ()
 
 
 def test_wrong_key_rejected(master, server_key, local_signer):
@@ -501,10 +501,9 @@ def test_unforgeability_randomized(master, server_key, local_signer):
 
 def test_binding_bit_flip_sweep(master, server_key, local_signer):
     """Exhaustive single-bit sweep over a serialized signed request: no
-    mutation may verify. The fixture carries no signer-path bookkeeping, so
-    every byte is either signed material or a signature."""
+    mutation may verify: every byte is either signed material or a
+    signature."""
     request = _signed_access(master, server_key, local_signer)
-    request = replace(request, signer_paths=())
     blob = bytearray(request.to_canonical())
     baseline = verify_vcr(
         server_key.public_point, request, NOW, ReplayCache(TOL)
