@@ -17,7 +17,6 @@ from urllib.parse import urlsplit
 from . import curve, encoding, files, httpwire
 from .curve import POINT_BYTES
 from .encoding import (
-    BOOL,
     STR,
     TIME,
     Field,
@@ -36,7 +35,6 @@ from .errors import (
     AlreadyProvisioned,
     BadSignature,
     CorruptStore,
-    DeviceRetired,
     MalformedMessage,
     MalformedWrapper,
     NetworkError,
@@ -155,7 +153,6 @@ class AgentStore(Message):
             "pinned_server_keys",
             optional=True,
         ),
-        Field("retired", BOOL, optional=True),
     )
     version = STORE_VERSION  # written into every store file; another is refused
 
@@ -167,7 +164,6 @@ class AgentStore(Message):
         self.server_ids: dict[str, int] = {}
         self.sessions: list[SessionRecord] = []
         self.pinned_server_keys: dict[str, bytes] = {}
-        self.retired = False
         self.cookie_index: dict[tuple[str, str], SessionRecord] = {}
         self._paths: set[DerivationPath] = set()
         self._changes: list[StoreChange] = []
@@ -190,24 +186,25 @@ class AgentStore(Message):
             raise NotProvisioned("agent store has no device key")
         return self.device_xpub
 
-    def unlink_device(self) -> None:
-        """Retire this device: no further sessions, existing data remains
-        exportable."""
-        with self.lock:
-            self.retired = True
-
     # --- sessions ---------------------------------------------------------------
 
     def _admit(self, record: SessionRecord) -> None:
-        """The one rule for a session entering the store, new or imported."""
+        """The one rule for a session entering the store, new or imported:
+        a path of this device, the cookie its wrapper binds, and neither
+        path nor cookie held by a session already in the store."""
+        cid = record.client_id
+        cookie = (cid.cookie_name, cid.cookie_value)
         if record.path.segments[0] != self.device_id:
             raise MalformedMessage("session path belongs to another device")
+        if cid != record.wrapper.client_id:
+            raise MalformedMessage("session cookie is not the one its wrapper binds")
         if record.path in self._paths:
             raise MalformedMessage(f"duplicate derivation path {record.path}")
+        if cookie in self.cookie_index:
+            raise MalformedMessage(f"a session already holds cookie {cid.cookie_name}")
         self._paths.add(record.path)
         self.sessions.append(record)
-        cid = record.client_id
-        self.cookie_index[(cid.cookie_name, cid.cookie_value)] = record
+        self.cookie_index[cookie] = record
 
     def add_session(self, record: SessionRecord) -> None:
         with self.lock:
@@ -246,8 +243,6 @@ class AgentStore(Message):
         index, or with ``unified`` the next under the origin's server id.
         Nothing hands an index back, so no key is offered twice."""
         with self.lock:
-            if self.retired:
-                raise DeviceRetired(f"device {self.device_id} is unlinked")
             if unified:
                 s = self._server_id(origin)
                 j = self.server_counters.get(s, 0)
@@ -623,8 +618,6 @@ class Agent:
         """Sign and deliver a request; parses and (if needed) decrypts the
         response. ``response_secret`` must be the scalar matching the
         action's response key when one is present."""
-        if self.store.retired:
-            raise DeviceRetired(f"device {self.store.device_id} is unlinked")
         request, sign_path = self.build_request(sessions, action, now, unified)
         request = sign_vcr(request, signer, sign_path)
         first = sessions[0]

@@ -179,14 +179,15 @@ def _run_phases(runs, workdir, device_xpub, signer, vcr_server, httpd) -> BenchR
     def storage_phase():
         storage_counter[0] += 1
         j = storage_counter[0]
+        client_id = ClientId(COOKIE_NAME, fresh_cookie_value())
         record = SessionRecord(
             server_origin=origin,
             endpoints=vcr_server.advertisement,
-            client_id=ClientId(COOKIE_NAME, fresh_cookie_value()),
+            client_id=client_id,
             path=DerivationPath((0, j)),
             wrapper=issue_wrapper(
                 vcr_server.server_key,
-                cookie,
+                client_id,
                 MultiSigPolicy((derive_child_pub(device_xpub, j).public_point,)),
                 now,
             ),

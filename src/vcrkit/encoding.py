@@ -45,7 +45,6 @@ MAX_LIST_ITEMS = 1 << 16
 TAG_CLIENT_ID = 0x01
 TAG_WRAPPER = 0x02
 TAG_VCR_BODY = 0x03
-TAG_VCR_REQUEST = 0x04
 TAG_SEALED = 0x05
 
 
@@ -98,7 +97,6 @@ WIRE_KEYS = {
     "server_ids": "Y",
     "sessions": "L",
     "pinned_keys": "Q",
-    "retired": "Z",
     "visits": "A",
     "attributes": "B",
     "records": "D",
@@ -334,7 +332,6 @@ def _exactly(json_type: type):
 _STR, _INT, _LIST = _exactly(str), _exactly(int), _exactly(list)
 
 STR = Kind(CanonicalWriter.vstr, CanonicalReader.vstr, decode=_modes(_STR))
-BOOL = Kind(decode=_modes(_exactly(bool)))
 # Unix seconds: a JSON integer in OPTIMIZED, ISO-8601 text in VERBOSE.
 TIME = Kind(
     CanonicalWriter.u64,

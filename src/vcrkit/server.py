@@ -420,8 +420,6 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class VcrHttpServer(QuietDisconnects, ThreadingHTTPServer):
-    daemon_threads = True
-
     def __init__(self, address: tuple[str, int], vcr: VcrServer) -> None:
         super().__init__(address, _Handler)
         self.vcr = vcr

@@ -69,6 +69,8 @@ _SIGNATURE = encoding.fixed(SIGNATURE_BYTES).decode[encoding.WireMode.VERBOSE]
 _XPUB = XPUB.decode[encoding.WireMode.VERBOSE]
 # State file values: exact lowercase hex, and a device ledger whose keys are
 # read only as written ("1", not "01") and whose values are a known status.
+# The ledger records retirements; an "active" entry, which older versions
+# wrote on a device's first issuance, is read and dropped.
 _HEX = encoding.BIN.decode[encoding.WireMode.VERBOSE]
 _LEDGER = encoding.map_of(encoding.STR, key=int).decode[encoding.WireMode.VERBOSE]
 _STATUSES = {"active", "retired"}
@@ -97,12 +99,13 @@ def _derive_file_key(passphrase: str, salt: bytes) -> bytes:
 
 
 class SignerState:
-    """Unlocked signer: master key, device ledger, confirmation policy."""
+    """Unlocked signer: master key, ledger of retired devices, confirmation
+    policy. Issuing a device key writes nothing; retiring a device saves."""
 
     def __init__(
         self,
         master: ExtendedPrivateKey,
-        devices: dict[int, str],
+        retired: set[int],
         state_path: str,
         passphrase: str,
         policy: ConfirmationPolicy = ConfirmationPolicy.AUTO_APPROVE,
@@ -111,7 +114,7 @@ class SignerState:
         self._master: ExtendedPrivateKey | None = master
         self._keys: OrderedDict[DerivationPath, curve.PrivateKey] = OrderedDict()
         self._keys_lock = threading.Lock()
-        self._devices = devices
+        self._retired = retired
         self._state_path = state_path
         self._passphrase = passphrase
         self.policy = policy
@@ -130,7 +133,7 @@ class SignerState:
         if os.path.exists(state_path):
             raise StateExists(state_path)
         master = generate_master(seed)
-        state = cls(master, {}, state_path, passphrase, policy)
+        state = cls(master, set(), state_path, passphrase, policy)
         state.save()
         return state
 
@@ -158,18 +161,19 @@ class SignerState:
             devices = _LEDGER(inner["devices"])
             if not _STATUSES.issuperset(devices.values()):
                 raise MalformedMessage("device status is not active or retired")
+            retired = {d for d, status in devices.items() if status == "retired"}
         except InvalidTag:
             raise WrongPassphrase("passphrase does not unlock this state") from None
         except encoding.DECODE_ERRORS as exc:
             raise MalformedMessage(f"corrupt signer state: {exc!r}") from None
-        return cls(master, devices, state_path, passphrase, policy, confirm_hook)
+        return cls(master, retired, state_path, passphrase, policy, confirm_hook)
 
     def save(self) -> None:
         master = self._require_unlocked()
         inner = json.dumps(
             {
                 "master": master.serialize().hex(),
-                "devices": {str(k): v for k, v in self._devices.items()},
+                "devices": {str(d): "retired" for d in sorted(self._retired)},
             }
         ).encode()
         salt = os.urandom(16)
@@ -207,23 +211,16 @@ class SignerState:
     def issue_device_xpub(self, device_id: int) -> ExtendedPublicKey:
         DerivationPath((device_id,))  # an int in [0, 2^31), or raises
         master = self._require_unlocked()
-        if self._devices.get(device_id) == "retired":
+        if device_id in self._retired:
             raise DeviceRetired(f"device {device_id} is retired")
-        xpub = neuter(derive_child_priv(master, device_id))
-        if self._devices.get(device_id) != "active":
-            self._devices[device_id] = "active"
-            self.save()
-        return xpub
+        return neuter(derive_child_priv(master, device_id))
 
     def retire_device(self, device_id: int) -> None:
         DerivationPath((device_id,))  # an int in [0, 2^31), or raises
         self._require_unlocked()
-        if self._devices.get(device_id) != "retired":
-            self._devices[device_id] = "retired"
+        if device_id not in self._retired:
+            self._retired.add(device_id)
             self.save()
-
-    def device_status(self, device_id: int) -> str:
-        return self._devices.get(device_id, "unknown")
 
     def _confirm(self, path: DerivationPath, summary: str | None) -> bool:
         if self.policy is ConfirmationPolicy.AUTO_APPROVE:
@@ -243,7 +240,7 @@ class SignerState:
             raise UnknownPath("signing under the bare master is not allowed")
         if len(digest) != 32:
             raise MalformedMessage("digest must be 32 bytes")
-        if self._devices.get(path.segments[0]) == "retired":
+        if path.segments[0] in self._retired:
             raise DeviceRetired(f"device {path.segments[0]} is retired")
         if not self._confirm(path, summary):
             raise SignerRefused(str(path))

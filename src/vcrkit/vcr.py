@@ -169,6 +169,8 @@ class VcrRequest(Message):
         """Replay digest: hash of the signed body, signatures excluded,
         so re-signing the same body is still a replay."""
         return curve.sha256(self.signed_body())
+
+
 @dataclass(frozen=True)
 class VerifiedRequest:
     """Outcome of successful verification: who (cookies) and what (action)."""

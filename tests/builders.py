@@ -7,6 +7,7 @@ parent) so point validation always passes.
 
 import random
 import string
+from dataclasses import replace
 
 from vcrkit.agent import SessionRecord
 from vcrkit.keyhier import DerivationPath, derive_child_pub, generate_master, neuter
@@ -102,15 +103,25 @@ def random_session_record(rng: random.Random, device_id=0) -> SessionRecord:
         (rng.randrange(1, 2**32), "/" + some_text(rng, 0, 20).replace(" ", ""))
         for _ in range(rng.randint(0, 5))
     ]
+    endpoints = random_advertisement(rng)
+    random_client_id(rng)  # unused; later draws, and their golden digests, follow it
+    path = DerivationPath((device_id, rng.randrange(0, 2**31)))
+    wrapper = random_wrapper(rng)
     return SessionRecord(
         server_origin=origin,
-        endpoints=random_advertisement(rng),
-        client_id=random_client_id(rng),
-        path=DerivationPath((device_id, rng.randrange(0, 2**31))),
-        wrapper=random_wrapper(rng),
+        endpoints=endpoints,
+        client_id=wrapper.client_id,
+        path=path,
+        wrapper=wrapper,
         created_at=rng.randrange(1, 2**32),
         history=history,
     )
+
+
+def with_client_id(record: SessionRecord, client_id: ClientId) -> SessionRecord:
+    """``record`` under another cookie, bound by its wrapper too."""
+    wrapper = replace(record.wrapper, client_id=client_id)
+    return replace(record, client_id=client_id, wrapper=wrapper)
 
 
 def random_data_record(rng: random.Random) -> ClientDataRecord:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from builders import random_session_record
+from builders import random_session_record, with_client_id
 from vcrkit import curve, encoding, files, httpwire
 from vcrkit.agent import Agent, AgentStore
 from vcrkit.encoding import WireMode, byte_size, wire_key
@@ -312,11 +312,51 @@ def test_export_import_roundtrip(loopback, tmp_path):
         assert clone.server_counters == agent.store.server_counters
         assert clone.server_ids == agent.store.server_ids
         assert clone.pinned_server_keys == agent.store.pinned_server_keys
-        assert clone.retired == agent.store.retired
         assert [s.to_wire_dict(mode) for s in clone.sessions] == [
             s.to_wire_dict(mode) for s in agent.store.sessions
         ]
         assert clone.cookie_index == agent.store.cookie_index
+
+
+def test_a_store_carries_no_retirement_flag(tmp_path):
+    """Retirement is the signer's: neither an export nor a journal header
+    record holds a retired flag."""
+    agent, _ = _fresh_agent(tmp_path)
+    agent.store.add_session(random_session_record(random.Random(14)))
+    for mode in (WireMode.OPTIMIZED, WireMode.VERBOSE):
+        assert {"Z", "retired"}.isdisjoint(json.loads(agent.store.export(mode)))
+    (header, session) = map(json.loads, agent.store.unsaved_changes())
+    assert "I" in header and "Z" not in header and "L" in session
+
+
+@pytest.mark.parametrize("flag", [False, True])
+def test_a_store_with_a_retired_flag_loads_and_its_sessions_work(
+    loopback, tmp_path, master, local_signer, flag
+):
+    """Stores once carried a retired flag, "Z", in the snapshot and in each
+    header record. One with either value loads, ignoring it, and its
+    sessions browse and sign."""
+    _, _, origin = loopback
+    agent, _ = _fresh_agent(tmp_path, master=master)
+    agent.visit(origin + "/first", _now())
+    agent.store.next_j += 1
+    snapshot = json.loads(agent.store.export())
+    (header,) = map(json.loads, agent.store.unsaved_changes())
+    snapshot["Z"] = header["Z"] = flag
+    path = agent.store_path
+    assert files.compact(path, json.dumps(snapshot).encode()).append(
+        [json.dumps(header).encode()]
+    )
+
+    loaded = Agent.load(path)
+    assert loaded.store.next_j == agent.store.next_j
+    session, _ = loaded.visit(origin + "/second", _now())
+    assert session.client_id == agent.store.sessions[0].client_id
+    outcome = loaded.submit_request(
+        [session], VcrAction(ActionKind.ACCESS), local_signer, _now()
+    )
+    assert outcome.status == 200
+    assert [p for _, p in outcome.records[0].visits] == ["/first", "/second"]
 
 
 def test_export_contains_no_private_material(loopback, tmp_path):
@@ -365,18 +405,6 @@ def test_import_on_second_device_issues_accepted_requests(
     )
     assert outcome.status == 200
     assert [p for _, p in outcome.records[0].visits] == ["/roaming"]
-
-
-def test_unlink_device(loopback, tmp_path):
-    _, _, origin = loopback
-    agent, _ = _fresh_agent(tmp_path)
-    agent.visit(origin + "/", _now())
-    agent.store.unlink_device()
-    with pytest.raises(DeviceRetired):
-        agent.visit(origin + "/", _now(), fresh=True)
-    # Existing sessions remain exportable after retirement.
-    blob = agent.store.export()
-    assert AgentStore.import_(blob).retired is True
 
 
 def test_signer_side_retirement_blocks_signing(loopback, tmp_path):
@@ -501,16 +529,19 @@ def test_unified_sessions_use_server_scoped_paths(loopback, tmp_path):
     assert agent.store.next_j == 0  # plain counter untouched
 
 
-def _session_with_path(text):
+def _session_with_path(text, cookie=None):
     raw = random_session_record(random.Random(7)).to_wire_dict(OPT)
     raw[wire_key("derivation_path", OPT)] = text
+    if cookie is not None:
+        raw[wire_key("client_id", OPT)] = ClientId("vcid", cookie).to_wire_dict(OPT)
     return raw
 
 
-# Inputs four to six are values the store refuses rather than mistyped
-# ones: a bad path, the same session twice and a session of another device.
+# Inputs four to eight are values the store refuses rather than mistyped
+# ones: a bad path, the same session twice, a session of another device, two
+# sessions for one cookie and a session whose wrapper binds another cookie.
 # The next three are scalars of another JSON type, refused and not coerced:
-# "false" is not a true retired flag, nor true version 1. Then come four
+# "0" is not device 0, nor true version 1. Then come four
 # paths not as written (each once read as m/0/1 or m/0/3) and a store
 # version this code does not read.
 @pytest.mark.parametrize(
@@ -522,7 +553,9 @@ def _session_with_path(text):
         ("L", [_session_with_path("x/1")]),
         ("L", [_session_with_path("m/0/1")] * 2),
         ("L", [_session_with_path("m/9/1")]),
-        ("Z", "false"),
+        ("L", [_session_with_path("m/0/1"), _session_with_path("m/0/2")]),
+        ("L", [_session_with_path("m/0/1", cookie="ccc")]),
+        ("I", "0"),
         ("V", True),
         ("J", "1"),
         ("L", [_session_with_path(" m/0/1 ")]),
@@ -558,15 +591,25 @@ def test_import_of_an_integer_key_not_as_written_is_corrupt_store(tmp_path, coun
 
 
 def test_add_session_refuses_duplicate_and_foreign_paths(tmp_path):
+    """Also a second session for a cookie, and one whose cookie is not the
+    one its wrapper binds. A refusal takes neither path nor cookie."""
     agent, _ = _fresh_agent(tmp_path)
     record = random_session_record(random.Random(8))
     agent.store.add_session(record)
     foreign = random_session_record(random.Random(9), device_id=9)
-    for refused in (replace(record, client_id=foreign.client_id), foreign):
+    free = DerivationPath((0, record.path.segments[1] + 1))
+    refusals = (
+        with_client_id(record, foreign.client_id),
+        foreign,
+        replace(record, path=free),
+        replace(record, path=free, client_id=foreign.client_id),
+    )
+    for refused in refusals:
         with pytest.raises(MalformedMessage):
             agent.store.add_session(refused)
     assert agent.store.sessions == [record]
     assert list(agent.store.cookie_index.values()) == [record]
+    agent.store.add_session(with_client_id(replace(record, path=free), foreign.client_id))
 
 
 def test_first_visit_saves_once(loopback, tmp_path, monkeypatch):
@@ -647,7 +690,7 @@ def _journal_agent(tmp_path, sessions=3):
     for j in range(sessions):
         cookie = ClientId("vcid", f"{j:08d}")
         agent.store.add_session(
-            replace(template, path=DerivationPath((0, j)), client_id=cookie, history=[])
+            replace(with_client_id(template, cookie), path=DerivationPath((0, j)), history=[])
         )
     agent.save()
     return agent
@@ -814,9 +857,8 @@ def test_a_store_is_one_file(tmp_path, monkeypatch):
     _visit_and_save(agent, 0, "/a")
     agent.store.add_session(
         replace(
-            random_session_record(random.Random(12)),
+            with_client_id(random_session_record(random.Random(12)), ClientId("vcid", f"{3:08d}")),
             path=DerivationPath((0, 3)),
-            client_id=ClientId("vcid", f"{3:08d}"),
             history=[],
         )
     )
@@ -880,7 +922,7 @@ def test_a_visit_appends_the_same_bytes_at_any_store_size(tmp_path, monkeypatch)
     assert appended[0] == appended[1] < 100
 
 
-_HEADER_CHANGES = st.sampled_from(["next_j", "counter", "server_id", "pin", "retire"])
+_HEADER_CHANGES = st.sampled_from(["next_j", "counter", "server_id", "pin", "unpin"])
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -908,9 +950,8 @@ def test_any_interleaving_reloads_to_the_same_store(steps):
                 j = len(agent.store.sessions)
                 agent.store.add_session(
                     replace(
-                        random_session_record(rng),
+                        with_client_id(random_session_record(rng), ClientId("vcid", f"{j:08d}")),
                         path=DerivationPath((0, j)),
-                        client_id=ClientId("vcid", f"{j:08d}"),
                     )
                 )
             elif kind == "visit":
@@ -927,7 +968,7 @@ def test_any_interleaving_reloads_to_the_same_store(steps):
                 elif field == "pin":
                     store.pinned_server_keys[f"http://s{value}"] = template.endpoints.server_pubkey
                 else:
-                    store.retired = True
+                    store.pinned_server_keys.pop(f"http://s{value}", None)
             elif kind == "save":
                 agent.save()
             else:
@@ -970,3 +1011,23 @@ def test_only_claim_path_advances_a_session_counter():
     allowed = {f"agent.AgentStore.{f}" for f in ("__init__", "provision_device", "claim_path")}
     assert [w for w in found if w.split(":")[0] not in allowed] == []
     assert any(w.startswith("agent.AgentStore.claim_path:") for w in found)
+
+
+def test_only_the_signer_decides_retirement():
+    """A device is retired in one place, the signer's ledger, and refused
+    where signatures are made: no module but signer.py raises
+    ``DeviceRetired`` or reads a ``retired`` attribute."""
+    import vcrkit
+
+    def decides(node) -> bool:
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            return getattr(exc, "id", getattr(exc, "attr", None)) == "DeviceRetired"
+        return isinstance(node, ast.Attribute) and node.attr == "retired"
+
+    found = []
+    for path in sorted(Path(vcrkit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found += [f"{path.stem}:{node.lineno}" for node in ast.walk(tree) if decides(node)]
+    assert [f for f in found if not f.startswith("signer:")] == []
+    assert any(f.startswith("signer:") for f in found)

@@ -24,6 +24,7 @@ from builders import (
     random_wrapper,
     some_point,
     some_text,
+    with_client_id,
 )
 from vcrkit import encoding, files, httpwire
 from vcrkit.agent import Agent, AgentStore, SessionRecord, StoreChange, StoreHeader
@@ -64,7 +65,6 @@ def _store(rng):
     store.server_ids = {f"https://s{i}.example": i for i in range(rng.randint(0, 2))}
     store.sessions = [random_session_record(rng) for _ in range(rng.randint(0, 2))]
     store.pinned_server_keys = {"https://s0.example": some_point(rng)}
-    store.retired = rng.random() < 0.5
     return store
 
 
@@ -394,9 +394,8 @@ def _store_of_two_sessions():
 def _session(j, device_id=0):
     """A session of ``device_id`` with path (device_id, j) and cookie j."""
     return replace(
-        random_session_record(random.Random(j)),
+        with_client_id(random_session_record(random.Random(j)), ClientId("vcid", f"{j:08d}")),
         path=DerivationPath((device_id, j)),
-        client_id=ClientId("vcid", f"{j:08d}"),
         history=[],
     )
 
@@ -411,7 +410,7 @@ RECORDS = {
 
 def _mutated_records(kind, store):
     """(what, record): the ``kind`` record without each key it needs, with
-    each value at any depth retyped, and two the rules refuse."""
+    each value at any depth retyped, and those the rules refuse."""
     wire = RECORDS[kind](store).to_wire_dict(OPT)
     needed = [key for _, key in _required(StoreHeader, OPT)] if kind == "header" else wire
     for key in needed:
@@ -430,6 +429,10 @@ def _mutated_records(kind, store):
     if kind == "session":
         foreign = StoreChange(sessions=[_session(5, device_id=1)])
         yield "session of another device", foreign.to_wire_dict(OPT)
+        held = with_client_id(_session(5), ClientId("vcid", f"{1:08d}"))
+        yield "session for a held cookie", StoreChange(sessions=[held]).to_wire_dict(OPT)
+        unbound = replace(_session(5), client_id=ClientId("vcid", f"{9:08d}"))
+        yield "session its wrapper does not bind", StoreChange(sessions=[unbound]).to_wire_dict(OPT)
 
 
 def _load_with_record(path: str, snapshot: bytes, record: dict) -> Agent:

@@ -509,16 +509,16 @@ GOLDEN_DIGESTS = {
         "verbose": "6e4a3e3037344193dd5e281eb833ff97",
     },
     "session_record": {
-        "optimized": "f3ac0999d70c8001da8d79f491bb16ae",
-        "verbose": "ca2b2c9ecefb6023342ae2b663966f33",
+        "optimized": "c70be7e076f803cb9dbd442dbaeff550",
+        "verbose": "bda78a36724ac214a373f648aec98824",
     },
     "data_record": {
         "optimized": "4c475fc3ae109e7e10c47f785fcf96a6",
         "verbose": "9f1d5c0a4a0e5a10be75889caaabf6f9",
     },
     "agent_store": {
-        "optimized": "7568bb9b457dc04eafff94e90356f886",
-        "verbose": "1262747efd269a7c6d0c7e92801865fc",
+        "optimized": "e57bfb13e79e45c4b0a202400a2d2f8a",
+        "verbose": "4983d85dc7a9c513e3383faf57ffe0e1",
     },
 }
 

@@ -23,7 +23,13 @@ from vcrkit.errors import (
     UnknownPath,
     WrongPassphrase,
 )
-from vcrkit.keyhier import DerivationPath, derive_path, generate_master, neuter
+from vcrkit.keyhier import (
+    DerivationPath,
+    derive_child_pub,
+    derive_path,
+    generate_master,
+    neuter,
+)
 from vcrkit.signer import (
     KEY_CACHE_SIZE,
     ConfirmationPolicy,
@@ -95,15 +101,37 @@ EARLIER_STATE = (
 )
 
 
+def _retired(state, device_id: int) -> bool:
+    """Whether ``state`` refuses to sign for ``device_id``."""
+    try:
+        state.sign_digest(DerivationPath((device_id, 0)), curve.sha256(b"probe"))
+    except DeviceRetired:
+        return True
+    return False
+
+
 def test_state_file_written_earlier_still_unlocks(tmp_path):
+    """Its ledger holds device 0 as "active", which older versions wrote on
+    a first issuance: device 0 is served, device 1 stays retired."""
     path = tmp_path / "earlier.state"
     path.write_text(EARLIER_STATE)
     unlocked = SignerState.unlock("fixture passphrase", str(path))
-    assert unlocked.device_status(0) == "active"
-    assert unlocked.device_status(1) == "retired"
+    assert (_retired(unlocked, 0), _retired(unlocked, 1)) == (False, True)
+    with pytest.raises(DeviceRetired):
+        unlocked.issue_device_xpub(1)
     expected = neuter(derive_path(generate_master(SEED), DerivationPath((0,))))
     assert unlocked.issue_device_xpub(0).serialize() == expected.serialize()
     assert path.read_text() == EARLIER_STATE  # nothing changed, nothing saved
+
+
+def test_retiring_after_an_earlier_state_keeps_its_ledger(tmp_path):
+    """A retirement rewrites the ledger from what was read: the device the
+    earlier file retired stays retired, and its "active" device is served."""
+    path = tmp_path / "earlier.state"
+    path.write_text(EARLIER_STATE)
+    SignerState.unlock("fixture passphrase", str(path)).retire_device(2)
+    reloaded = SignerState.unlock("fixture passphrase", str(path))
+    assert [_retired(reloaded, d) for d in (0, 1, 2)] == [False, True, True]
 
 
 def test_state_file_contains_no_secrets(state, tmp_path):
@@ -122,7 +150,20 @@ def test_issue_device_idempotent(state):
     first = state.issue_device_xpub(3)
     second = state.issue_device_xpub(3)
     assert first.serialize() == second.serialize()
-    assert state.device_status(3) == "active"
+    digest = curve.sha256(b"issued")
+    signature = state.sign_digest(DerivationPath((3, 0)), digest)
+    assert curve.verify_digest(derive_child_pub(first, 0).public_point, digest, signature)
+
+
+def test_issuing_a_device_writes_nothing(state, tmp_path):
+    """The ledger records retirements only: a first issuance, a repeat and
+    a signature leave the state file's bytes as they were."""
+    path = tmp_path / "signer.state"
+    before = path.read_bytes()
+    for device_id in (7, 7, 8):
+        state.issue_device_xpub(device_id)
+    state.sign_digest(DerivationPath((8, 0)), curve.sha256(b"x"))
+    assert path.read_bytes() == before
 
 
 def test_issue_matches_client_side_derivation(state):
@@ -142,14 +183,20 @@ def test_retire_blocks_issue_and_sign(state, signed_first):
     with pytest.raises(DeviceRetired):
         state.sign_digest(DerivationPath((2, 0)), curve.sha256(b"x"))
     state.retire_device(2)  # idempotent
-    assert state.device_status(2) == "retired"
+    assert _retired(state, 2)
 
 
-def test_retire_unknown_device_recorded(state):
+def test_retire_unknown_device_recorded(state, tmp_path):
+    path = tmp_path / "signer.state"
+    before = path.read_bytes()
     state.retire_device(42)
-    assert state.device_status(42) == "retired"
-    with pytest.raises(DeviceRetired):
-        state.issue_device_xpub(42)
+    assert path.read_bytes() != before  # saved: the ledger's one record
+    reloaded = SignerState.unlock(PASSPHRASE, str(path))
+    for signer_state in (state, reloaded):
+        assert _retired(signer_state, 42)
+        with pytest.raises(DeviceRetired):
+            signer_state.issue_device_xpub(42)
+    assert not _retired(reloaded, 41)
 
 
 def test_retirement_leaves_other_devices_alone(state):
@@ -431,7 +478,7 @@ def test_daemon_takes_only_a_json_integer_device_id_in_range(daemon, state, tmp_
     from vcrkit.signer import read_frame, write_frame
 
     state.issue_device_xpub(3)
-    ledger = dict(state._devices)
+    retired = set(state._retired)
     state_file = (tmp_path / "signer.state").read_bytes()
     bad_ids = [True, False, 1.9, 5.5, "7", -1, 2**31, 2**40]
     for op in ("device_xpub", "retire_device"):
@@ -442,7 +489,7 @@ def test_daemon_takes_only_a_json_integer_device_id_in_range(daemon, state, tmp_
                 response = read_frame(sock)
             assert response["ok"] is False, (op, device_id)
             assert "result" not in response
-    assert state._devices == ledger
+    assert state._retired == retired
     assert (tmp_path / "signer.state").read_bytes() == state_file
 
 
@@ -543,7 +590,7 @@ def test_sealed_ledger_read_as_written_unlocks(tmp_path):
     path = tmp_path / "ok.state"
     path.write_bytes(_sealed_ledger(_MASTER_HEX, '{"0":"active","1":"retired"}'))
     unlocked = SignerState.unlock(PASSPHRASE, str(path))
-    assert (unlocked.device_status(0), unlocked.device_status(1)) == ("active", "retired")
+    assert (_retired(unlocked, 0), _retired(unlocked, 1)) == (False, True)
 
 
 @pytest.mark.parametrize(
