@@ -9,9 +9,11 @@ signing needs the trusted-device signer.
 
 from __future__ import annotations
 
+import gc
 import os
 import threading
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from urllib.parse import urlsplit
 
 from . import curve, encoding, files, httpwire
@@ -72,40 +74,47 @@ from .wrapper import (
     verify_wrapper,
 )
 
-STORE_VERSION = 1
+STORE_VERSION = 2
 
 
-def _history_to_verbose(record: "SessionRecord") -> list:
-    encode = VISIT.encode[WireMode.VERBOSE]
-    return [encode((ts, record.server_origin + path)) for ts, path in record.history]
+def _store_version(version: int) -> int:
+    """The one version a store is read in. Its field comes first, so a
+    store of another version is refused before any session in it is read."""
+    if version != STORE_VERSION:
+        raise ValueError(f"store version {version} is not {STORE_VERSION}, the one read")
+    return version
 
 
-def _history_from_verbose(raw, values: dict) -> list[tuple[int, str]]:
-    decode, origin = VISIT.decode[WireMode.VERBOSE], values["server_origin"]
-    return [(ts, url.removeprefix(origin)) for ts, url in map(decode, raw)]
+@contextmanager
+def _collection_paused():
+    """No cyclic garbage collection inside: a store load allocates tens of
+    thousands of containers and makes no cycle, so each collection it would
+    set off scans them for nothing. Collection is on again afterwards if it
+    was on before."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _origin(parts) -> str:
+    """``scheme://host[:port]`` of a split URL."""
+    return f"{parts.scheme}://{parts.netloc}"
+
+
+# A server table entry: an origin and the advertisement its pages carry.
+SERVER = row(("server_origin", STR), ("endpoints", nested(EndpointAdvertisement)))
 
 
 @dataclass
-class SessionRecord(Message):
+class SessionRecord:
     """One session with one server: cookie, key path, wrapper, history.
 
-    VERBOSE history entries carry full URLs; decoding strips the record's
-    origin back off, so both modes parse to the same record.
-    """
-
-    FIELDS = (
-        Field("server_origin", STR),
-        Field("endpoints", nested(EndpointAdvertisement)),
-        Field("client_id", nested(ClientId)),
-        Field("derivation_path", converted(STR, DerivationPath.parse, str), "path"),
-        Field("wrapper", nested(Wrapper)),
-        Field("created_at", TIME),
-        Field(
-            "history",
-            list_of(VISIT, list),
-            verbose=(_history_to_verbose, _history_from_verbose),
-        ),
-    )
+    History entries are (time, URL path) pairs under the session's origin.
+    The store file holds each session as a ``StoredSession``."""
 
     server_origin: str
     endpoints: EndpointAdvertisement
@@ -129,24 +138,50 @@ class SessionRecord(Message):
         return len(self.path.segments) == 3
 
 
-class AgentStore(Message):
-    """Device key, session list, cookie index and pinned server keys.
+@dataclass
+class StoredSession(Message):
+    """A session as the store file holds it: the index of its (origin,
+    advertisement) entry in the store's server table, then what is its own.
+    Its cookie is the one its wrapper binds. History entries are URL paths
+    in both modes; the origin is the table entry's."""
 
-    Single-writer: every mutation happens under one lock. The cookie index
-    maps the (name, value) cookie pair to its session record and is rebuilt
-    on import rather than serialized. Sessions and visits added since the
-    last save are kept as journal records; header fields changed since then
-    are found by comparing the header with the one last saved.
+    FIELDS = (
+        Field("server", integer(32)),
+        Field("derivation_path", converted(STR, DerivationPath.parse, str), "path"),
+        Field("wrapper", nested(Wrapper)),
+        Field("created_at", TIME),
+        Field("history", list_of(VISIT, list)),
+    )
+
+    server: int
+    path: DerivationPath
+    wrapper: Wrapper
+    created_at: int
+    history: list[tuple[int, str]]
+
+
+class AgentStore(Message):
+    """Device key, server table, sessions, cookie index and pinned server keys.
+
+    Single-writer: every mutation happens under one lock. The server table
+    lists each distinct (origin, advertisement) pair once, and a stored
+    session names its pair by index. The cookie index maps (origin, cookie
+    name, cookie value) to its session, and ``latest_for_origin`` reads the
+    last session admitted for an origin; both are rebuilt on import rather
+    than serialized. Sessions and visits added since the last save are kept
+    as journal records; header fields changed since then are found by
+    comparing the header with the one last saved.
     """
 
     FIELDS = (
-        Field("version", integer(), optional=True),
+        Field("version", converted(integer(), _store_version, int)),
         Field("device_id", integer()),
         Field("device_xpub", XPUB),
         Field("next_session", integer(), "next_j"),
         Field("server_counters", map_of(integer(), key=int), optional=True),
         Field("server_ids", map_of(integer()), optional=True),
-        Field("sessions", list_of(nested(SessionRecord), list)),
+        Field("servers", list_of(SERVER, list)),
+        Field("sessions", list_of(nested(StoredSession), list), "stored_sessions"),
         Field(
             "pinned_keys",
             map_of(fixed(POINT_BYTES)),
@@ -162,10 +197,14 @@ class AgentStore(Message):
         self.next_j = 0
         self.server_counters: dict[int, int] = {}
         self.server_ids: dict[str, int] = {}
+        self.servers: list[tuple[str, EndpointAdvertisement]] = []
         self.sessions: list[SessionRecord] = []
         self.pinned_server_keys: dict[str, bytes] = {}
-        self.cookie_index: dict[tuple[str, str], SessionRecord] = {}
-        self._paths: set[DerivationPath] = set()
+        self.cookie_index: dict[tuple[str, str, str], SessionRecord] = {}
+        self._server_index: dict[tuple[str, EndpointAdvertisement], int] = {}
+        self._origins: dict[str, int] = {}  # origin -> index of its first entry
+        self._latest: dict[str, SessionRecord] = {}
+        self._paths: set[tuple[int, ...]] = set()  # held paths, by segments
         self._changes: list[StoreChange] = []
         self._saved_header: dict | None = None
         self.lock = threading.Lock()
@@ -186,35 +225,98 @@ class AgentStore(Message):
             raise NotProvisioned("agent store has no device key")
         return self.device_xpub
 
+    # --- server table -----------------------------------------------------------
+
+    def _add_servers(self, table: list) -> None:
+        """The one rule for the server table, given whole as a store file or
+        a header record holds it: it keeps every entry the store holds, in
+        place, and holds each (origin, advertisement) pair once. Entries
+        already held keep their objects, which their sessions share."""
+        held = len(self.servers)
+        if table[:held] != self.servers:
+            raise MalformedMessage("server table drops or changes an entry")
+        for entry in table[held:]:
+            self._add_server(entry)
+
+    def _add_server(self, entry: tuple[str, EndpointAdvertisement]) -> int:
+        if entry in self._server_index:
+            raise MalformedMessage(f"server table holds an entry for {entry[0]} twice")
+        index = self._server_index[entry] = len(self.servers)
+        self.servers.append(entry)
+        self._origins.setdefault(entry[0], index)
+        return index
+
+    def _server(self, index: int) -> tuple[str, EndpointAdvertisement]:
+        if not 0 <= index < len(self.servers):
+            raise MalformedMessage(f"no server table entry {index}")
+        return self.servers[index]
+
+    def stored(self, record: SessionRecord) -> StoredSession:
+        """``record`` as the store file holds it; its server must be in the
+        table."""
+        server = self._server_index[record.server_origin, record.endpoints]
+        return StoredSession(
+            server, record.path, record.wrapper, record.created_at, record.history
+        )
+
+    @property
+    def stored_sessions(self) -> list[StoredSession]:
+        return [self.stored(record) for record in self.sessions]
+
+    def _session(self, stored: StoredSession) -> SessionRecord:
+        """The session a stored one names, sharing its table entry."""
+        origin, endpoints = self._server(stored.server)
+        wrapper = stored.wrapper
+        return SessionRecord(
+            origin,
+            endpoints,
+            wrapper.client_id,
+            stored.path,
+            wrapper,
+            stored.created_at,
+            stored.history,
+        )
+
     # --- sessions ---------------------------------------------------------------
 
     def _admit(self, record: SessionRecord) -> None:
         """The one rule for a session entering the store, new or imported:
         a path of this device, the cookie its wrapper binds, and neither
-        path nor cookie held by a session already in the store."""
-        cid = record.client_id
-        cookie = (cid.cookie_name, cid.cookie_value)
-        if record.path.segments[0] != self.device_id:
+        path nor cookie at its origin held by a session already in the
+        store."""
+        origin, cid = record.server_origin, record.client_id
+        segments, cookie = record.path.segments, (origin, cid.cookie_name, cid.cookie_value)
+        if segments[0] != self.device_id:
             raise MalformedMessage("session path belongs to another device")
-        if cid != record.wrapper.client_id:
+        # A loaded session's cookie is its wrapper's own object.
+        if cid is not record.wrapper.client_id and cid != record.wrapper.client_id:
             raise MalformedMessage("session cookie is not the one its wrapper binds")
-        if record.path in self._paths:
+        if segments in self._paths:
             raise MalformedMessage(f"duplicate derivation path {record.path}")
         if cookie in self.cookie_index:
             raise MalformedMessage(f"a session already holds cookie {cid.cookie_name}")
-        self._paths.add(record.path)
+        self._paths.add(segments)
         self.sessions.append(record)
         self.cookie_index[cookie] = record
+        self._latest[origin] = record
 
     def add_session(self, record: SessionRecord) -> None:
         with self.lock:
             self._admit(record)
+            entry = (record.server_origin, record.endpoints)
+            server = self._server_index.get(entry)
+            if server is None:
+                server = self._add_server(entry)  # journaled with the header
             # As admitted: a visit recorded later is a change of its own.
-            session = replace(record, history=list(record.history))
-            self._changes.append(StoreChange(sessions=[session]))
+            stored = StoredSession(
+                server, record.path, record.wrapper, record.created_at, list(record.history)
+            )
+            self._changes.append(StoreChange(sessions=[stored]))
 
-    def find_by_cookie(self, cookie_name: str, cookie_value: str) -> SessionRecord | None:
-        return self.cookie_index.get((cookie_name, cookie_value))
+    def find_by_cookie(
+        self, origin: str, cookie_name: str, cookie_value: str
+    ) -> SessionRecord | None:
+        return self.cookie_index.get((origin, cookie_name, cookie_value))
 
     def find_by_sid(self, sid: str) -> SessionRecord | None:
         for record in self.sessions:
@@ -223,10 +325,7 @@ class AgentStore(Message):
         return None
 
     def latest_for_origin(self, origin: str) -> SessionRecord | None:
-        for record in reversed(self.sessions):
-            if record.server_origin == origin:
-                return record
-        return None
+        return self._latest.get(origin)
 
     def server_id_for(self, origin: str) -> int:
         """Client-local server id used in server-scoped derivation paths."""
@@ -255,20 +354,24 @@ class AgentStore(Message):
             return path
 
     def record_visit(self, cookie_header_pairs, url: str, now: int) -> int:
-        """Append (now, url path) to each session whose cookie appears in
-        the request's cookie pairs; unknown cookies are ignored."""
-        path, now = urlsplit(url).path or "/", int(now)
+        """Append (now, URL path) to each session of the URL's origin whose
+        cookie appears in the request's cookie pairs; other cookies are
+        ignored."""
+        parts = urlsplit(url)
+        origin, path, now = _origin(parts), parts.path or "/", int(now)
         updated = 0
         with self.lock:
             for name, value in cookie_header_pairs:
-                if self._visit((name, value), now, path):
-                    self._changes.append(StoreChange(visit=(name, value, now, path)))
+                if self._visit((origin, name, value), now, path):
+                    visit = (self._origins[origin], name, value, now, path)
+                    self._changes.append(StoreChange(visit=visit))
                     updated += 1
         return updated
 
-    def _visit(self, cookie: tuple[str, str], now: int, path: str) -> bool:
+    def _visit(self, cookie: tuple[str, str, str], now: int, path: str) -> bool:
         """The one rule for a visit entering the store: it joins the history
-        of the session holding the cookie, if the store has one."""
+        of the session holding the cookie at its origin, if the store has
+        one."""
         record = self.cookie_index.get(cookie)
         if record is not None:
             record.history.append((now, path))
@@ -279,12 +382,12 @@ class AgentStore(Message):
     @classmethod
     def _from_fields(cls, values: dict) -> "AgentStore":
         store = cls()
-        if values.pop("version", STORE_VERSION) != STORE_VERSION:
-            raise MalformedMessage(f"store version is not {STORE_VERSION}")
-        sessions = values.pop("sessions")
+        del values["version"]  # its kind lets only STORE_VERSION through
+        servers, stored = values.pop("servers"), values.pop("stored_sessions")
         vars(store).update(values)
-        for record in sessions:
-            store._admit(record)
+        store._add_servers(servers)
+        for session in stored:
+            store._admit(store._session(session))
         return store
 
     def export(self, mode: WireMode = WIRE_MODE) -> bytes:
@@ -294,12 +397,12 @@ class AgentStore(Message):
 
     @classmethod
     def import_(cls, data: bytes) -> "AgentStore":
+        """A store from an export or a snapshot in either mode: VERBOSE when
+        its version is spelled out, OPTIMIZED otherwise."""
         try:
             raw = encoding.json_object(data)
-            try:
-                return cls.from_wire_dict(raw, WireMode.OPTIMIZED)
-            except MalformedMessage:
-                return cls.from_wire_dict(raw, WireMode.VERBOSE)
+            mode = WireMode.VERBOSE if "version" in raw else WireMode.OPTIMIZED
+            return cls.from_wire_dict(raw, mode)
         except MalformedMessage as exc:
             raise CorruptStore(str(exc)) from None
 
@@ -328,12 +431,14 @@ class AgentStore(Message):
                 if change == StoreChange():  # never written: a key was dropped
                     raise MalformedMessage("record changes nothing")
                 if change.header is not None:
+                    self._add_servers(change.header.pop("servers"))
                     vars(self).update(change.header)
-                for record in change.sessions:
-                    self._admit(record)
+                for stored in change.sessions:
+                    self._admit(self._session(stored))
                 if change.visit is not None:
-                    name, value, now, path = change.visit
-                    if not self._visit((name, value), now, path):
+                    server, name, value, now, path = change.visit
+                    origin, _ = self._server(server)
+                    if not self._visit((origin, name, value), now, path):
                         raise MalformedMessage("visit to a session the store lacks")
             except MalformedMessage as exc:
                 raise CorruptStore(f"bad journal record: {exc}") from None
@@ -357,15 +462,17 @@ STORE_HEADER = nested(StoreHeader)
 @dataclass
 class StoreChange(Message):
     """One journal record, in the store file's keys: the header fields as
-    they now are, a session as it was admitted, or one visit to a session."""
+    they now are, a session as it was admitted, or one visit to a session,
+    its origin named by a server table index."""
 
     FIELDS = (
         Field("header", maybe(STORE_HEADER), flatten="device_id"),
-        Field("sessions", list_of(nested(SessionRecord), list), omit_empty=True),
+        Field("sessions", list_of(nested(StoredSession), list), omit_empty=True),
         Field(
             "visits",
             maybe(
                 row(
+                    ("server", integer(32)),
                     ("cookie_name", STR),
                     ("cookie_value", STR),
                     ("visit_time", TIME),
@@ -378,8 +485,8 @@ class StoreChange(Message):
     )
 
     header: object = None  # the AgentStore when encoding, a dict once decoded
-    sessions: list[SessionRecord] = field(default_factory=list)
-    visit: tuple[str, str, int, str] | None = None
+    sessions: list[StoredSession] = field(default_factory=list)
+    visit: tuple[int, str, str, int, str] | None = None
 
 
 @dataclass
@@ -420,8 +527,9 @@ class Agent:
             snapshot, records, journal = files.Journal.read(store_path)
         except FileNotFoundError:
             raise CorruptStore(f"no store at {store_path}") from None
-        agent = cls(AgentStore.import_(snapshot), store_path, http)
-        agent.store.replay(records)
+        with _collection_paused():
+            agent = cls(AgentStore.import_(snapshot), store_path, http)
+            agent.store.replay(records)
         agent._journal = journal
         return agent
 
@@ -521,8 +629,7 @@ class Agent:
         the store once, after the visit is recorded or the session start
         failed: a first-sight pin and a spent index are kept either way."""
         self.store.require_provisioned()
-        parts = urlsplit(url)
-        origin = f"{parts.scheme}://{parts.netloc}"
+        origin = _origin(urlsplit(url))
 
         headers = {}
         existing = None if fresh else self.store.latest_for_origin(origin)
@@ -542,7 +649,7 @@ class Agent:
             session = None
             if client_id is not None:
                 session = self.store.find_by_cookie(
-                    client_id.cookie_name, client_id.cookie_value
+                    origin, client_id.cookie_name, client_id.cookie_value
                 )
                 if session is None:
                     session = self._start_session(

@@ -205,7 +205,8 @@ def _run_phases(runs, workdir, device_xpub, signer, vcr_server, httpd) -> BenchR
 
     cid = session.client_id
     latency["history_matching"] = _average(
-        lambda: agent.store.find_by_cookie(cid.cookie_name, cid.cookie_value), runs
+        lambda: agent.store.find_by_cookie(origin, cid.cookie_name, cid.cookie_value),
+        runs,
     )
 
     def history_phase():
@@ -247,9 +248,10 @@ def _run_phases(runs, workdir, device_xpub, signer, vcr_server, httpd) -> BenchR
     if outcome.status != 200:
         raise BenchEnvironmentError("vcr flow failed during bandwidth run")
 
-    baseline = replace(session, history=[])
+    # A session as the store file holds it, with no history and with 100 visits.
+    baseline = agent.store.stored(replace(session, history=[]))
     hundred = replace(
-        session, history=[(session.created_at + i, "/some/page") for i in range(100)]
+        baseline, history=[(session.created_at + i, "/some/page") for i in range(100)]
     )
     return BenchReport(
         runs=runs,

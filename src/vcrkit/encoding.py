@@ -9,27 +9,28 @@ Two distinct encodings live here:
 
 * The JSON wire encodings, VERBOSE and OPTIMIZED, used on the HTTP path and
   in store files. OPTIMIZED substitutes single-letter keys for the long
-  field names, stores times as unix integers, binary fields as unpadded
-  urlsafe base64, and history entries as URL paths only. VERBOSE keeps long
-  names, ISO-8601 timestamps, hex binaries and full URLs. Both decode to
-  equal in-memory messages; nothing on the JSON path is ever signed.
+  field names, stores times as unix integers and binary fields as unpadded
+  urlsafe base64. VERBOSE keeps long names, ISO-8601 timestamps and hex
+  binaries. Both decode to equal in-memory messages; nothing on the JSON
+  path is ever signed.
 
 Each message is described once: a ``Message`` subclass lists its fields in
 wire order as ``FIELDS``, each with a kind (``STR``, ``TIME``, ``BIN``,
 ``integer``, ``fixed``, ``nested``, ``list_of``, ``map_of``, ...). Both JSON
 modes and the canonical writer and reader are derived from that list. Each
-class's JSON encoder and decoder are generated once per mode, when the class
-is defined: two straight-line functions written in one pass over the field
-table, the way ``dataclasses`` writes ``__init__``, built only from the table
-itself. A JSON value is decoded only from its own JSON type: a string field
-takes a string, an integer field an integer (not a bool), and so on, and
-a text value (base64, hex, a time) only in the one spelling its encoder
-writes.
+class's JSON encoder and decoder are generated once per mode, on first use:
+two straight-line functions written in one pass over the field table, the
+way ``dataclasses`` writes ``__init__``, built only from the table itself.
+A JSON value is decoded only from its own JSON type: a string field takes a
+string, an integer field an integer (not a bool), and so on, and a text
+value (base64, hex, a time) only in the one spelling its encoder writes.
 """
 
 from __future__ import annotations
 
 import binascii
+import dataclasses
+import inspect
 import json
 import keyword
 from dataclasses import KW_ONLY, dataclass
@@ -79,8 +80,6 @@ WIRE_KEYS = {
     "ephemeral_pubkey": "E",
     "nonce": "N",
     "ciphertext": "C",
-    "server_origin": "O",
-    "endpoints": "P",
     "wrapper_endpoint": "W",
     "vcr_endpoint": "R",
     "server_pubkey": "K",
@@ -96,6 +95,8 @@ WIRE_KEYS = {
     "server_counters": "S",
     "server_ids": "Y",
     "sessions": "L",
+    "servers": "G",
+    "server": "F",
     "pinned_keys": "Q",
     "visits": "A",
     "attributes": "B",
@@ -214,27 +215,29 @@ def _modes(optimized, verbose=None) -> dict:
 
 def _lift(table: dict, make) -> dict:
     """Per-mode functions built by ``make`` from ``table``'s."""
-    return {mode: make(fn) for mode, fn in table.items()}
+    return {mode: make(table[mode]) for mode in WireMode}
 
 
 class Kind:
     """How one field value is written: ``write(w, value)`` and ``read(r)``
     for the canonical form (None for kinds that have none), and per JSON
-    mode ``encode[mode](value)`` and ``decode[mode](raw)``."""
+    mode ``encode[mode](value)`` and ``decode[mode](raw)``. A ``row`` also
+    keeps its ``columns``, so that a list of rows decodes in one loop."""
 
-    def __init__(self, write=None, read=None, encode=None, decode=None) -> None:
+    def __init__(self, write=None, read=None, encode=None, decode=None, columns=()) -> None:
         self.write = write
         self.read = read
-        self.encode = encode or _modes(_same)
-        self.decode = decode or _modes(_same)
+        self.encode = _modes(_same) if encode is None else encode
+        self.decode = _modes(_same) if decode is None else decode
+        self.columns = columns
 
 
 # --- generated codecs --------------------------------------------------------
-# An encoder or decoder is written as source once, when its row or message
-# class is defined, and compiled with ``exec``. The source holds only
-# class-definition data: attribute names checked by ``_check_identifier``,
-# wire keys placed by ``repr`` and the local names below. Neither a message
-# nor decoded input ever reaches it.
+# An encoder or decoder is written as source once, when its row is defined
+# or its message class is first used, and compiled with ``exec``. The source
+# holds only class-definition data: attribute names checked by
+# ``_check_identifier``, wire keys placed by ``repr`` and the local names
+# below. Neither a message nor decoded input ever reaches it.
 
 
 def _check_identifier(name: str) -> None:
@@ -326,6 +329,7 @@ def _exactly(json_type: type):
             raise TypeError(f"expected {json_type.__name__}, got {type(raw).__name__}")
         return raw
 
+    decode.json_type = json_type  # lets a row check it in line; see _unpack_row
     return decode
 
 
@@ -424,13 +428,31 @@ def list_of(kind: Kind, container=tuple) -> Kind:
         for item in value:
             kind.write(w, item)
 
+    decode = _lift(
+        kind.decode, lambda decode: lambda raw: container(map(decode, _LIST(raw)))
+    )
+    if kind.columns:
+        # A list of rows is read straight through, with no call per row.
+        names = {"container": container}
+        lines, value = _unpack_row(kind.columns, "item", names)
+        decode[WireMode.OPTIMIZED] = _compile(
+            "decode",
+            f"list_of(row({', '.join(name for name, _ in kind.columns)})) optimized",
+            "raw",
+            [
+                "out = []",
+                "for item in array(raw):",
+                *(f"    {line}" for line in lines),
+                f"    out.append({value})",
+                "return out" if container is list else "return container(out)",
+            ],
+            names,
+        )
     return Kind(
         write,
         lambda r: container([kind.read(r) for _ in range(r.count())]),
         _lift(kind.encode, lambda encode: lambda value: list(map(encode, value))),
-        _lift(
-            kind.decode, lambda decode: lambda raw: container(map(decode, _LIST(raw)))
-        ),
+        decode,
     )
 
 
@@ -468,18 +490,14 @@ def row(*columns: tuple[str, Kind]) -> Kind:
     optimized, verbose = WireMode.OPTIMIZED, WireMode.VERBOSE
     to_array = [kind.encode[optimized] for kind in kinds]
     to_object = [kind.encode[verbose] for kind in kinds]
-    # OPTIMIZED unpacks the array, which refuses one of another length.
-    items = [f"a{i}" for i in range(len(kinds))]
-    from_items = {f"d{i}": kind.decode[optimized] for i, kind in enumerate(kinds)}
+    from_items: dict = {}
+    lines, value = _unpack_row(columns, "raw", from_items)
     from_array = _compile(
         "decode",
         f"row({', '.join(names)}) optimized",
         "raw",
-        [
-            f"[{', '.join(items)}] = array(raw)",
-            "return " + _tuple(f"d{i}({item})" for i, item in enumerate(items)),
-        ],
-        {"array": _LIST, **from_items},
+        [*lines, f"return {value}"],
+        from_items,
     )
     from_object = _compile(
         "decode",
@@ -496,7 +514,31 @@ def row(*columns: tuple[str, Kind]) -> Kind:
             lambda value: {n: e(item) for n, e, item in zip(names, to_object, value)},
         ),
         _modes(from_array, from_object),
+        columns=columns,
     )
+
+
+def _unpack_row(columns, raw: str, names: dict) -> tuple[list[str], str]:
+    """Source lines that check the OPTIMIZED array named ``raw`` and unpack
+    it, which refuses an array of another length, and the expression of its
+    decoded columns as a tuple. A column whose decoder only checks its JSON
+    type is checked in line; that decoder is called only to raise its
+    error. Binds the names the lines use in ``names``."""
+    names["array"] = _LIST
+    items = [f"a{i}" for i in range(len(columns))]
+    lines = [f"if type({raw}) is not list:", f"    array({raw})"]
+    lines.append(f"[{', '.join(items)}] = {raw}")
+    values = []
+    for i, (_, kind) in enumerate(columns):
+        decode = names[f"d{i}"] = kind.decode[WireMode.OPTIMIZED]
+        json_type = getattr(decode, "json_type", None)
+        if json_type is None:
+            values.append(f"d{i}(a{i})")
+            continue
+        names[f"t{i}"] = json_type
+        lines += [f"if type(a{i}) is not t{i}:", f"    d{i}(a{i})"]
+        values.append(f"a{i}")
+    return lines, _tuple(values)
 
 
 def nested(cls: type["Message"]) -> Kind:
@@ -528,7 +570,6 @@ class Field:
     signed: bool = True  # False on the trailing fields no signature covers
     when: tuple | None = None  # (attr, value): canonical only if attr is value
     flatten: str | None = None  # nested keys go here; names the one marking it
-    verbose: tuple | None = None  # VERBOSE hook: (encode, decode); see _json_codec
 
     def __post_init__(self) -> None:
         self.attr = self.attr or self.name
@@ -553,11 +594,11 @@ def _json_codec(cls, mode: WireMode):
     An ``omit_empty`` field is written under ``if m.<attr>:``; it and an
     ``optional`` field are read under ``if <key> in data:``. A flattened
     field's keys are merged into the object, and read back from it when its
-    marker key is set. A ``verbose`` hook encodes from the message and
-    decodes the raw value with the fields decoded so far. With the default
-    ``_from_fields`` and only plain required fields, the decoder is one
-    ``cls(attr=d0(data[key]), ...)`` call; otherwise it fills a dict of
-    attributes for ``_from_fields``. A KeyError with a required key absent
+    marker key is set. With the default ``_from_fields`` and only plain
+    required fields, the decoder is one ``cls(attr=d0(data[key]), ...)``
+    call, or for a frozen dataclass the object built in place
+    (``_built_in_place``); otherwise it fills a dict of attributes for
+    ``_from_fields``. A KeyError with a required key absent
     is that key's MalformedMessage; any other (an unknown word inside a
     field) goes on as it is."""
     names = {"cls": cls, "build": cls._from_fields, "missing": _missing}
@@ -572,23 +613,28 @@ def _json_codec(cls, mode: WireMode):
             decode += _under(f"data.get({marker!r}) is not None", f"{into} {d}(data)")
             continue
         key = wire_key(f.name, mode)
-        hooked = f.verbose is not None and mode is WireMode.VERBOSE
-        if hooked:
-            names[e], names[d] = f.verbose
-        encoded = f"{e}(m)" if hooked else f"{e}(m.{attr})"
-        decoded = f"{d}(data[{key!r}], values)" if hooked else f"{d}(data[{key!r}])"
-        encode += _under(f.omit_empty and f"m.{attr}", f"out[{key!r}] = {encoded}")
+        decoded = f"{d}(data[{key!r}])"
+        encode += _under(f.omit_empty and f"m.{attr}", f"out[{key!r}] = {e}(m.{attr})")
         optional = f.optional or f.omit_empty
         decode += _under(optional and f"{key!r} in data", f"{into} {decoded}")
         if not optional:
             required.append((attr, key))
-            if not hooked:
-                args.append(f"{attr}={decoded}")
+            args.append((attr, decoded))
     encode.append("return out")
     default = cls._from_fields.__func__ is Message._from_fields.__func__
-    if default and len(args) == len(cls.FIELDS):
+    plain = default and len(args) == len(cls.FIELDS)
+    if plain and _built_in_place(cls):
+        # Each attribute set in the new object's __dict__, then the checks.
+        names["new"] = object.__new__
+        decode = ["m = new(cls)", "attrs = m.__dict__"]
+        decode += [f"attrs[{attr!r}] = {decoded}" for attr, decoded in args]
+        if hasattr(cls, "__post_init__"):
+            names["post_init"] = cls.__post_init__
+            decode.append("post_init(m)")
+        decode.append("return m")
+    elif plain:
         # Attributes are identifiers: __init_subclass__ checked them.
-        decode = [f"return cls({', '.join(args)})"]
+        decode = [f"return cls({', '.join(f'{a}={d}' for a, d in args)})"]
     else:
         decode.append("return cls(**values)" if default else "return build(values)")
     if required:
@@ -600,6 +646,35 @@ def _json_codec(cls, mode: WireMode):
         _compile("encode", label, "m", encode, names),
         _compile("decode", label, "data", decode, names),
     )
+
+
+class _Compiled(dict):
+    """A message class's generated encoders or decoders by mode, compiled on
+    first use: by then the class is complete, its decorators applied. A
+    message that nests it compiles it when that message is defined."""
+
+    def __init__(self, cls) -> None:
+        super().__init__()
+        self.cls = cls
+
+    def __missing__(self, mode: WireMode):
+        cls = self.cls
+        cls._wire_out[mode], cls._wire_in[mode] = _json_codec(cls, mode)
+        return self[mode]
+
+
+def _built_in_place(cls) -> bool:
+    """Whether a decoder may build ``cls`` as the ``__init__`` that
+    ``dataclass(frozen=True)`` writes does, without that ``__init__``'s
+    ``object.__setattr__`` per field: a frozen dataclass with no slots whose
+    ``__init__`` takes exactly its fields, which are its table's."""
+    params = getattr(cls, "__dataclass_params__", None)
+    if params is None or not params.frozen or hasattr(cls, "__slots__"):
+        return False
+    names = [f.name for f in dataclasses.fields(cls)]
+    return list(inspect.signature(cls).parameters) == names and set(names) == {
+        f.attr for f in cls.FIELDS
+    }
 
 
 # Errors raised while a message is built from JSON or canonical bytes: input
@@ -631,9 +706,7 @@ class Message:
         for f in cls.FIELDS:
             _check_identifier(f.attr)
         # Per mode, the encoder and decoder generated from the field table.
-        cls._wire_out, cls._wire_in = {}, {}
-        for mode in WireMode:
-            cls._wire_out[mode], cls._wire_in[mode] = _json_codec(cls, mode)
+        cls._wire_out, cls._wire_in = _Compiled(cls), _Compiled(cls)
 
     @classmethod
     def _from_fields(cls, values: dict):

@@ -5,11 +5,12 @@ explicitly signs. Keys are real curve points (cheaply derived from a fixed
 parent) so point validation always passes.
 """
 
+import json
 import random
 import string
 from dataclasses import replace
 
-from vcrkit.agent import SessionRecord
+from vcrkit.agent import SessionRecord, StoredSession
 from vcrkit.keyhier import DerivationPath, derive_child_pub, generate_master, neuter
 from vcrkit.server import ClientDataRecord, EndpointAdvertisement
 from vcrkit.vcr import ActionKind, UnifiedProof, VcrAction, VcrRequest
@@ -116,6 +117,27 @@ def random_session_record(rng: random.Random, device_id=0) -> SessionRecord:
         created_at=rng.randrange(1, 2**32),
         history=history,
     )
+
+
+def random_stored_session(rng: random.Random) -> StoredSession:
+    """A session as a store file holds it, naming one of four table entries."""
+    record = random_session_record(rng)
+    return StoredSession(
+        rng.randrange(4), record.path, record.wrapper, record.created_at, record.history
+    )
+
+
+def version_1_layout(export: bytes) -> bytes:
+    """An OPTIMIZED export rewritten in the layout of store version 1: each
+    session carries its origin, its advertisement and its cookie, and there
+    is no server table."""
+    data = json.loads(export)
+    table = data.pop("G")
+    for session in data["L"]:
+        session["O"], session["P"] = table[session.pop("F")]
+        session["y"] = session["x"]["y"]
+    data["V"] = 1
+    return json.dumps(data).encode()
 
 
 def with_client_id(record: SessionRecord, client_id: ClientId) -> SessionRecord:

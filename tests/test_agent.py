@@ -1,6 +1,7 @@
 """Client agent: provisioning, session flow, history, store portability."""
 
 import ast
+import gc
 import json
 import os
 import random
@@ -16,9 +17,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from builders import random_session_record, with_client_id
+from builders import random_session_record, version_1_layout, with_client_id
 from vcrkit import curve, encoding, files, httpwire
-from vcrkit.agent import Agent, AgentStore
+from vcrkit.agent import Agent, AgentStore, StoredSession
 from vcrkit.encoding import WireMode, byte_size, wire_key
 from vcrkit.errors import (
     AlreadyProvisioned,
@@ -41,9 +42,10 @@ from vcrkit.keyhier import (
     neuter,
 )
 from vcrkit.sealing import hybrid_encrypt
+from vcrkit import server as server_module
 from vcrkit.server import ACCESS_INFO, EndpointAdvertisement, VcrHttpServer, VcrServer
 from vcrkit.signer import ConfirmationPolicy, SignerState
-from vcrkit.vcr import ActionKind, VcrAction
+from vcrkit.vcr import ActionKind, SealedVcr, VcrAction, unseal_vcr
 from vcrkit.wrapper import ClientId, ServerKey
 
 OPT = WireMode.OPTIMIZED
@@ -271,7 +273,7 @@ def test_baseline_session_within_budget(loopback, tmp_path):
     agent, _ = _fresh_agent(tmp_path)
     session, _ = agent.visit(origin + "/", _now())
     session.history.clear()
-    assert byte_size(session, WireMode.OPTIMIZED) <= 512
+    assert byte_size(agent.store.stored(session), WireMode.OPTIMIZED) <= 512
 
 
 def test_cookie_index_agrees_with_linear_scan():
@@ -288,14 +290,20 @@ def test_cookie_index_agrees_with_linear_scan():
             seen_paths.add(str(record.path))
             store.add_session(record)
         for record in store.sessions:
+            cid = record.client_id
             hit = store.find_by_cookie(
-                record.client_id.cookie_name, record.client_id.cookie_value
+                record.server_origin, cid.cookie_name, cid.cookie_value
             )
             linear = next(
-                s for s in store.sessions if s.client_id == record.client_id
+                s
+                for s in store.sessions
+                if (s.server_origin, s.client_id) == (record.server_origin, cid)
             )
             assert hit is linear
-        assert store.find_by_cookie("vcid", "no-such-cookie-anywhere") is None
+            elsewhere = ("http://elsewhere", cid.cookie_name, cid.cookie_value)
+            assert store.find_by_cookie(*elsewhere) is None
+        unknown = (record.server_origin, "vcid", "no-such-cookie-anywhere")
+        assert store.find_by_cookie(*unknown) is None
 
 
 def test_export_import_roundtrip(loopback, tmp_path):
@@ -312,9 +320,7 @@ def test_export_import_roundtrip(loopback, tmp_path):
         assert clone.server_counters == agent.store.server_counters
         assert clone.server_ids == agent.store.server_ids
         assert clone.pinned_server_keys == agent.store.pinned_server_keys
-        assert [s.to_wire_dict(mode) for s in clone.sessions] == [
-            s.to_wire_dict(mode) for s in agent.store.sessions
-        ]
+        assert clone.sessions == agent.store.sessions
         assert clone.cookie_index == agent.store.cookie_index
 
 
@@ -529,21 +535,40 @@ def test_unified_sessions_use_server_scoped_paths(loopback, tmp_path):
     assert agent.store.next_j == 0  # plain counter untouched
 
 
-def _session_with_path(text, cookie=None):
-    raw = random_session_record(random.Random(7)).to_wire_dict(OPT)
+_SERVED = random_session_record(random.Random(7))
+# A server table of one entry, the origin and advertisement of _SERVED.
+_TABLE = [[_SERVED.server_origin, _SERVED.endpoints.to_wire_dict(OPT)]]
+
+
+def _session_with_path(text, server=0):
+    """_SERVED as a store file holds it, naming table entry ``server``,
+    with ``text`` as its path."""
+    stored = StoredSession(
+        server, _SERVED.path, _SERVED.wrapper, _SERVED.created_at, _SERVED.history
+    )
+    raw = stored.to_wire_dict(OPT)
     raw[wire_key("derivation_path", OPT)] = text
-    if cookie is not None:
-        raw[wire_key("client_id", OPT)] = ClientId("vcid", cookie).to_wire_dict(OPT)
     return raw
+
+
+def test_a_stored_session_of_the_table_imports(tmp_path):
+    """The control for the refusals below: one session as the store writes
+    it, in a store whose server table names its server, loads."""
+    agent, _ = _fresh_agent(tmp_path)
+    data = json.loads(agent.store.export())
+    data["G"], data["L"] = _TABLE, [_session_with_path("m/0/1")]
+    (session,) = AgentStore.import_(json.dumps(data).encode()).sessions
+    assert session == replace(_SERVED, path=DerivationPath((0, 1)))
 
 
 # Inputs four to eight are values the store refuses rather than mistyped
 # ones: a bad path, the same session twice, a session of another device, two
-# sessions for one cookie and a session whose wrapper binds another cookie.
-# The next three are scalars of another JSON type, refused and not coerced:
-# "0" is not device 0, nor true version 1. Then come four
-# paths not as written (each once read as m/0/1 or m/0/3) and a store
-# version this code does not read.
+# sessions for one cookie and a session naming a server table entry that does
+# not exist. The next three are scalars of another JSON type, refused and
+# not coerced: "0" is not device 0, nor true version 1. Then come four
+# paths not as written (each once read as m/0/1 or m/0/3), store versions
+# this code does not read, a negative table index and a table holding one
+# pair twice.
 @pytest.mark.parametrize(
     "key, value",
     [
@@ -554,7 +579,7 @@ def _session_with_path(text, cookie=None):
         ("L", [_session_with_path("m/0/1")] * 2),
         ("L", [_session_with_path("m/9/1")]),
         ("L", [_session_with_path("m/0/1"), _session_with_path("m/0/2")]),
-        ("L", [_session_with_path("m/0/1", cookie="ccc")]),
+        ("L", [_session_with_path("m/0/1", server=1)]),
         ("I", "0"),
         ("V", True),
         ("J", "1"),
@@ -562,12 +587,16 @@ def _session_with_path(text, cookie=None):
         ("L", [_session_with_path("m/00/1")]),
         ("L", [_session_with_path("M/0/1")]),
         ("L", [_session_with_path("m/0/\u0663")]),
-        ("V", 2),
+        ("V", 1),
+        ("V", 3),
+        ("L", [_session_with_path("m/0/1", server=-1)]),
+        ("G", _TABLE * 2),
     ],
 )
 def test_import_of_mistyped_field_is_corrupt_store(tmp_path, key, value):
     agent, _ = _fresh_agent(tmp_path)
     data = json.loads(agent.store.export())
+    data["G"] = _TABLE
     data[key] = value
     with pytest.raises(CorruptStore):
         AgentStore.import_(json.dumps(data).encode())
@@ -679,6 +708,189 @@ def test_undecodable_access_payload_is_malformed(loopback, tmp_path):
         )
 
 
+# --- origins and the server table ------------------------------------------------
+
+
+@pytest.fixture()
+def second_server():
+    """Another live reference server on 127.0.0.1; yields its origin."""
+    httpd = VcrHttpServer(("127.0.0.1", 0), VcrServer())
+    httpd.serve_in_thread()
+    yield httpd.origin
+    httpd.close()
+
+
+def test_a_cookie_value_repeated_by_another_origin_starts_its_own_session(
+    loopback, second_server, tmp_path, monkeypatch
+):
+    """Server B's Set-Cookie repeats the value of the session held with A.
+    The visit to B starts a session with B, and neither history takes the
+    other's pages, in memory or after a load."""
+    _, _, origin_a = loopback
+    origin_b = second_server
+    monkeypatch.setattr(server_module, "fresh_cookie_value", lambda: "one-value-for-both")
+    agent, _ = _fresh_agent(tmp_path)
+    at_a, _ = agent.visit(origin_a + "/a-page", _now())
+    at_b, _ = agent.visit(origin_b + "/b-page", _now())
+    agent.visit(origin_a + "/a-again", _now())
+    assert at_a.client_id == at_b.client_id
+    for store in (agent.store, Agent.load(agent.store_path).store):
+        assert [s.server_origin for s in store.sessions] == [origin_a, origin_b]
+        assert [[p for _, p in s.history] for s in store.sessions] == [
+            ["/a-page", "/a-again"],
+            ["/b-page"],
+        ]
+
+
+def test_latest_for_origin_agrees_with_a_linear_scan(tmp_path):
+    """Sessions of three origins, admitted interleaved: the lookup names the
+    session a reverse scan finds, after add_session, after a load of the
+    snapshot and after a replay of journal records."""
+    agent, _ = _fresh_agent(tmp_path)
+    rng = random.Random(21)
+    origins = ["http://a.example", "http://b.example", "http://c.example"]
+
+    def check(store):
+        for origin in [*origins, "http://none.example"]:
+            linear = next(
+                (s for s in reversed(store.sessions) if s.server_origin == origin), None
+            )
+            assert store.latest_for_origin(origin) is linear
+
+    for j in range(12):
+        record = with_client_id(random_session_record(rng), ClientId("vcid", f"{j:08d}"))
+        origin = rng.choice(origins)
+        record = replace(record, server_origin=origin, path=DerivationPath((0, j)))
+        agent.store.add_session(record)
+        check(agent.store)
+        if j == 7:
+            agent.save()  # the snapshot holds the first eight
+            snapshot = Path(agent.store_path).read_bytes()
+    check(AgentStore.import_(agent.store.export()))
+    agent.save()
+    assert Path(agent.store_path).read_bytes().startswith(snapshot + b"\n")
+    check(Agent.load(agent.store_path).store)
+
+
+def test_sessions_naming_one_server_share_its_advertisement(loopback, tmp_path):
+    """A loaded store decodes each server table entry once."""
+    _, _, origin = loopback
+    agent, _ = _fresh_agent(tmp_path)
+    for _ in range(3):
+        agent.visit(origin + "/", _now(), fresh=True)
+    loaded = Agent.load(agent.store_path).store
+    assert len(loaded.servers) == 1
+    assert all(s.endpoints is loaded.servers[0][1] for s in loaded.sessions)
+    assert json.loads(loaded.export())["G"] == [
+        [origin, loaded.servers[0][1].to_wire_dict(OPT)]
+    ]
+
+
+def test_a_version_1_store_is_refused_at_load_and_at_import(loopback, tmp_path):
+    """Neither is read as this layout or at first use: each is CorruptStore
+    naming its version."""
+    _, _, origin = loopback
+    agent, _ = _fresh_agent(tmp_path)
+    agent.visit(origin + "/", _now())
+    old = version_1_layout(agent.store.export())
+    with pytest.raises(CorruptStore, match="store version 1 is not 2"):
+        AgentStore.import_(old)
+    verbose = json.loads(agent.store.export(WireMode.VERBOSE))
+    verbose["version"] = 1
+    with pytest.raises(CorruptStore, match="store version 1 is not 2"):
+        AgentStore.import_(json.dumps(verbose).encode())
+    files.compact(agent.store_path, old)
+    with pytest.raises(CorruptStore, match="store version 1 is not 2"):
+        Agent.load(agent.store_path)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_load_leaves_garbage_collection_as_it_found_it(tmp_path, enabled):
+    """A load pauses cyclic collection while it decodes, and restores the
+    setting it found, also when the store is refused."""
+    agent, _ = _fresh_agent(tmp_path)
+    agent.save()
+    try:
+        gc.enable() if enabled else gc.disable()
+        Agent.load(agent.store_path)
+        assert gc.isenabled() is enabled
+        Path(agent.store_path).write_bytes(b"not a store")
+        with pytest.raises(CorruptStore):
+            Agent.load(agent.store_path)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+def _leaves(value):
+    """Every scalar in a parsed JSON value, at any depth."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+def test_two_servers_share_no_value_but_protocol_constants(master, local_signer, tmp_path):
+    """One agent browses two servers and makes requests at each: plain,
+    fresh and unified visits, then plain, unified and sealed ACCESS. Of
+    every header and JSON leaf each server receives, a sealed body's inner
+    request included, the only values both see are the cookie name, the
+    integers 0 and 1, the shared time and the JSON media type."""
+    now = 1754650000
+    servers = {}
+    for _ in range(2):
+        logic = VcrServer(clock=lambda: now)
+        httpd = VcrHttpServer(("127.0.0.1", 0), logic)
+        httpd.serve_in_thread()
+        servers[httpd.origin] = (logic, httpd)
+    seen = {origin: set() for origin in servers}
+
+    def spy(method, url, headers=None, body=b"", timeout=10.0):
+        origin = next(o for o in servers if url.startswith(o + "/"))
+        values = []
+        for name, value in (headers or {}).items():
+            values += value.split("=", 1) if name == "Cookie" else [value]
+        if body:
+            payload = json.loads(body)
+            values += _leaves(payload)
+            if "E" in payload:
+                logic = servers[origin][0]
+                sealed = SealedVcr.from_wire_dict(payload, OPT)
+                inner = unseal_vcr(logic.server_key.private_key, sealed)
+                values += _leaves(inner.to_wire_dict(OPT))
+        seen[origin].update((type(v).__name__, v) for v in values)
+        return httpwire.request(method, url, headers=headers, body=body, timeout=timeout)
+
+    agent, _ = _fresh_agent(tmp_path, master=master, http=spy)
+    access = VcrAction(ActionKind.ACCESS)
+    try:
+        for origin in servers:
+            plain, _ = agent.visit(origin + "/", now)
+            fresh, _ = agent.visit(origin + "/", now, fresh=True)
+            unified, _ = agent.visit(origin + "/", now, unified=True, fresh=True)
+            outcomes = [
+                agent.submit_request([plain], access, local_signer, now),
+                agent.submit_request([unified], access, local_signer, now, unified=True),
+                agent.submit_request([fresh], access, local_signer, now, seal=True),
+            ]
+            assert [o.status for o in outcomes] == [200, 200, 200]
+    finally:
+        for _, httpd in servers.values():
+            httpd.close()
+    first, second = seen.values()
+    assert len(first) > 20 and len(second) > 20  # keys, cookies, signatures
+    assert first & second == {
+        ("str", "vcid"),
+        ("int", 0),
+        ("int", 1),
+        ("int", now),
+        ("str", "application/json"),
+    }
+
+
 # --- store journal ---------------------------------------------------------------
 
 
@@ -686,7 +898,7 @@ def _journal_agent(tmp_path, sessions=3):
     """An agent whose snapshot holds ``sessions`` synthetic sessions with
     cookies "00000000", "00000001", ... and no journal yet."""
     agent, _ = _fresh_agent(tmp_path)
-    template = random_session_record(random.Random(11))
+    template = replace(random_session_record(random.Random(11)), server_origin="http://h")
     for j in range(sessions):
         cookie = ClientId("vcid", f"{j:08d}")
         agent.store.add_session(
@@ -858,6 +1070,7 @@ def test_a_store_is_one_file(tmp_path, monkeypatch):
     agent.store.add_session(
         replace(
             with_client_id(random_session_record(random.Random(12)), ClientId("vcid", f"{3:08d}")),
+            server_origin="http://h",
             path=DerivationPath((0, 3)),
             history=[],
         )
@@ -951,6 +1164,7 @@ def test_any_interleaving_reloads_to_the_same_store(steps):
                 agent.store.add_session(
                     replace(
                         with_client_id(random_session_record(rng), ClientId("vcid", f"{j:08d}")),
+                        server_origin="http://h",  # one origin, an advertisement each
                         path=DerivationPath((0, j)),
                     )
                 )

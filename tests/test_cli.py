@@ -15,6 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 import vcrkit
+from builders import version_1_layout
 from vcrkit import curve, httpwire
 from vcrkit.agent import Agent
 from vcrkit.bench import run_bench
@@ -241,6 +242,27 @@ def test_export_import(runner, env, tmp_path, loopback):
     payload = json.loads(result.output)
     assert payload["sessions"] == 1
     assert os.path.exists(second_store)
+
+
+def test_a_version_1_store_is_one_json_line_at_import_and_at_load(
+    runner, env, tmp_path, loopback
+):
+    """A store of version 1 is refused whole, naming its version, by the
+    command that imports it and by one that loads it."""
+    _, _, origin = loopback
+    _bootstrap(runner, env)
+    _run(runner, env, ["visit", origin + "/"])
+    old = tmp_path / "old.export"
+    old.write_bytes(version_1_layout(Agent.load(env["VCRKIT_STORE"]).store.export()))
+    second = tmp_path / "second.store"
+    result = _run(runner, env, ["import", "--in", str(old), "--store", str(second)], 1)
+    error = _one_json_error(result.stderr)
+    assert error["error"] == "CorruptStore" and "store version 1" in error["message"]
+    assert not second.exists()
+    Path(env["VCRKIT_STORE"]).write_bytes(old.read_bytes())
+    result = _run(runner, env, ["visit", origin + "/"], 1)
+    error = _one_json_error(result.stderr)
+    assert error["error"] == "CorruptStore" and "store version 1" in error["message"]
 
 
 def _records(env) -> bytes:

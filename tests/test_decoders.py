@@ -8,7 +8,7 @@ refused with the one decode error and nothing else.
 import json
 import random
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, settings
@@ -21,13 +21,14 @@ from builders import (
     random_data_record,
     random_request,
     random_session_record,
+    random_stored_session,
     random_wrapper,
     some_point,
     some_text,
     with_client_id,
 )
 from vcrkit import encoding, files, httpwire
-from vcrkit.agent import Agent, AgentStore, SessionRecord, StoreChange, StoreHeader
+from vcrkit.agent import Agent, AgentStore, StoreChange, StoredSession, StoreHeader
 from vcrkit.encoding import BIN, Field, Message, WireMode, nested, wire_key
 from vcrkit.errors import CorruptStore, MalformedMessage
 from vcrkit.keyhier import DerivationPath, derive_child_pub, generate_master, neuter
@@ -63,7 +64,8 @@ def _store(rng):
     store.next_j = rng.randrange(2**31)
     store.server_counters = {rng.randrange(100): rng.randrange(100) for _ in range(2)}
     store.server_ids = {f"https://s{i}.example": i for i in range(rng.randint(0, 2))}
-    store.sessions = [random_session_record(rng) for _ in range(rng.randint(0, 2))]
+    for _ in range(rng.randint(0, 2)):
+        store.add_session(random_session_record(rng))
     store.pinned_server_keys = {"https://s0.example": some_point(rng)}
     return store
 
@@ -73,9 +75,11 @@ def _store_change(rng):
     if pick == 0:
         return StoreChange(header=_store(rng))
     if pick == 1:
-        return StoreChange(sessions=[random_session_record(rng)])
+        return StoreChange(sessions=[random_stored_session(rng)])
     cid = random_client_id(rng)
-    visit = (cid.cookie_name, cid.cookie_value, rng.randrange(2**32), "/" + some_text(rng))
+    server = rng.randrange(4)
+    when, page = rng.randrange(2**32), "/" + some_text(rng)
+    visit = (server, cid.cookie_name, cid.cookie_value, when, page)
     return StoreChange(visit=visit)
 
 
@@ -101,7 +105,7 @@ BUILDERS = {
     AccessResponse: lambda rng: AccessResponse(
         [random_data_record(rng) for _ in range(rng.randint(0, 2))]
     ),
-    SessionRecord: random_session_record,
+    StoredSession: random_stored_session,
     AgentStore: _store,
     StoreHeader: _store,
     StoreChange: _store_change,
@@ -116,7 +120,7 @@ CANONICAL = (
     VcrRequest,
     HybridCiphertext,
     EndpointAdvertisement,
-    SessionRecord,
+    StoredSession,
 )
 CLASSES = list(BUILDERS)
 
@@ -182,8 +186,7 @@ def test_canonical_round_trip(cls, seed):
 def _required(cls, mode):
     """The (attr, key) of each top-level field whose key must be present."""
     for f in cls.FIELDS:
-        hooked = f.verbose is not None and mode is WireMode.VERBOSE
-        if not (f.optional or f.omit_empty or f.flatten or hooked):
+        if not (f.optional or f.omit_empty or f.flatten):
             yield f.attr, wire_key(f.name, mode)
 
 
@@ -301,10 +304,40 @@ def test_truncated_or_extended_canonical_bytes_are_refused(cls, seed, extra):
 )
 def test_a_row_of_another_length_is_malformed(row):
     """An OPTIMIZED row is an array of exactly its columns."""
-    data = random_session_record(random.Random(1)).to_wire_dict(WireMode.OPTIMIZED)
+    data = random_stored_session(random.Random(1)).to_wire_dict(WireMode.OPTIMIZED)
     data[wire_key("history", WireMode.OPTIMIZED)] = [row]
     with pytest.raises(MalformedMessage):
-        SessionRecord.from_wire_dict(data, WireMode.OPTIMIZED)
+        StoredSession.from_wire_dict(data, WireMode.OPTIMIZED)
+
+
+BUILT_IN_PLACE = [cls for cls in CLASSES if encoding._built_in_place(cls)]
+
+
+def test_the_frozen_messages_are_built_in_place():
+    assert {ClientId, Wrapper, VcrRequest, EndpointAdvertisement} <= set(BUILT_IN_PLACE)
+    assert not {StoredSession, AgentStore} & set(BUILT_IN_PLACE)
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+@pytest.mark.parametrize("cls", BUILT_IN_PLACE, ids=lambda c: c.__name__)
+@EXAMPLES
+@given(seed=SEEDS)
+def test_a_message_built_in_place_is_the_one_its_init_builds(cls, mode, seed):
+    """Same attributes, hash and frozenness as ``cls(...)`` gives."""
+    decoded = cls.from_wire_dict(_wire(cls, _message(cls, seed), mode), mode)
+    built = cls(**vars(decoded))
+    assert vars(decoded) == vars(built) and hash(decoded) == hash(built)
+    with pytest.raises(FrozenInstanceError):
+        decoded.version = 2
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+def test_a_message_built_in_place_is_checked_as_its_init_checks(mode):
+    """__post_init__ runs: a wrapper whose cookie name is empty is refused."""
+    data = _wire(Wrapper, _message(Wrapper, 3), mode)
+    data[wire_key("client_id", mode)][wire_key("cookie_name", mode)] = ""
+    with pytest.raises(MalformedMessage, match="cookie name empty"):
+        Wrapper.from_wire_dict(data, mode)
 
 
 def test_a_key_error_inside_a_field_is_not_renamed():
@@ -400,11 +433,17 @@ def _session(j, device_id=0):
     )
 
 
-# One record of each kind the store writes, for _store_of_two_sessions.
+def _stored(session, server=0):
+    """``session`` as a store file holds it, naming table entry ``server``."""
+    return StoredSession(server, session.path, session.wrapper, session.created_at, [])
+
+
+# One record of each kind the store writes, for _store_of_two_sessions: its
+# server table has one entry per session, and session j is at entry j.
 RECORDS = {
     "header": lambda store: StoreChange(header=store),
-    "session": lambda store: StoreChange(sessions=[_session(5)]),
-    "visit": lambda store: StoreChange(visit=("vcid", "00000001", 1754650000, "/a")),
+    "session": lambda store: StoreChange(sessions=[_stored(_session(5))]),
+    "visit": lambda store: StoreChange(visit=(1, "vcid", "00000001", 1754650000, "/a")),
 }
 
 
@@ -416,7 +455,7 @@ def _mutated_records(kind, store):
     for key in needed:
         yield f"without {key}", {k: v for k, v in wire.items() if k != key}
     if kind == "session":
-        for _, key in _required(SessionRecord, OPT):
+        for _, key in _required(StoredSession, OPT):
             session = {k: v for k, v in wire["L"][0].items() if k != key}
             yield f"session without {key}", {"L": [session]}
     for container, index in _positions(wire):
@@ -424,15 +463,24 @@ def _mutated_records(kind, store):
         container[index] = _retyped(original)
         yield f"{index} = {container[index]!r}", json.loads(json.dumps(wire))
         container[index] = original
+    if kind == "header":
+        table = wire["G"]
+        yield "header without a held server", {**wire, "G": table[:1]}
+        yield "header with its servers reordered", {**wire, "G": table[::-1]}
+        yield "header with a server twice", {**wire, "G": table + table[:1]}
     if kind == "visit":
-        yield "visit to a cookie the store lacks", {"A": ["vcid", "00000009", 1, "/"]}
+        yield "visit to a cookie the store lacks", {"A": [1, "vcid", "00000009", 1, "/"]}
+        yield "visit to a cookie held at another origin", {"A": [0, "vcid", "00000001", 1, "/"]}
+        yield "visit naming no server", {"A": [2, "vcid", "00000001", 1, "/"]}
+        yield "visit naming server -1", {"A": [-1, "vcid", "00000001", 1, "/"]}
     if kind == "session":
-        foreign = StoreChange(sessions=[_session(5, device_id=1)])
+        foreign = StoreChange(sessions=[_stored(_session(5, device_id=1))])
         yield "session of another device", foreign.to_wire_dict(OPT)
-        held = with_client_id(_session(5), ClientId("vcid", f"{1:08d}"))
-        yield "session for a held cookie", StoreChange(sessions=[held]).to_wire_dict(OPT)
-        unbound = replace(_session(5), client_id=ClientId("vcid", f"{9:08d}"))
-        yield "session its wrapper does not bind", StoreChange(sessions=[unbound]).to_wire_dict(OPT)
+        held = _stored(with_client_id(_session(5), ClientId("vcid", f"{1:08d}")), server=1)
+        held = StoreChange(sessions=[held]).to_wire_dict(OPT)
+        yield "session for a cookie held at its origin", held
+        nowhere = StoreChange(sessions=[_stored(_session(5), server=2)])
+        yield "session naming no server", nowhere.to_wire_dict(OPT)
 
 
 def _load_with_record(path: str, snapshot: bytes, record: dict) -> Agent:

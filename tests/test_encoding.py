@@ -14,10 +14,10 @@ from builders import (
     random_client_id,
     random_data_record,
     random_request,
-    random_session_record,
+    random_stored_session,
     random_wrapper,
 )
-from vcrkit.agent import SessionRecord
+from vcrkit.agent import AgentStore, SessionRecord, StoredSession
 from vcrkit.encoding import (
     BIN,
     TIME,
@@ -104,7 +104,7 @@ def test_wire_roundtrip_all_message_types(mode):
             (random_wrapper, Wrapper),
             (random_request, VcrRequest),
             (random_advertisement, EndpointAdvertisement),
-            (random_session_record, SessionRecord),
+            (random_stored_session, StoredSession),
             (random_data_record, ClientDataRecord),
         ):
             message = builder(rng)
@@ -130,7 +130,7 @@ def test_optimized_never_larger():
         for builder in (
             random_wrapper,
             random_request,
-            random_session_record,
+            random_stored_session,
             random_data_record,
         ):
             message = builder(rng)
@@ -160,7 +160,10 @@ def _golden_fixture():
         created_at=1754650000,
         history=[],
     )
-    return wrapper, record
+    store = AgentStore()
+    store.provision_device(neuter(derive_path(master, DerivationPath((0,)))), 0)
+    store.add_session(record)
+    return wrapper, store.stored(record)
 
 
 def test_golden_envelope_sizes_pinned():
@@ -170,8 +173,8 @@ def test_golden_envelope_sizes_pinned():
     assert len(wrapper.to_canonical()) == 168
     assert byte_size(wrapper, WireMode.OPTIMIZED) == 246
     assert byte_size(wrapper, WireMode.VERBOSE) == 400
-    assert byte_size(record, WireMode.OPTIMIZED) == 486
-    assert byte_size(record, WireMode.VERBOSE) == 813
+    assert byte_size(record, WireMode.OPTIMIZED) == 292
+    assert byte_size(record, WireMode.VERBOSE) == 498
     unsigned = build_vcr([wrapper], VcrAction(ActionKind.DELETE), 1754650001)
     assert len(unsigned.to_canonical()) == 188
 
@@ -199,16 +202,20 @@ def test_wrapper_flow_optimized_reduction():
     assert optimized <= 0.86 * verbose
 
 
-def test_history_entries_path_only_in_optimized():
+def test_history_entries_are_paths_in_both_modes():
+    """A stored session's history holds URL paths; its origin is its
+    server table entry's, so VERBOSE writes no origin into each entry."""
     rng = random.Random(55)
-    record = random_session_record(rng)
+    record = random_stored_session(rng)
     record.history.append((1754650000, "/inbox"))
     raw = json.loads(to_wire(record, WireMode.OPTIMIZED))
     entries = raw[WIRE_KEYS["history"]]
     assert entries[-1] == [1754650000, "/inbox"]
     verbose_raw = json.loads(to_wire(record, WireMode.VERBOSE))
-    assert verbose_raw["history"][-1]["visit_url"].startswith(record.server_origin)
-    assert verbose_raw["history"][-1]["visit_url"].endswith("/inbox")
+    assert verbose_raw["history"][-1] == {
+        "visit_time": "2025-08-08T10:46:40Z",
+        "visit_url": "/inbox",
+    }
 
 
 def test_timestamps_unix_in_optimized_iso_in_verbose():
@@ -386,8 +393,7 @@ def test_golden_worked_examples():
 
 def _golden_messages():
     """One seeded instance of every wire message, covering each variant."""
-    from builders import some_point
-    from vcrkit.agent import AgentStore
+    from builders import random_session_record, some_point
     from vcrkit.keyhier import derive_child_pub
     from vcrkit.vcr import UnifiedProof
     from vcrkit.wrapper import WrapperRequest
@@ -408,7 +414,8 @@ def _golden_messages():
 
     parent = neuter(generate_master(bytes(range(16))))
     unified = UnifiedProof(server_xpub=derive_child_pub(parent, 4), session_indices=(0, 3))
-    session = random_session_record(rng)
+    record = random_session_record(rng)
+    session = StoredSession(0, record.path, record.wrapper, record.created_at, record.history)
     session.history.extend([(1754650000, "/"), (1754650060, "/inbox?x=1")])
     data_record = random_data_record(rng)
     data_record.visits.append((1754650000, "/a"))
@@ -418,7 +425,8 @@ def _golden_messages():
     store.next_j = 2
     store.server_counters = {0: 3, 5: 1}
     store.server_ids = {"http://127.0.0.1:8080": 0, "https://shop.example": 5}
-    store.sessions = [random_session_record(rng) for _ in range(2)]
+    for record in [random_session_record(rng) for _ in range(2)]:
+        store.add_session(record)
     store.sessions[0].history.append((1754650000, "/cart"))
     store.pinned_server_keys = {"http://127.0.0.1:8080": some_point(rng)}
     return {
@@ -443,7 +451,7 @@ def _golden_messages():
             ephemeral_pubkey=some_point(rng), nonce=bytes(range(12)), ciphertext=b"\x00\xff" * 20
         ),
         "advertisement": random_advertisement(rng),
-        "session_record": session,
+        "stored_session": session,
         "data_record": data_record,
         "agent_store": store,
     }
@@ -508,17 +516,17 @@ GOLDEN_DIGESTS = {
         "optimized": "1f360279b00629030d69a7c01ca6df63",
         "verbose": "6e4a3e3037344193dd5e281eb833ff97",
     },
-    "session_record": {
-        "optimized": "c70be7e076f803cb9dbd442dbaeff550",
-        "verbose": "bda78a36724ac214a373f648aec98824",
+    "stored_session": {
+        "optimized": "b5cda07ec6d062d9e2490b320c2ce884",
+        "verbose": "d995945f543cc2395fb5dd3860b3ccea",
     },
     "data_record": {
         "optimized": "4c475fc3ae109e7e10c47f785fcf96a6",
         "verbose": "9f1d5c0a4a0e5a10be75889caaabf6f9",
     },
     "agent_store": {
-        "optimized": "e57bfb13e79e45c4b0a202400a2d2f8a",
-        "verbose": "4983d85dc7a9c513e3383faf57ffe0e1",
+        "optimized": "0a740f49700a6c4b25c01a6392bfb99d",
+        "verbose": "65b1ae8501a984e5164c1a53d104c2ed",
     },
 }
 
