@@ -160,7 +160,7 @@ class StoredSession(Message):
     history: list[tuple[int, str]]
 
 
-class AgentStore(Message):
+class AgentStore:
     """Device key, server table, sessions, cookie index and pinned server keys.
 
     Single-writer: every mutation happens under one lock. The server table
@@ -168,28 +168,11 @@ class AgentStore(Message):
     session names its pair by index. The cookie index maps (origin, cookie
     name, cookie value) to its session, and ``latest_for_origin`` reads the
     last session admitted for an origin; both are rebuilt on import rather
-    than serialized. Sessions and visits added since the last save are kept
-    as journal records; header fields changed since then are found by
-    comparing the header with the one last saved.
+    than serialized. Each record on disk enters memory through ``_apply``.
+    Sessions and visits added since the last save are kept as journal
+    records; header fields changed since then are found by comparing the
+    header with the one last saved.
     """
-
-    FIELDS = (
-        Field("version", converted(integer(), _store_version, int)),
-        Field("device_id", integer()),
-        Field("device_xpub", XPUB),
-        Field("next_session", integer(), "next_j"),
-        Field("server_counters", map_of(integer(), key=int), optional=True),
-        Field("server_ids", map_of(integer()), optional=True),
-        Field("servers", list_of(SERVER, list)),
-        Field("sessions", list_of(nested(StoredSession), list), "stored_sessions"),
-        Field(
-            "pinned_keys",
-            map_of(fixed(POINT_BYTES)),
-            "pinned_server_keys",
-            optional=True,
-        ),
-    )
-    version = STORE_VERSION  # written into every store file; another is refused
 
     def __init__(self) -> None:
         self.device_id: int | None = None
@@ -207,6 +190,7 @@ class AgentStore(Message):
         self._paths: set[tuple[int, ...]] = set()  # held paths, by segments
         self._changes: list[StoreChange] = []
         self._saved_header: dict | None = None
+        self._header: dict | None = None  # the one unsaved_changes compared
         self.lock = threading.Lock()
 
     # --- provisioning ---------------------------------------------------------
@@ -258,10 +242,6 @@ class AgentStore(Message):
         return StoredSession(
             server, record.path, record.wrapper, record.created_at, record.history
         )
-
-    @property
-    def stored_sessions(self) -> list[StoredSession]:
-        return [self.stored(record) for record in self.sessions]
 
     def _session(self, stored: StoredSession) -> SessionRecord:
         """The session a stored one names, sharing its table entry."""
@@ -379,67 +359,85 @@ class AgentStore(Message):
 
     # --- persistence ------------------------------------------------------------
 
-    @classmethod
-    def _from_fields(cls, values: dict) -> "AgentStore":
-        store = cls()
-        del values["version"]  # its kind lets only STORE_VERSION through
-        servers, stored = values.pop("servers"), values.pop("stored_sessions")
-        vars(store).update(values)
-        store._add_servers(servers)
-        for session in stored:
-            store._admit(store._session(session))
-        return store
-
     def export(self, mode: WireMode = WIRE_MODE) -> bytes:
-        """Serialize the store; contains the device *public* key only."""
+        """The store's snapshot record; contains the device *public* key only."""
         self.require_provisioned()
-        return encoding.to_wire(self, mode).encode("utf-8")
+        sessions = [self.stored(record) for record in self.sessions]
+        return encoding.to_wire(StoreChange(STORE_VERSION, self, sessions), mode).encode()
 
     @classmethod
     def import_(cls, data: bytes) -> "AgentStore":
         """A store from an export or a snapshot in either mode: VERBOSE when
         its version is spelled out, OPTIMIZED otherwise."""
+        store = cls()
         try:
             raw = encoding.json_object(data)
             mode = WireMode.VERBOSE if "version" in raw else WireMode.OPTIMIZED
-            return cls.from_wire_dict(raw, mode)
+            store._apply(StoreChange.from_wire_dict(raw, mode))
         except MalformedMessage as exc:
             raise CorruptStore(str(exc)) from None
+        return store
 
     # --- journal ----------------------------------------------------------------
+
+    def _apply(self, change: StoreChange) -> None:
+        """The one rule for a record entering the store: first the snapshot,
+        the one record with the store version and a header, then each
+        journal record. Every counter keeps ``claim_path``'s promise."""
+        snapshot = self.device_id is None  # no header read yet
+        if (change.version is not None) != snapshot:
+            raise MalformedMessage("the store version is the snapshot's and no other record's")
+        if change == StoreChange() or snapshot and change.header is None:
+            raise MalformedMessage("record changes nothing, or snapshot has no header")
+        if change.header is not None:
+            header = change.header
+            counters = header.get("server_counters", self.server_counters)
+            ids = header.get("server_ids", self.server_ids)
+            if header["next_j"] < self.next_j or any(
+                counters.get(s, 0) < j for s, j in self.server_counters.items()
+            ):
+                raise MalformedMessage("header lowers a session counter")
+            if len(set(ids.values())) < len(ids) or not self.server_ids.items() <= ids.items():
+                raise MalformedMessage("header drops, moves or shares a server id")
+            self._add_servers(header.pop("servers"))
+            vars(self).update(header)
+        for stored in change.sessions:
+            segments = stored.path.segments  # m/d/j or m/d/s/j, j below its counter
+            unified = len(segments) == 3
+            counter = self.server_counters.get(segments[1], 0) if unified else self.next_j
+            if len(segments) not in (2, 3) or segments[-1] >= counter:
+                raise MalformedMessage(f"session {stored.path} holds an index not yet spent")
+            self._admit(self._session(stored))
+        if change.visit is not None:
+            server, name, value, now, path = change.visit
+            origin, _ = self._server(server)
+            if not self._visit((origin, name, value), now, path):
+                raise MalformedMessage("visit to a session the store lacks")
 
     def unsaved_changes(self) -> list[bytes]:
         """Journal records for what changed since the last save: the header
         first when it differs from the saved one, then each session and
-        visit in order."""
+        visit in order. The header's encoding is kept for ``saved``."""
         changes = self._changes
-        if STORE_HEADER.encode[WIRE_MODE](self) != self._saved_header:
+        self._header = STORE_HEADER.encode[WIRE_MODE](self)
+        if self._header != self._saved_header:
             changes = [StoreChange(header=self), *changes]
         return [encoding.to_wire(c, WIRE_MODE).encode() for c in changes]
 
     def saved(self) -> None:
-        """Everything this store holds is on disk."""
+        """Everything this store holds is on disk. A header kept by a save
+        that raised is older than this one, and as no header field goes
+        back, at worst the next save writes the header again."""
         self._changes.clear()
-        self._saved_header = STORE_HEADER.encode[WIRE_MODE](self)
+        header, self._header = self._header, None
+        self._saved_header = header or STORE_HEADER.encode[WIRE_MODE](self)
 
     def replay(self, records: list[bytes]) -> None:
-        """Apply journal records through the rules that made them; the store
-        then counts as saved."""
+        """Apply journal records through the rule that read the snapshot;
+        the store then counts as saved."""
         for data in records:
             try:
-                change = encoding.from_wire(StoreChange, data, WIRE_MODE)
-                if change == StoreChange():  # never written: a key was dropped
-                    raise MalformedMessage("record changes nothing")
-                if change.header is not None:
-                    self._add_servers(change.header.pop("servers"))
-                    vars(self).update(change.header)
-                for stored in change.sessions:
-                    self._admit(self._session(stored))
-                if change.visit is not None:
-                    server, name, value, now, path = change.visit
-                    origin, _ = self._server(server)
-                    if not self._visit((origin, name, value), now, path):
-                        raise MalformedMessage("visit to a session the store lacks")
+                self._apply(encoding.from_wire(StoreChange, data, WIRE_MODE))
             except MalformedMessage as exc:
                 raise CorruptStore(f"bad journal record: {exc}") from None
         self.saved()
@@ -449,7 +447,15 @@ class StoreHeader(Message):
     """The store's fields other than its version and sessions. Encoded
     straight from an ``AgentStore``; decodes to a dict of its attributes."""
 
-    FIELDS = tuple(f for f in AgentStore.FIELDS if f.name not in ("version", "sessions"))
+    FIELDS = (
+        Field("device_id", integer()),
+        Field("device_xpub", XPUB),
+        Field("next_session", integer(), "next_j"),
+        Field("server_counters", map_of(integer(), key=int), optional=True),
+        Field("server_ids", map_of(integer()), optional=True),
+        Field("servers", list_of(SERVER, list)),
+        Field("pinned_keys", map_of(fixed(POINT_BYTES)), "pinned_server_keys", optional=True),
+    )
 
     @classmethod
     def _from_fields(cls, values: dict) -> dict:
@@ -461,11 +467,14 @@ STORE_HEADER = nested(StoreHeader)
 
 @dataclass
 class StoreChange(Message):
-    """One journal record, in the store file's keys: the header fields as
+    """One store record, in the store file's keys. The snapshot, a store
+    file's first line and an export, is the store version, the header and
+    every session. Each journal record after it is the header fields as
     they now are, a session as it was admitted, or one visit to a session,
     its origin named by a server table index."""
 
     FIELDS = (
+        Field("version", converted(integer(), _store_version, int), omit_empty=True),
         Field("header", maybe(STORE_HEADER), flatten="device_id"),
         Field("sessions", list_of(nested(StoredSession), list), omit_empty=True),
         Field(
@@ -484,9 +493,16 @@ class StoreChange(Message):
         ),
     )
 
+    version: int | None = None  # STORE_VERSION in the snapshot alone
     header: object = None  # the AgentStore when encoding, a dict once decoded
     sessions: list[StoredSession] = field(default_factory=list)
     visit: tuple[int, str, str, int, str] | None = None
+
+    def to_wire_dict(self, mode: WireMode) -> dict:
+        data = super().to_wire_dict(mode)
+        if self.version:  # L even when empty: the reader before this layout needs it
+            data.setdefault(encoding.wire_key("sessions", mode), [])
+        return data
 
 
 @dataclass

@@ -19,7 +19,7 @@ from . import curve, encoding, httpwire
 from .agent import Agent, AgentStore, SessionRecord
 from .encoding import WireMode
 from .errors import BenchEnvironmentError
-from .keyhier import DerivationPath, derive_child_pub
+from .keyhier import derive_child_pub
 from .server import COOKIE_NAME, VcrHttpServer, VcrServer
 from .signer import ConfirmationPolicy, SignerState
 from .vcr import ActionKind, ReplayCache, VcrAction, build_vcr, sign_vcr, verify_vcr
@@ -174,21 +174,18 @@ def _run_phases(runs, workdir, device_xpub, signer, vcr_server, httpd) -> BenchR
 
     latency["wrapper_verification"] = _average(verify_phase, runs)
 
-    storage_counter = [5000]
-
     def storage_phase():
-        storage_counter[0] += 1
-        j = storage_counter[0]
+        path = agent.store.claim_path(origin, unified=False)
         client_id = ClientId(COOKIE_NAME, fresh_cookie_value())
         record = SessionRecord(
             server_origin=origin,
             endpoints=vcr_server.advertisement,
             client_id=client_id,
-            path=DerivationPath((0, j)),
+            path=path,
             wrapper=issue_wrapper(
                 vcr_server.server_key,
                 client_id,
-                MultiSigPolicy((derive_child_pub(device_xpub, j).public_point,)),
+                MultiSigPolicy((derive_child_pub(device_xpub, path.segments[1]).public_point,)),
                 now,
             ),
             created_at=now,

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from builders import random_session_record, version_1_layout, with_client_id
 from vcrkit import curve, encoding, files, httpwire
-from vcrkit.agent import Agent, AgentStore, StoredSession
+from vcrkit.agent import Agent, AgentStore, StoredSession, StoreHeader
 from vcrkit.encoding import WireMode, byte_size, wire_key
 from vcrkit.errors import (
     AlreadyProvisioned,
@@ -263,8 +263,8 @@ def test_hundred_visits_and_store_size_ratio(loopback, tmp_path):
             [(cid.cookie_name, cid.cookie_value)], origin + f"/p{i}", _now()
         )
     assert len(session.history) == 100
-    optimized = byte_size(agent.store, WireMode.OPTIMIZED)
-    verbose = byte_size(agent.store, WireMode.VERBOSE)
+    optimized = len(agent.store.export(WireMode.OPTIMIZED))
+    verbose = len(agent.store.export(WireMode.VERBOSE))
     assert optimized <= 0.60 * verbose
 
 
@@ -556,9 +556,12 @@ def test_a_stored_session_of_the_table_imports(tmp_path):
     it, in a store whose server table names its server, loads."""
     agent, _ = _fresh_agent(tmp_path)
     data = json.loads(agent.store.export())
-    data["G"], data["L"] = _TABLE, [_session_with_path("m/0/1")]
+    data["G"], data["J"], data["L"] = _TABLE, 2, [_session_with_path("m/0/1")]
     (session,) = AgentStore.import_(json.dumps(data).encode()).sessions
     assert session == replace(_SERVED, path=DerivationPath((0, 1)))
+
+
+_DROPPED = object()  # the key is left out
 
 
 # Inputs four to eight are values the store refuses rather than mistyped
@@ -567,8 +570,8 @@ def test_a_stored_session_of_the_table_imports(tmp_path):
 # not exist. The next three are scalars of another JSON type, refused and
 # not coerced: "0" is not device 0, nor true version 1. Then come four
 # paths not as written (each once read as m/0/1 or m/0/3), store versions
-# this code does not read, a negative table index and a table holding one
-# pair twice.
+# this code does not read, a negative table index, a table holding one
+# pair twice, and a snapshot without its version or without its header.
 @pytest.mark.parametrize(
     "key, value",
     [
@@ -591,15 +594,23 @@ def test_a_stored_session_of_the_table_imports(tmp_path):
         ("V", 3),
         ("L", [_session_with_path("m/0/1", server=-1)]),
         ("G", _TABLE * 2),
+        ("V", _DROPPED),
+        ("I", _DROPPED),
     ],
 )
 def test_import_of_mistyped_field_is_corrupt_store(tmp_path, key, value):
+    """At import and at load alike."""
     agent, _ = _fresh_agent(tmp_path)
     data = json.loads(agent.store.export())
-    data["G"] = _TABLE
+    data["G"], data["J"] = _TABLE, 3
     data[key] = value
+    if value is _DROPPED:
+        del data[key]
     with pytest.raises(CorruptStore):
         AgentStore.import_(json.dumps(data).encode())
+    files.compact(agent.store_path, json.dumps(data).encode())
+    with pytest.raises(CorruptStore):
+        Agent.load(agent.store_path)
 
 
 @pytest.mark.parametrize(
@@ -760,7 +771,8 @@ def test_latest_for_origin_agrees_with_a_linear_scan(tmp_path):
     for j in range(12):
         record = with_client_id(random_session_record(rng), ClientId("vcid", f"{j:08d}"))
         origin = rng.choice(origins)
-        record = replace(record, server_origin=origin, path=DerivationPath((0, j)))
+        path = agent.store.claim_path(origin, unified=False)
+        record = replace(record, server_origin=origin, path=path)
         agent.store.add_session(record)
         check(agent.store)
         if j == 7:
@@ -901,9 +913,8 @@ def _journal_agent(tmp_path, sessions=3):
     template = replace(random_session_record(random.Random(11)), server_origin="http://h")
     for j in range(sessions):
         cookie = ClientId("vcid", f"{j:08d}")
-        agent.store.add_session(
-            replace(with_client_id(template, cookie), path=DerivationPath((0, j)), history=[])
-        )
+        path = agent.store.claim_path("http://h", unified=False)
+        agent.store.add_session(replace(with_client_id(template, cookie), path=path, history=[]))
     agent.save()
     return agent
 
@@ -934,7 +945,7 @@ def _reload(agent) -> Agent:
 def test_torn_last_journal_record_gives_the_store_before_it(tmp_path):
     agent = _journal_agent(tmp_path)
     _visit_and_save(agent, 0, "/a")
-    agent.store.next_j = 3
+    agent.store.next_j += 1
     _visit_and_save(agent, 1, "/b")
     before = agent.store.export()
     start = _store(agent).stat().st_size
@@ -1071,7 +1082,7 @@ def test_a_store_is_one_file(tmp_path, monkeypatch):
         replace(
             with_client_id(random_session_record(random.Random(12)), ClientId("vcid", f"{3:08d}")),
             server_origin="http://h",
-            path=DerivationPath((0, 3)),
+            path=agent.store.claim_path("http://h", unified=False),
             history=[],
         )
     )
@@ -1165,7 +1176,7 @@ def test_any_interleaving_reloads_to_the_same_store(steps):
                     replace(
                         with_client_id(random_session_record(rng), ClientId("vcid", f"{j:08d}")),
                         server_origin="http://h",  # one origin, an advertisement each
-                        path=DerivationPath((0, j)),
+                        path=agent.store.claim_path("http://h", unified=False),
                     )
                 )
             elif kind == "visit":
@@ -1174,7 +1185,7 @@ def test_any_interleaving_reloads_to_the_same_store(steps):
                 _, field, value = step
                 store = agent.store
                 if field == "next_j":
-                    store.next_j = value
+                    store.next_j += value  # a counter never goes back
                 elif field == "counter":
                     store.server_counters[value] = len(steps)
                 elif field == "server_id":
@@ -1191,6 +1202,114 @@ def test_any_interleaving_reloads_to_the_same_store(steps):
         agent.save()
         assert Agent.load(agent.store_path).store.export() == agent.store.export()
 
+
+
+# A store file in the key order stores were written in before the snapshot
+# became a record (L before Q): its snapshot, then the header, session and
+# visit records of a visit that started a session.
+_PARENT_ORDER_FILE = (
+    (
+        b'{"V":2,"I":0,"X":"EQEAAAAArM-3saOOTjdMgMZJmL5VZJ5BEkc0qxY8dLNRHsYQOB0DS05DjatMXjCgEq'
+        b'_MKPfnXGe-lxF7Q9rry6BfyT5f5PM","J":1,"S":{"0":1},"Y":{"http://shop.example":0},"G":['
+        b'["http://shop.example",{"W":"/vcr/wrapper","R":"/vcr/submit","K":"AwHVJsEkUS3VHwg1J6'
+        b'TOBVGsrM6Kv4ThwSUduj7PdZGr","d":"KqTK8ZUOsVs"}]],"L":[{"F":0,"q":"m/0/0","x":{"V":1,'
+        b'"y":{"n":"vcid","c":"c0"},"v":["Aq5HIfBaJvWc-rronNiY_lFARbAAotbIkXVxg983nx3s"],"i":1'
+        b'754650000,"d":"KqTK8ZUOsVs","g":"DaAoC-UdsOKqxNHsabhd4JXvpSZL3_AbOu9bZx1kca8NDbOXJPI'
+        b'uBnTLK6O1qLSMhfRz2cbOjWKmxdlcINSskw"},"b":1754650000,"H":[[1754650000,"/"]]},{"F":0,'
+        b'"q":"m/0/0/0","x":{"V":1,"y":{"n":"vcid","c":"c1"},"v":["AiJtzKl4KIIEmJOFIfo_hoelrpE'
+        b'Ll5UqP4Spwqwk5yZo"],"i":1754650010,"d":"KqTK8ZUOsVs","g":"dFbZBEkPsh_RtDrQ4bRuz0soyc'
+        b'gr3wKWDU3HMiTdkJQzKzQGFGOkMAbSt4rUI06C94jZ0pdYpwr55KUh_gOCpQ"},"b":1754650010,"H":[['
+        b'1754650010,"/"]]}],"Q":{"http://shop.example":"AwHVJsEkUS3VHwg1J6TOBVGsrM6Kv4ThwSUdu'
+        b'j7PdZGr"}}'
+    ),
+    (
+        b'{"I":0,"X":"EQEAAAAArM-3saOOTjdMgMZJmL5VZJ5BEkc0qxY8dLNRHsYQOB0DS05DjatMXjCgEq_MKPfn'
+        b'XGe-lxF7Q9rry6BfyT5f5PM","J":2,"S":{"0":1},"Y":{"http://shop.example":0},"G":[["http'
+        b'://shop.example",{"W":"/vcr/wrapper","R":"/vcr/submit","K":"AwHVJsEkUS3VHwg1J6TOBVGs'
+        b'rM6Kv4ThwSUduj7PdZGr","d":"KqTK8ZUOsVs"}]],"Q":{"http://shop.example":"AwHVJsEkUS3VH'
+        b'wg1J6TOBVGsrM6Kv4ThwSUduj7PdZGr"}}'
+    ),
+    (
+        b'{"L":[{"F":0,"q":"m/0/1","x":{"V":1,"y":{"n":"vcid","c":"c2"},"v":["AiBazWrsqdKF7Aqp'
+        b'e17_8110BwpcwljlchP2twhu27dS"],"i":1754650020,"d":"KqTK8ZUOsVs","g":"gLvPiGp1S69Wf16'
+        b'meNy3NxF1j1DuI3vtFrIy56rDgTA_v2Jua0tts2p637l4aru5BwY3dqVEsdAm3NumewrFHQ"},"b":175465'
+        b'0020,"H":[]}]}'
+    ),
+    b'{"A":[0,"vcid","c2",1754650020,"/"]}',
+)
+
+
+def test_a_store_file_in_the_earlier_key_order_loads(tmp_path):
+    """Key order is not read: the file above loads to the store the reader
+    before this layout loaded from it, written back with Q before L."""
+    snapshot, *records = _PARENT_ORDER_FILE
+    path = str(tmp_path / "agent.store")
+    assert files.compact(path, snapshot).append(records)
+    data = json.loads(Agent.load(path).store.export())
+    snapshot, header, session, visit = map(json.loads, _PARENT_ORDER_FILE)
+    visited = {**session["L"][0], "H": [visit["A"][3:]]}
+    assert data == {**snapshot, **header, "L": [*snapshot["L"], visited]}
+    assert list(data) == ["V", "I", "X", "J", "S", "Y", "G", "Q", "L"]
+
+
+def test_a_load_applies_the_snapshot_and_each_record_through_one_rule(tmp_path, monkeypatch):
+    agent = _journal_agent(tmp_path)
+    for j, page in enumerate(["/x", "/y", "/z"]):
+        _visit_and_save(agent, j, page)
+    _, records, _ = files.Journal.read(agent.store_path)
+    apply, applied = AgentStore._apply, []
+
+    def spy(store, change):
+        applied.append(change.version)
+        apply(store, change)
+
+    monkeypatch.setattr(AgentStore, "_apply", spy)
+    _reload(agent)
+    assert len(records) == 3
+    assert applied == [2] + [None] * len(records)
+
+
+@pytest.mark.parametrize(
+    "lower",
+    [
+        lambda data: data.update(J=0),
+        lambda data: data.update(S={"0": 0}),
+        lambda data: data["Y"].update({"http://other.example": 0}),
+    ],
+    ids=["J-to-a-held-index", "unified-counter", "two-origins-on-one-id"],
+)
+def test_a_snapshot_that_would_offer_a_held_key_again_is_corrupt(loopback, tmp_path, lower):
+    """m/0/0 and m/0/0/0 are held. A lowered counter would hand out a held
+    index again, and two origins on one server id would share one unified
+    key: refused at import and at load."""
+    _, _, origin = loopback
+    agent, _ = _fresh_agent(tmp_path)
+    agent.visit(origin + "/", _now())
+    agent.visit(origin + "/", _now(), fresh=True, unified=True)
+    data = json.loads(agent.store.export())
+    assert (data["J"], data["S"], data["Y"]) == (1, {"0": 1}, {origin: 0})
+    lower(data)
+    blob = json.dumps(data).encode()
+    with pytest.raises(CorruptStore):
+        AgentStore.import_(blob)
+    files.compact(agent.store_path, blob)
+    with pytest.raises(CorruptStore):
+        Agent.load(agent.store_path)
+
+
+def test_an_appending_save_encodes_the_header_once(tmp_path, monkeypatch):
+    """The header encoded to find whether it changed is the one kept as
+    saved."""
+    agent = _journal_agent(tmp_path)
+    encode, encodes = StoreHeader._wire_out[OPT], []
+
+    def counting(store):
+        encodes.append(store)
+        return encode(store)
+
+    monkeypatch.setitem(StoreHeader._wire_out, OPT, counting)
+    _visit_and_save(agent, 0, "/a")
+    assert _records(agent) and len(encodes) == 1
 
 
 def test_only_claim_path_advances_a_session_counter():

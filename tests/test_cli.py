@@ -16,7 +16,7 @@ from click.testing import CliRunner
 
 import vcrkit
 from builders import version_1_layout
-from vcrkit import curve, httpwire
+from vcrkit import bench, curve, httpwire
 from vcrkit.agent import Agent
 from vcrkit.bench import run_bench
 from vcrkit.cli import main
@@ -463,6 +463,22 @@ def test_bench_removes_its_work_directory():
     before = leftovers()
     run_bench(runs=1)
     assert leftovers() <= before
+
+
+def test_the_store_bench_leaves_loads(monkeypatch):
+    """Each session the storage phase adds holds a path from claim_path,
+    so the store file reloads with every session in it."""
+    run_phases, stores = bench._run_phases, []
+
+    def then_load(runs, workdir, *args):
+        report = run_phases(runs, workdir, *args)
+        stores.append(Agent.load(os.path.join(workdir, "agent.store")).store)
+        return report
+
+    monkeypatch.setattr(bench, "_run_phases", then_load)
+    run_bench(runs=2)
+    (store,) = stores
+    assert [str(s.path) for s in store.sessions] == ["m/0/0", "m/0/1", "m/0/2", "m/0/3"]
 
 
 def test_serve_command_help(runner):

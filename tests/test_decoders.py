@@ -28,7 +28,7 @@ from builders import (
     with_client_id,
 )
 from vcrkit import encoding, files, httpwire
-from vcrkit.agent import Agent, AgentStore, StoreChange, StoredSession, StoreHeader
+from vcrkit.agent import STORE_VERSION, Agent, AgentStore, StoreChange, StoredSession, StoreHeader
 from vcrkit.encoding import BIN, Field, Message, WireMode, nested, wire_key
 from vcrkit.errors import CorruptStore, MalformedMessage
 from vcrkit.keyhier import DerivationPath, derive_child_pub, generate_master, neuter
@@ -61,13 +61,20 @@ def _unified(rng):
 def _store(rng):
     store = AgentStore()
     store.provision_device(_DEVICE, 0)
-    store.next_j = rng.randrange(2**31)
+    store.next_j = rng.randrange(2**31 - 2)
     store.server_counters = {rng.randrange(100): rng.randrange(100) for _ in range(2)}
     store.server_ids = {f"https://s{i}.example": i for i in range(rng.randint(0, 2))}
     for _ in range(rng.randint(0, 2)):
-        store.add_session(random_session_record(rng))
+        path = store.claim_path("https://s.example", unified=False)
+        store.add_session(replace(random_session_record(rng), path=path))
     store.pinned_server_keys = {"https://s0.example": some_point(rng)}
     return store
+
+
+def _snapshot(rng):
+    """A store's snapshot record: its version, header and sessions."""
+    store = _store(rng)
+    return StoreChange(STORE_VERSION, store, [store.stored(r) for r in store.sessions])
 
 
 def _store_change(rng):
@@ -106,7 +113,6 @@ BUILDERS = {
         [random_data_record(rng) for _ in range(rng.randint(0, 2))]
     ),
     StoredSession: random_stored_session,
-    AgentStore: _store,
     StoreHeader: _store,
     StoreChange: _store_change,
 }
@@ -122,7 +128,9 @@ CANONICAL = (
     EndpointAdvertisement,
     StoredSession,
 )
-CLASSES = list(BUILDERS)
+# The JSON cases: each message class, and StoreChange's snapshot form too.
+JSON_CASES = {cls.__name__: (cls, build) for cls, build in BUILDERS.items()}
+JSON_CASES["StoreSnapshot"] = (StoreChange, _snapshot)
 
 
 def _subclasses(cls):
@@ -140,6 +148,12 @@ def _message(cls, seed):
     return BUILDERS[cls](random.Random(seed))
 
 
+def _case(case, seed):
+    """The class of JSON case ``case`` and a message of it."""
+    cls, build = JSON_CASES[case]
+    return cls, build(random.Random(seed))
+
+
 def _wire(cls, message, mode) -> dict:
     """The JSON object ``message`` encodes to, parsed back: a fresh copy."""
     return json.loads(json.dumps(nested(cls).encode[mode](message)))
@@ -149,30 +163,29 @@ def _header(store) -> dict:
     return {f.attr: getattr(store, f.attr) for f in StoreHeader.FIELDS}
 
 
-def _assert_same(cls, decoded, message, mode):
+def _assert_same(cls, decoded, message):
     if cls is StoreHeader:
         assert decoded == _header(message)
     elif cls is StoreChange:
         header = message.header and _header(message.header)
-        assert (decoded.header, decoded.sessions, decoded.visit) == (
+        assert (decoded.version, decoded.header, decoded.sessions, decoded.visit) == (
+            message.version,
             header,
             message.sessions,
             message.visit,
         )
-    elif cls is AgentStore:
-        assert encoding.to_wire(decoded, mode) == encoding.to_wire(message, mode)
     else:
         assert decoded == message
 
 
 @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
-@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("case", JSON_CASES)
 @EXAMPLES
 @given(seed=SEEDS)
-def test_json_round_trip(cls, mode, seed):
-    message = _message(cls, seed)
+def test_json_round_trip(case, mode, seed):
+    cls, message = _case(case, seed)
     decoded = cls.from_wire_dict(_wire(cls, message, mode), mode)
-    _assert_same(cls, decoded, message, mode)
+    _assert_same(cls, decoded, message)
 
 
 @pytest.mark.parametrize("cls", CANONICAL, ids=lambda c: c.__name__)
@@ -191,12 +204,16 @@ def _required(cls, mode):
 
 
 @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
-@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("case", JSON_CASES)
 @EXAMPLES
 @given(seed=SEEDS)
-def test_a_dropped_required_key_is_named(cls, mode, seed):
-    wire = _wire(cls, _message(cls, seed), mode)
-    for attr, key in _required(cls, mode):
+def test_a_dropped_required_key_is_named(case, mode, seed):
+    cls, message = _case(case, seed)
+    wire = _wire(cls, message, mode)
+    required = list(_required(cls, mode))
+    if getattr(message, "header", None) is not None:  # flattened: its keys but I
+        required += [r for r in _required(StoreHeader, mode) if r[0] != "device_id"]
+    for attr, key in required:
         data = {k: v for k, v in wire.items() if k != key}
         named = re.escape(f"missing wire field {attr} ({key})")
         with pytest.raises(MalformedMessage, match=named):
@@ -204,13 +221,13 @@ def test_a_dropped_required_key_is_named(cls, mode, seed):
 
 
 @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
-@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("case", JSON_CASES)
 @EXAMPLES
 @given(seed=SEEDS)
-def test_an_extra_key_is_ignored(cls, mode, seed):
-    message = _message(cls, seed)
+def test_an_extra_key_is_ignored(case, mode, seed):
+    cls, message = _case(case, seed)
     data = {**_wire(cls, message, mode), "~extra": [1, {"n": None}]}
-    _assert_same(cls, cls.from_wire_dict(data, mode), message, mode)
+    _assert_same(cls, cls.from_wire_dict(data, mode), message)
 
 
 def _positions(value):
@@ -227,14 +244,15 @@ OTHER_VALUES = (None, True, 0, -1, 1.5, 1e400, "", "x", [], [0], {}, {"n": 0})
 
 
 @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
-@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("case", JSON_CASES)
 @settings(max_examples=3, deadline=None, derandomize=True)
 @given(seed=SEEDS)
-def test_any_value_anywhere_decodes_or_is_malformed(cls, mode, seed):
+def test_any_value_anywhere_decodes_or_is_malformed(case, mode, seed):
     """Each value in the object, at any depth, replaced by each of
     OTHER_VALUES in turn (most of a wrong JSON type): decoding succeeds or
     raises MalformedMessage, never anything else."""
-    wire = _wire(cls, _message(cls, seed), mode)
+    cls, message = _case(case, seed)
+    wire = _wire(cls, message, mode)
     for container, index in _positions(wire):
         original = container[index]
         for other in OTHER_VALUES:
@@ -251,8 +269,9 @@ NON_OBJECTS = ([], [{}], "x", "", 0, 1.5, None)
 
 @pytest.mark.parametrize("data", NON_OBJECTS, ids=repr)
 @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
-@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
-def test_a_non_object_is_malformed(cls, mode, data):
+@pytest.mark.parametrize("case", JSON_CASES)
+def test_a_non_object_is_malformed(case, mode, data):
+    cls, _ = JSON_CASES[case]
     with pytest.raises(MalformedMessage):
         cls.from_wire_dict(data, mode)
 
@@ -270,11 +289,11 @@ def _fixed_fields(cls, message):
 
 @pytest.mark.parametrize("delta", [-1, 1])
 @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
-@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("case", JSON_CASES)
 @EXAMPLES
 @given(seed=SEEDS)
-def test_a_fixed_field_of_the_wrong_length_is_malformed(cls, mode, delta, seed):
-    message = _message(cls, seed)
+def test_a_fixed_field_of_the_wrong_length_is_malformed(case, mode, delta, seed):
+    cls, message = _case(case, seed)
     for f, value, listed in _fixed_fields(cls, message):
         data = _wire(cls, message, mode)
         resized = BIN.encode[mode](bytes(len(value) + delta))
@@ -310,12 +329,12 @@ def test_a_row_of_another_length_is_malformed(row):
         StoredSession.from_wire_dict(data, WireMode.OPTIMIZED)
 
 
-BUILT_IN_PLACE = [cls for cls in CLASSES if encoding._built_in_place(cls)]
+BUILT_IN_PLACE = [cls for cls in BUILDERS if encoding._built_in_place(cls)]
 
 
 def test_the_frozen_messages_are_built_in_place():
     assert {ClientId, Wrapper, VcrRequest, EndpointAdvertisement} <= set(BUILT_IN_PLACE)
-    assert not {StoredSession, AgentStore} & set(BUILT_IN_PLACE)
+    assert not {StoredSession, StoreChange} & set(BUILT_IN_PLACE)
 
 
 @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
@@ -416,9 +435,10 @@ OPT = WireMode.OPTIMIZED
 
 
 def _store_of_two_sessions():
+    """Its plain counter is past index 5, which the session record holds."""
     store = AgentStore()
     store.provision_device(_DEVICE, 0)
-    store.server_counters, store.server_ids = {3: 1}, {"https://s.example": 3}
+    store.next_j, store.server_counters, store.server_ids = 6, {3: 1}, {"https://s.example": 3}
     for j in range(2):
         store.add_session(_session(j))
     return store
@@ -463,11 +483,17 @@ def _mutated_records(kind, store):
         container[index] = _retyped(original)
         yield f"{index} = {container[index]!r}", json.loads(json.dumps(wire))
         container[index] = original
+    yield "record carrying the store version", {"V": 2, **wire}
     if kind == "header":
         table = wire["G"]
         yield "header without a held server", {**wire, "G": table[:1]}
         yield "header with its servers reordered", {**wire, "G": table[::-1]}
         yield "header with a server twice", {**wire, "G": table + table[:1]}
+        yield "header lowering J", {**wire, "J": 5}
+        yield "header lowering a unified counter", {**wire, "S": {"3": 0}}
+        yield "header dropping a unified counter", {**wire, "S": {}}
+        yield "header giving two origins one id", {**wire, "Y": {**wire["Y"], "https://t": 3}}
+        yield "header moving an origin's id", {**wire, "Y": {"https://s.example": 4}}
     if kind == "visit":
         yield "visit to a cookie the store lacks", {"A": [1, "vcid", "00000009", 1, "/"]}
         yield "visit to a cookie held at another origin", {"A": [0, "vcid", "00000001", 1, "/"]}
@@ -481,6 +507,9 @@ def _mutated_records(kind, store):
         yield "session for a cookie held at its origin", held
         nowhere = StoreChange(sessions=[_stored(_session(5), server=2)])
         yield "session naming no server", nowhere.to_wire_dict(OPT)
+        for path in [(0, 6), (0, 3, 1), (0, 4, 0), (0,), (0, 3, 0, 0)]:
+            unspent = replace(_session(5), path=DerivationPath(path))
+            yield f"session at {path}", StoreChange(sessions=[_stored(unspent)]).to_wire_dict(OPT)
 
 
 def _load_with_record(path: str, snapshot: bytes, record: dict) -> Agent:
