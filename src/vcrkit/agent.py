@@ -190,7 +190,6 @@ class AgentStore:
         self._paths: set[tuple[int, ...]] = set()  # held paths, by segments
         self._changes: list[StoreChange] = []
         self._saved_header: dict | None = None
-        self._header: dict | None = None  # the one unsaved_changes compared
         self.lock = threading.Lock()
 
     # --- provisioning ---------------------------------------------------------
@@ -391,6 +390,9 @@ class AgentStore:
             raise MalformedMessage("record changes nothing, or snapshot has no header")
         if change.header is not None:
             header = change.header
+            device = (header["device_id"], header["device_xpub"])
+            if not snapshot and device != (self.device_id, self.device_xpub):
+                raise MalformedMessage("header changes the device")
             counters = header.get("server_counters", self.server_counters)
             ids = header.get("server_ids", self.server_ids)
             if header["next_j"] < self.next_j or any(
@@ -414,23 +416,24 @@ class AgentStore:
             if not self._visit((origin, name, value), now, path):
                 raise MalformedMessage("visit to a session the store lacks")
 
-    def unsaved_changes(self) -> list[bytes]:
+    def encoded_header(self) -> dict:
+        """The header fields as a save compares and keeps them."""
+        return STORE_HEADER.encode[WIRE_MODE](self)
+
+    def unsaved_changes(self, header: dict) -> list[bytes]:
         """Journal records for what changed since the last save: the header
-        first when it differs from the saved one, then each session and
-        visit in order. The header's encoding is kept for ``saved``."""
+        first when ``header``, its encoding now, differs from the saved
+        one, then each session and visit in order."""
         changes = self._changes
-        self._header = STORE_HEADER.encode[WIRE_MODE](self)
-        if self._header != self._saved_header:
+        if header != self._saved_header:
             changes = [StoreChange(header=self), *changes]
         return [encoding.to_wire(c, WIRE_MODE).encode() for c in changes]
 
-    def saved(self) -> None:
-        """Everything this store holds is on disk. A header kept by a save
-        that raised is older than this one, and as no header field goes
-        back, at worst the next save writes the header again."""
+    def saved(self, header: dict) -> None:
+        """Everything this store holds, ``header`` its header's encoding
+        now, is on disk."""
         self._changes.clear()
-        header, self._header = self._header, None
-        self._saved_header = header or STORE_HEADER.encode[WIRE_MODE](self)
+        self._saved_header = header
 
     def replay(self, records: list[bytes]) -> None:
         """Apply journal records through the rule that read the snapshot;
@@ -440,7 +443,7 @@ class AgentStore:
                 self._apply(encoding.from_wire(StoreChange, data, WIRE_MODE))
             except MalformedMessage as exc:
                 raise CorruptStore(f"bad journal record: {exc}") from None
-        self.saved()
+        self.saved(self.encoded_header())
 
 
 class StoreHeader(Message):
@@ -557,9 +560,10 @@ class Agent:
             return
         with self.store.lock:  # an older state must not be written last
             journal, self._journal = self._journal, None
-            if journal is None or not journal.append(self.store.unsaved_changes()):
+            header = self.store.encoded_header()
+            if journal is None or not journal.append(self.store.unsaved_changes(header)):
                 journal = files.compact(self.store_path, self.store.export(WIRE_MODE))
-            self.store.saved()
+            self.store.saved(header)
             self._journal = journal
 
     # --- pinning ----------------------------------------------------------------

@@ -331,7 +331,8 @@ def test_a_store_carries_no_retirement_flag(tmp_path):
     agent.store.add_session(random_session_record(random.Random(14)))
     for mode in (WireMode.OPTIMIZED, WireMode.VERBOSE):
         assert {"Z", "retired"}.isdisjoint(json.loads(agent.store.export(mode)))
-    (header, session) = map(json.loads, agent.store.unsaved_changes())
+    header_now = agent.store.encoded_header()
+    (header, session) = map(json.loads, agent.store.unsaved_changes(header_now))
     assert "I" in header and "Z" not in header and "L" in session
 
 
@@ -347,7 +348,8 @@ def test_a_store_with_a_retired_flag_loads_and_its_sessions_work(
     agent.visit(origin + "/first", _now())
     agent.store.next_j += 1
     snapshot = json.loads(agent.store.export())
-    (header,) = map(json.loads, agent.store.unsaved_changes())
+    header_now = agent.store.encoded_header()
+    (header,) = map(json.loads, agent.store.unsaved_changes(header_now))
     snapshot["Z"] = header["Z"] = flag
     path = agent.store_path
     assert files.compact(path, json.dumps(snapshot).encode()).append(
@@ -602,7 +604,7 @@ def test_import_of_mistyped_field_is_corrupt_store(tmp_path, key, value):
     """At import and at load alike."""
     agent, _ = _fresh_agent(tmp_path)
     data = json.loads(agent.store.export())
-    data["G"], data["J"] = _TABLE, 3
+    data["G"], data["J"] = _TABLE, 4
     data[key] = value
     if value is _DROPPED:
         del data[key]

@@ -40,7 +40,7 @@ from vcrkit.server import (
     ClientDataRecord,
     EndpointAdvertisement,
 )
-from vcrkit.vcr import ActionKind, UnifiedProof, VcrAction, VcrRequest
+from vcrkit.vcr import XPUB, ActionKind, UnifiedProof, VcrAction, VcrRequest
 from vcrkit.wrapper import ClientId, Wrapper, WrapperRequest
 
 MODES = (WireMode.OPTIMIZED, WireMode.VERBOSE)
@@ -494,6 +494,9 @@ def _mutated_records(kind, store):
         yield "header dropping a unified counter", {**wire, "S": {}}
         yield "header giving two origins one id", {**wire, "Y": {**wire["Y"], "https://t": 3}}
         yield "header moving an origin's id", {**wire, "Y": {"https://s.example": 4}}
+        yield "header changing the device id", {**wire, "I": 1}
+        other = XPUB.encode[OPT](derive_child_pub(_PARENT, 1))
+        yield "header changing the device xpub", {**wire, "X": other}
     if kind == "visit":
         yield "visit to a cookie the store lacks", {"A": [1, "vcid", "00000009", 1, "/"]}
         yield "visit to a cookie held at another origin", {"A": [0, "vcid", "00000001", 1, "/"]}
