@@ -393,8 +393,7 @@ class AgentStore:
             device = (header["device_id"], header["device_xpub"])
             if not snapshot and device != (self.device_id, self.device_xpub):
                 raise MalformedMessage("header changes the device")
-            counters = header.get("server_counters", self.server_counters)
-            ids = header.get("server_ids", self.server_ids)
+            counters, ids = header["server_counters"], header["server_ids"]
             if header["next_j"] < self.next_j or any(
                 counters.get(s, 0) < j for s, j in self.server_counters.items()
             ):
@@ -404,17 +403,29 @@ class AgentStore:
             self._add_servers(header.pop("servers"))
             vars(self).update(header)
         for stored in change.sessions:
-            segments = stored.path.segments  # m/d/j or m/d/s/j, j below its counter
-            unified = len(segments) == 3
-            counter = self.server_counters.get(segments[1], 0) if unified else self.next_j
-            if len(segments) not in (2, 3) or segments[-1] >= counter:
-                raise MalformedMessage(f"session {stored.path} holds an index not yet spent")
+            self._spent(stored.path)
             self._admit(self._session(stored))
         if change.visit is not None:
             server, name, value, now, path = change.visit
             origin, _ = self._server(server)
             if not self._visit((origin, name, value), now, path):
                 raise MalformedMessage("visit to a session the store lacks")
+
+    def _spent(self, path: DerivationPath) -> None:
+        """The one rule for a session's index, at load and before a save:
+        ``claim_path`` has spent it, so it is below its counter (``J`` for
+        m/d/j, ``S[s]`` for m/d/s/j)."""
+        segments = path.segments
+        unified = len(segments) == 3
+        counter = self.server_counters.get(segments[1], 0) if unified else self.next_j
+        if len(segments) not in (2, 3) or segments[-1] >= counter:
+            raise MalformedMessage(f"session {path} holds an index not yet spent")
+
+    def check_unsaved(self) -> None:
+        """Refuse, before a save writes, a pending session its load refuses."""
+        for change in self._changes:
+            for stored in change.sessions:
+                self._spent(stored.path)
 
     def encoded_header(self) -> dict:
         """The header fields as a save compares and keeps them."""
@@ -454,10 +465,10 @@ class StoreHeader(Message):
         Field("device_id", integer()),
         Field("device_xpub", XPUB),
         Field("next_session", integer(), "next_j"),
-        Field("server_counters", map_of(integer(), key=int), optional=True),
-        Field("server_ids", map_of(integer()), optional=True),
+        Field("server_counters", map_of(integer(), key=int)),
+        Field("server_ids", map_of(integer())),
         Field("servers", list_of(SERVER, list)),
-        Field("pinned_keys", map_of(fixed(POINT_BYTES)), "pinned_server_keys", optional=True),
+        Field("pinned_keys", map_of(fixed(POINT_BYTES)), "pinned_server_keys"),
     )
 
     @classmethod
@@ -559,6 +570,7 @@ class Agent:
         if not self.store_path:
             return
         with self.store.lock:  # an older state must not be written last
+            self.store.check_unsaved()
             journal, self._journal = self._journal, None
             header = self.store.encoded_header()
             if journal is None or not journal.append(self.store.unsaved_changes(header)):

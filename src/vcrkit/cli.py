@@ -77,15 +77,12 @@ def _passphrase() -> str:
     return passphrase
 
 
-def _signer(socket_path: str | None, state_path: str | None):
-    """Daemon client if a socket is given, else an in-process unlock."""
-    if socket_path:
-        return SignerClient(socket_path)
-    if state_path:
-        return SignerState.unlock(
-            _passphrase(), state_path, policy=ConfirmationPolicy.AUTO_APPROVE
-        )
-    raise MalformedMessage("need --socket or --state (or the matching env var)")
+def _signer(socket_path: str | None) -> SignerClient:
+    """The client of the signer daemon, the one holder of the unlocked state
+    (``signer-unlock``)."""
+    if not socket_path:
+        raise MalformedMessage(f"need --socket or {SOCKET_ENV}: the socket signer-unlock serves")
+    return SignerClient(socket_path)
 
 
 store_option = click.option(
@@ -93,12 +90,6 @@ store_option = click.option(
     envvar=STORE_ENV,
     required=True,
     help="agent store file [env VCRKIT_STORE]",
-)
-state_option = click.option(
-    "--state",
-    envvar=STATE_ENV,
-    default=None,
-    help="signer state file [env VCRKIT_SIGNER_STATE]",
 )
 socket_option = click.option(
     "--socket",
@@ -153,11 +144,10 @@ def signer_unlock(state: str, socket: str, policy: str) -> None:
 @main.command("device-issue")
 @click.option("--device-id", type=int, required=True)
 @socket_option
-@state_option
 @surface_errors
-def device_issue(device_id: int, socket: str | None, state: str | None) -> None:
+def device_issue(device_id: int, socket: str | None) -> None:
     """Issue (or re-print) the extended public key for a device id."""
-    xpub = _signer(socket, state).issue_device_xpub(device_id)
+    xpub = _signer(socket).issue_device_xpub(device_id)
     click.echo(
         json.dumps(
             {
@@ -172,12 +162,10 @@ def device_issue(device_id: int, socket: str | None, state: str | None) -> None:
 @main.command("device-retire")
 @click.option("--device-id", type=int, required=True)
 @socket_option
-@state_option
 @surface_errors
-def device_retire(device_id: int, socket: str | None, state: str | None) -> None:
+def device_retire(device_id: int, socket: str | None) -> None:
     """Retire a device id: the signer refuses its paths from now on."""
-    signer = _signer(socket, state)
-    signer.retire_device(device_id)
+    _signer(socket).retire_device(device_id)
     click.echo(json.dumps({"ok": True, "device_id": device_id, "status": "retired"}))
 
 
@@ -186,15 +174,8 @@ def device_retire(device_id: int, socket: str | None, state: str | None) -> None
 @click.option("--device-id", type=int, required=True)
 @click.option("--device-xpub", "xpub_hex", default=None, help="serialized xpub hex")
 @socket_option
-@state_option
 @surface_errors
-def agent_init(
-    store: str,
-    device_id: int,
-    xpub_hex: str | None,
-    socket: str | None,
-    state: str | None,
-) -> None:
+def agent_init(store: str, device_id: int, xpub_hex: str | None, socket: str | None) -> None:
     """Provision a fresh agent store with a device public key."""
     if os.path.exists(store):
         raise AlreadyProvisioned(f"store file {store} already exists")
@@ -203,7 +184,7 @@ def agent_init(
             _parsed(bytes.fromhex, xpub_hex, "--device-xpub")
         )
     else:
-        xpub = _signer(socket, state).issue_device_xpub(device_id)
+        xpub = _signer(socket).issue_device_xpub(device_id)
     agent_store = AgentStore()
     agent_store.provision_device(xpub, device_id)
     Agent(agent_store, store_path=store).save()
@@ -298,7 +279,6 @@ def _parse_changes(raw_changes: tuple[str, ...]) -> tuple[tuple[str, str, str], 
 @click.argument("kind", type=click.Choice(["access", "modify", "delete"]))
 @store_option
 @socket_option
-@state_option
 @click.option("--session", "sids", multiple=True, help="SID; repeat for unified")
 @click.option("--unified", is_flag=True)
 @click.option("--encrypt-response", is_flag=True)
@@ -309,7 +289,6 @@ def vcr_command(
     kind: str,
     store: str,
     socket: str | None,
-    state: str | None,
     sids: tuple[str, ...],
     unified: bool,
     encrypt_response: bool,
@@ -341,11 +320,10 @@ def vcr_command(
         changes=_parse_changes(raw_changes) if action_kind is ActionKind.MODIFY else (),
     )
 
-    signer = _signer(socket, state)
     outcome = agent.submit_request(
         sessions,
         action,
-        signer,
+        _signer(socket),
         int(time.time()),
         unified=unified,
         seal=seal,
@@ -363,6 +341,19 @@ def vcr_command(
     click.echo(json.dumps(result, indent=2))
     if outcome.status != 200:
         sys.exit(1)
+
+
+def _key_bytes(secret: int) -> bytes:
+    """The key file's one form: the secret in 64 lowercase hex digits, a newline."""
+    return b"%064x\n" % secret
+
+
+def _read_key(data: bytes) -> ServerKey:
+    """The key in a key file, read only in the form ``_key_bytes`` writes."""
+    secret = int(data, 16)
+    if data != _key_bytes(secret):
+        raise ValueError("key file is not in the form serve writes")
+    return ServerKey(secret=secret)
 
 
 @main.command("serve")
@@ -384,14 +375,10 @@ def serve(listen: str, tolerance: int, key_file: str | None, snapshot: str | Non
     if key_file:
         if os.path.exists(key_file):
             with open(key_file, "rb") as fh:
-                server_key = _parsed(
-                    lambda data: ServerKey(secret=int(data, 16)),
-                    fh.read(),
-                    "the --key-file contents",
-                )
+                server_key = _parsed(_read_key, fh.read(), "the --key-file contents")
         else:
             server_key = ServerKey.generate()
-            files.write_private(key_file, f"{server_key.secret:064x}\n".encode())
+            files.write_private(key_file, _key_bytes(server_key.secret))
     vcr_server = VcrServer(
         server_key=server_key, tolerance=tolerance, snapshot_path=snapshot
     )

@@ -565,8 +565,7 @@ class Field:
     kind: Kind
     attr: str = ""  # attribute holding the value, when it is not ``name``
     _: KW_ONLY
-    optional: bool = False  # may be absent when decoding JSON
-    omit_empty: bool = False  # optional, and left out of the JSON when empty
+    omit_empty: bool = False  # left out of the JSON when empty, so may be absent
     signed: bool = True  # False on the trailing fields no signature covers
     when: tuple | None = None  # (attr, value): canonical only if attr is value
     flatten: str | None = None  # nested keys go here; names the one marking it
@@ -591,8 +590,8 @@ def _json_codec(cls, mode: WireMode):
     """``cls``'s ``encode(m)`` and ``decode(data)`` in ``mode``, written in
     one pass over its field table: one line per field each way.
 
-    An ``omit_empty`` field is written under ``if m.<attr>:``; it and an
-    ``optional`` field are read under ``if <key> in data:``. A flattened
+    An ``omit_empty`` field is written under ``if m.<attr>:`` and read
+    under ``if <key> in data:``; every other key is required. A flattened
     field's keys are merged into the object, and read back from it when its
     marker key is set. With the default ``_from_fields`` and only plain
     required fields, the decoder is one ``cls(attr=d0(data[key]), ...)``
@@ -615,9 +614,8 @@ def _json_codec(cls, mode: WireMode):
         key = wire_key(f.name, mode)
         decoded = f"{d}(data[{key!r}])"
         encode += _under(f.omit_empty and f"m.{attr}", f"out[{key!r}] = {e}(m.{attr})")
-        optional = f.optional or f.omit_empty
-        decode += _under(optional and f"{key!r} in data", f"{into} {decoded}")
-        if not optional:
+        decode += _under(f.omit_empty and f"{key!r} in data", f"{into} {decoded}")
+        if not f.omit_empty:
             required.append((attr, key))
             args.append((attr, decoded))
     encode.append("return out")

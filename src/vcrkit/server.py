@@ -95,7 +95,7 @@ class ClientDataRecord(Message):
     FIELDS = (
         Field("client_id", nested(ClientId)),
         Field("visits", list_of(VISIT, list)),
-        Field("attributes", map_of(STR), optional=True),
+        Field("attributes", map_of(STR)),
     )
 
     client_id: ClientId
@@ -107,7 +107,7 @@ class ClientDataRecord(Message):
 class AccessResponse(Message):
     """ACCESS success body (sealed with a response key) and snapshot file."""
 
-    FIELDS = (Field("records", list_of(nested(ClientDataRecord), list), optional=True),)
+    FIELDS = (Field("records", list_of(nested(ClientDataRecord), list)),)
 
     records: list[ClientDataRecord] = field(default_factory=list)
 

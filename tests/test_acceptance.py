@@ -400,14 +400,11 @@ def test_end_to_end_loopback(tmp_path):
     from vcrkit.cli import main as cli_main
     from vcrkit.server import VcrHttpServer, VcrServer
 
-    vcr_server = VcrServer()
-    httpd = VcrHttpServer(("127.0.0.1", 0), vcr_server)
-    httpd.serve_in_thread()
-    origin = httpd.origin
     env = {
         "VCRKIT_PASSPHRASE": "acceptance",
         "VCRKIT_STORE": str(tmp_path / "agent.store"),
         "VCRKIT_SIGNER_STATE": str(tmp_path / "signer.state"),
+        "VCRKIT_SIGNER_SOCKET": str(tmp_path / "signer.sock"),
     }
     runner = CliRunner()
 
@@ -416,9 +413,20 @@ def test_end_to_end_loopback(tmp_path):
         assert result.exit_code == expect_exit, result.output
         return result.output
 
+    run(["signer-init"])
+    # Every signature comes from the daemon, as `signer-unlock --policy auto`
+    # serves it.
+    state = SignerState.unlock(
+        "acceptance", env["VCRKIT_SIGNER_STATE"], ConfirmationPolicy.AUTO_APPROVE
+    )
+    daemon = SignerDaemon(state, env["VCRKIT_SIGNER_SOCKET"])
+    daemon.serve_in_thread()
+    vcr_server = VcrServer()
+    httpd = VcrHttpServer(("127.0.0.1", 0), vcr_server)
+    httpd.serve_in_thread()
+    origin = httpd.origin
     try:
-        run(["signer-init"])
-        run(["agent-init", "--device-id", "0", "--state", env["VCRKIT_SIGNER_STATE"]])
+        run(["agent-init", "--device-id", "0"])
         first = json.loads(run(["visit", origin + "/"]))
         assert first["path"] == "m/0/0"
         run(["visit", origin + "/products"])
@@ -427,7 +435,7 @@ def test_end_to_end_loopback(tmp_path):
 
         # access, plain
         payload = json.loads(
-            run(["vcr", "access", "--session", sid, "--state", env["VCRKIT_SIGNER_STATE"]])
+            run(["vcr", "access", "--session", sid])
         )
         assert payload["status"] == 200
         assert len(payload["records"][0]["visits"]) == 2
@@ -440,8 +448,6 @@ def test_end_to_end_loopback(tmp_path):
                     "access",
                     "--session",
                     sid,
-                    "--state",
-                    env["VCRKIT_SIGNER_STATE"],
                     "--encrypt-response",
                     "--seal",
                 ]
@@ -461,8 +467,6 @@ def test_end_to_end_loopback(tmp_path):
                     "modify",
                     "--session",
                     sid,
-                    "--state",
-                    env["VCRKIT_SIGNER_STATE"],
                     "--set",
                     "email=old@example.com:new@example.com",
                 ]
@@ -476,18 +480,19 @@ def test_end_to_end_loopback(tmp_path):
 
         # delete, then access finds nothing (fresh second for a fresh digest)
         payload = json.loads(
-            run(["vcr", "delete", "--session", sid, "--state", env["VCRKIT_SIGNER_STATE"]])
+            run(["vcr", "delete", "--session", sid])
         )
         assert payload["status"] == 200
         time.sleep(1.1)
         payload = json.loads(
             run(
-                ["vcr", "access", "--session", sid, "--state", env["VCRKIT_SIGNER_STATE"]],
+                ["vcr", "access", "--session", sid],
                 expect_exit=1,
             )
         )
         assert payload == {"status": 404, "error": "NoData"}
     finally:
+        daemon.close()
         httpd.close()
 
     elapsed = time.perf_counter() - started

@@ -324,6 +324,31 @@ def test_export_import_roundtrip(loopback, tmp_path):
         assert clone.cookie_index == agent.store.cookie_index
 
 
+@pytest.mark.parametrize("saved_before", [False, True], ids=["first-save", "appending-save"])
+def test_a_save_writes_no_store_its_load_refuses(tmp_path, saved_before):
+    """A session added at an index ``claim_path`` has not spent makes a save
+    raise before it writes anything, whether it would write the whole store
+    or append; the session stays pending, and is saved once the counter
+    has passed its index."""
+    agent, _ = _fresh_agent(tmp_path)
+    if saved_before:
+        agent.save()
+    store_file = Path(agent.store_path)
+
+    def contents():
+        return store_file.read_bytes() if store_file.exists() else None
+
+    before = contents()
+    session = replace(random_session_record(random.Random(24)), path=DerivationPath((0, 5)))
+    agent.store.add_session(session)
+    with pytest.raises(MalformedMessage, match="m/0/5 holds an index not yet spent"):
+        agent.save()
+    assert contents() == before
+    agent.store.next_j = 6
+    agent.save()
+    assert [s.path for s in Agent.load(agent.store_path).store.sessions] == [session.path]
+
+
 def test_a_store_carries_no_retirement_flag(tmp_path):
     """Retirement is the signer's: neither an export nor a journal header
     record holds a retired flag."""

@@ -1,5 +1,6 @@
 """End-to-end CLI flows driven through click's test runner."""
 
+import ast
 import contextlib
 import json
 import os
@@ -20,8 +21,9 @@ from vcrkit import bench, curve, httpwire
 from vcrkit.agent import Agent
 from vcrkit.bench import run_bench
 from vcrkit.cli import main
-from vcrkit.keyhier import derive_child_priv, generate_master, neuter
-from vcrkit.signer import ConfirmationPolicy, SignerDaemon, SignerState
+from vcrkit.errors import DeviceRetired
+from vcrkit.keyhier import DerivationPath, derive_child_priv, generate_master, neuter
+from vcrkit.signer import ConfirmationPolicy, SignerClient, SignerDaemon, SignerState
 
 PASSPHRASE = "cli test passphrase"
 
@@ -40,6 +42,20 @@ def env(tmp_path):
     }
 
 
+@pytest.fixture()
+def signer_daemon(env, tmp_path):
+    """A signer daemon serving a new state at ``VCRKIT_SIGNER_STATE``, its
+    socket in ``VCRKIT_SIGNER_SOCKET``; closed afterwards."""
+    state = SignerState.init(
+        PASSPHRASE, os.urandom(32), env["VCRKIT_SIGNER_STATE"], ConfirmationPolicy.AUTO_APPROVE
+    )
+    daemon = SignerDaemon(state, str(tmp_path / "signer.sock"))
+    daemon.serve_in_thread()
+    env["VCRKIT_SIGNER_SOCKET"] = daemon.socket_path
+    yield daemon
+    daemon.close()
+
+
 def _run(runner, env, args, expect_exit=0):
     result = runner.invoke(main, args, env=env, catch_exceptions=False)
     assert result.exit_code == expect_exit, result.output
@@ -47,39 +63,31 @@ def _run(runner, env, args, expect_exit=0):
 
 
 def _bootstrap(runner, env):
-    _run(runner, env, ["signer-init"])
-    _run(runner, env, ["device-issue", "--device-id", "0", "--state", env["VCRKIT_SIGNER_STATE"]])
-    _run(runner, env, ["agent-init", "--device-id", "0", "--state", env["VCRKIT_SIGNER_STATE"]])
+    """Provision the agent store through the daemon of ``signer_daemon``."""
+    _run(runner, env, ["device-issue", "--device-id", "0"])
+    _run(runner, env, ["agent-init", "--device-id", "0"])
 
 
-def test_signer_init_and_device_issue(runner, env):
-    result = _run(runner, env, ["signer-init"])
+def test_signer_init_and_device_issue(runner, env, tmp_path, signer_daemon):
+    result = _run(runner, env, ["signer-init", "--state", str(tmp_path / "new.state")])
     assert json.loads(result.output)["ok"] is True
-    result = _run(
-        runner,
-        env,
-        ["device-issue", "--device-id", "0", "--state", env["VCRKIT_SIGNER_STATE"]],
-    )
+    result = _run(runner, env, ["device-issue", "--device-id", "0"])
     payload = json.loads(result.output)
     assert payload["device_id"] == 0
     assert len(payload["xpub_hex"]) == 142
     assert payload["xpub_b58"]
 
 
-def test_agent_init_refuses_overwrite(runner, env):
+def test_agent_init_refuses_overwrite(runner, env, signer_daemon):
     _bootstrap(runner, env)
-    result = runner.invoke(
-        main,
-        ["agent-init", "--device-id", "0", "--state", env["VCRKIT_SIGNER_STATE"]],
-        env=env,
-    )
+    result = runner.invoke(main, ["agent-init", "--device-id", "0"], env=env)
     assert result.exit_code == 1
     assert "AlreadyProvisioned" in result.output or "AlreadyProvisioned" in (
         result.stderr if hasattr(result, "stderr") else ""
     )
 
 
-def test_visit_sessions_history_vcr_flow(runner, env, loopback):
+def test_visit_sessions_history_vcr_flow(runner, env, loopback, signer_daemon):
     _, _, origin = loopback
     _bootstrap(runner, env)
 
@@ -101,7 +109,7 @@ def test_visit_sessions_history_vcr_flow(runner, env, loopback):
     result = _run(
         runner,
         env,
-        ["vcr", "access", "--session", sid, "--state", env["VCRKIT_SIGNER_STATE"]],
+        ["vcr", "access", "--session", sid],
     )
     payload = json.loads(result.output)
     assert payload["status"] == 200
@@ -116,8 +124,6 @@ def test_visit_sessions_history_vcr_flow(runner, env, loopback):
             "access",
             "--session",
             sid,
-            "--state",
-            env["VCRKIT_SIGNER_STATE"],
             "--encrypt-response",
             "--seal",
         ],
@@ -129,7 +135,7 @@ def test_visit_sessions_history_vcr_flow(runner, env, loopback):
     result = _run(
         runner,
         env,
-        ["vcr", "delete", "--session", sid, "--state", env["VCRKIT_SIGNER_STATE"]],
+        ["vcr", "delete", "--session", sid],
     )
     assert json.loads(result.output)["status"] == 200
 
@@ -139,14 +145,14 @@ def test_visit_sessions_history_vcr_flow(runner, env, loopback):
     result = _run(
         runner,
         env,
-        ["vcr", "access", "--session", sid, "--state", env["VCRKIT_SIGNER_STATE"]],
+        ["vcr", "access", "--session", sid],
         expect_exit=1,
     )
     payload = json.loads(result.output)
     assert payload == {"status": 404, "error": "NoData"}
 
 
-def test_modify_requires_old_and_new(runner, env, loopback):
+def test_modify_requires_old_and_new(runner, env, loopback, signer_daemon):
     vcr_server, _, origin = loopback
     _bootstrap(runner, env)
     result = _run(runner, env, ["visit", origin + "/"])
@@ -159,8 +165,6 @@ def test_modify_requires_old_and_new(runner, env, loopback):
             "modify",
             "--session",
             sid,
-            "--state",
-            env["VCRKIT_SIGNER_STATE"],
             "--set",
             "email=newvalue",  # missing the old:new split
         ],
@@ -181,8 +185,6 @@ def test_modify_requires_old_and_new(runner, env, loopback):
             "modify",
             "--session",
             sid,
-            "--state",
-            env["VCRKIT_SIGNER_STATE"],
             "--set",
             "email=old@example.com:new@example.com",
         ],
@@ -191,14 +193,14 @@ def test_modify_requires_old_and_new(runner, env, loopback):
     assert vcr_server.get_record(cookie).attributes["email"] == "new@example.com"
 
 
-def test_unified_vcr_over_three_sessions(runner, env, loopback):
+def test_unified_vcr_over_three_sessions(runner, env, loopback, signer_daemon):
     _, _, origin = loopback
     _bootstrap(runner, env)
     sids = []
     for _ in range(3):
         result = _run(runner, env, ["visit", origin + "/", "--unified", "--fresh"])
         sids.append(json.loads(result.output)["sid"])
-    args = ["vcr", "access", "--unified", "--state", env["VCRKIT_SIGNER_STATE"]]
+    args = ["vcr", "access", "--unified"]
     for sid in sids:
         args += ["--session", sid]
     result = _run(runner, env, args)
@@ -207,29 +209,80 @@ def test_unified_vcr_over_three_sessions(runner, env, loopback):
     assert len(payload["records"]) == 3
 
 
-def test_vcr_through_signer_daemon(runner, env, tmp_path, loopback):
+def test_vcr_through_signer_daemon(runner, env, loopback, signer_daemon):
     _, _, origin = loopback
     _bootstrap(runner, env)
     result = _run(runner, env, ["visit", origin + "/"])
     sid = json.loads(result.output)["sid"]
-
-    state = SignerState.unlock(
-        PASSPHRASE, env["VCRKIT_SIGNER_STATE"], ConfirmationPolicy.AUTO_APPROVE
-    )
-    daemon = SignerDaemon(state, str(tmp_path / "signer.sock"))
-    daemon.serve_in_thread()
-    try:
-        result = _run(
-            runner,
-            env,
-            ["vcr", "access", "--session", sid, "--socket", daemon.socket_path],
-        )
-        assert json.loads(result.output)["status"] == 200
-    finally:
-        daemon.shutdown()
+    del env["VCRKIT_SIGNER_SOCKET"]  # the option alone names the daemon
+    args = ["vcr", "access", "--session", sid, "--socket", signer_daemon.socket_path]
+    assert json.loads(_run(runner, env, args).output)["status"] == 200
 
 
-def test_export_import(runner, env, tmp_path, loopback):
+@pytest.mark.parametrize("command", ["device-issue", "device-retire", "agent-init"])
+def test_a_signing_command_without_a_socket_is_one_json_line(runner, env, command):
+    """Without --socket or VCRKIT_SIGNER_SOCKET a command that needs the
+    signer names the option and writes nothing, though VCRKIT_SIGNER_STATE
+    names a state file its passphrase unlocks."""
+    _run(runner, env, ["signer-init"])
+    result = _run(runner, env, [command, "--device-id", "0"], expect_exit=1)
+    error = _one_json_error(result.stderr)
+    assert error["error"] == "MalformedMessage" and "--socket" in error["message"]
+    assert not os.path.exists(env["VCRKIT_STORE"])
+
+
+@pytest.mark.parametrize("command", ["device-issue", "device-retire", "agent-init", "vcr"])
+def test_no_signing_command_takes_the_state_file(runner, command):
+    """Only signer-init and signer-unlock read the state file; every other
+    command reaches the signer through its daemon's socket."""
+    result = runner.invoke(main, [command, "--help"])
+    assert result.exit_code == 0 and "--socket" in result.output
+    assert "--state" not in result.output
+
+
+def test_only_signer_unlock_unlocks_the_signer_state():
+    """The daemon is the one reader and writer of an unlocked signer state:
+    no function under src/vcrkit but ``cli.signer_unlock``, which starts
+    the daemon, calls ``SignerState.unlock``."""
+
+    def unlocks(node, scope: str):
+        """The scope of each call to an ``unlock`` attribute below ``node``."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from unlocks(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "unlock":
+                yield scope
+            yield from unlocks(child, scope)
+
+    found = []
+    for path in sorted(Path(vcrkit.__file__).parent.glob("*.py")):
+        found += unlocks(ast.parse(path.read_text(), str(path)), path.stem)
+    assert found == ["cli.signer_unlock"]
+
+
+def test_a_retirement_holds_at_once_in_the_daemon_s_one_ledger(runner, env, signer_daemon):
+    """A retirement goes through the daemon serving the state, never beside
+    it: the daemon refuses the device's next signature, and every
+    retirement stays in the one ledger on disk."""
+    state = Path(env["VCRKIT_SIGNER_STATE"])
+    before = state.read_bytes()
+    args = ["device-retire", "--device-id", "1", "--state", str(state)]
+    assert runner.invoke(main, args, env=env).exit_code == 2  # no such option
+    assert state.read_bytes() == before
+    _run(runner, env, ["device-retire", "--device-id", "1"])
+    client = SignerClient(signer_daemon.socket_path)
+    with pytest.raises(DeviceRetired):
+        client.sign_digest(DerivationPath.parse("m/1/0"), bytes(32))
+    _run(runner, env, ["device-retire", "--device-id", "2"])
+    reloaded = SignerState.unlock(PASSPHRASE, str(state))
+    for device_id in (1, 2):
+        with pytest.raises(DeviceRetired):
+            reloaded.issue_device_xpub(device_id)
+    reloaded.issue_device_xpub(0)
+
+
+def test_export_import(runner, env, tmp_path, loopback, signer_daemon):
     _, _, origin = loopback
     _bootstrap(runner, env)
     _run(runner, env, ["visit", origin + "/"])
@@ -245,7 +298,7 @@ def test_export_import(runner, env, tmp_path, loopback):
 
 
 def test_a_version_1_store_is_one_json_line_at_import_and_at_load(
-    runner, env, tmp_path, loopback
+    runner, env, tmp_path, loopback, signer_daemon
 ):
     """A store of version 1 is refused whole, naming its version, by the
     command that imports it and by one that loads it."""
@@ -271,7 +324,7 @@ def _records(env) -> bytes:
 
 
 def test_import_over_a_journaled_store_keeps_only_the_imported_store(
-    runner, env, tmp_path, loopback
+    runner, env, tmp_path, loopback, signer_daemon
 ):
     _, _, origin = loopback
     _bootstrap(runner, env)
@@ -286,7 +339,7 @@ def test_import_over_a_journaled_store_keeps_only_the_imported_store(
     assert Agent.load(env["VCRKIT_STORE"]).store.export() == exported.read_bytes()
 
 
-def test_export_includes_journaled_visits(runner, env, tmp_path, loopback):
+def test_export_includes_journaled_visits(runner, env, tmp_path, loopback, signer_daemon):
     _, _, origin = loopback
     _bootstrap(runner, env)
     _run(runner, env, ["visit", origin + "/a"])
@@ -301,7 +354,7 @@ def test_export_includes_journaled_visits(runner, env, tmp_path, loopback):
 
 
 def test_import_of_a_store_file_with_records_is_one_json_line(
-    runner, env, tmp_path, loopback
+    runner, env, tmp_path, loopback, signer_daemon
 ):
     """Only an export imports: a store file with records after its snapshot
     is refused whole, not imported without its latest visits."""
@@ -319,12 +372,11 @@ def test_import_of_a_store_file_with_records_is_one_json_line(
 
 @pytest.mark.parametrize("device_id", ["-1", str(2**31), str(2**40)])
 def test_device_retire_of_an_id_outside_the_range_is_one_json_line(
-    runner, env, device_id
+    runner, env, device_id, signer_daemon
 ):
-    _run(runner, env, ["signer-init"])
     state = Path(env["VCRKIT_SIGNER_STATE"])
     before = state.read_bytes()
-    args = ["device-retire", "--device-id", device_id, "--state", str(state)]
+    args = ["device-retire", "--device-id", device_id]
     result = _run(runner, env, args, expect_exit=1)
     assert result.stdout == ""
     assert _one_json_error(result.stderr)["error"] in (
@@ -378,12 +430,39 @@ def test_agent_init_of_an_id_outside_the_range_writes_no_store(
     assert not os.path.exists(env["VCRKIT_STORE"])
 
 
+_KEY = "ab" * 32  # a valid secret, as serve writes it: f"{_KEY}\n"
+
+
 @pytest.mark.parametrize(
     "contents",
-    [b"0\n", b"-1\n", f"{curve.N:064x}\n".encode(), b"\xff\xfe\n"],
-    ids=["zero", "negative", "group-order", "not-utf8"],
+    [
+        b"0\n",
+        b"-1\n",
+        f"{curve.N:064x}\n".encode(),
+        b"\xff\xfe\n",
+        f"0x{_KEY}\n".encode(),
+        f"  {_KEY}  \n".encode(),
+        f"{_KEY.upper()}\n".encode(),
+        f"{_KEY}".encode(),
+        b"1_0\n",
+        "\u0661\u0660\n".encode(),
+    ],
+    ids=[
+        "zero",
+        "negative",
+        "group-order",
+        "not-utf8",
+        "0x-prefix",
+        "spaces",
+        "uppercase",
+        "no-newline",
+        "underscore",
+        "arabic-indic-digits",
+    ],
 )
 def test_serve_with_a_bad_key_file_exits_instead_of_hanging(env, tmp_path, contents):
+    """A key file is read only in the one form serve writes; anything else,
+    even a value int() would take, is refused instead of served under."""
     key_file = tmp_path / "server.key"
     key_file.write_bytes(contents)
     src = os.path.dirname(os.path.dirname(vcrkit.__file__))
@@ -412,14 +491,18 @@ def test_serve_with_a_snapshot_that_is_not_utf8_is_one_json_line(runner, env, tm
 @pytest.mark.parametrize(
     "contents", [b"[]", b'{"kdf":1,"nonce":"00","ciphertext":"00"}']
 )
-def test_device_issue_with_a_corrupt_state_is_one_json_line(runner, env, contents):
+def test_signer_unlock_of_a_corrupt_state_is_one_json_line(runner, env, tmp_path, contents):
+    """The state is unlocked before the socket is bound, so a corrupt one
+    exits with one JSON line instead of serving."""
     Path(env["VCRKIT_SIGNER_STATE"]).write_bytes(contents)
-    args = ["device-issue", "--device-id", "0", "--state", env["VCRKIT_SIGNER_STATE"]]
+    socket_path = tmp_path / "signer.sock"
+    args = ["signer-unlock", "--socket", str(socket_path), "--policy", "auto"]
     result = _run(runner, env, args, expect_exit=1)
     assert _one_json_error(result.stderr)["error"] == "MalformedMessage"
+    assert not socket_path.exists()
 
 
-def test_unknown_sid_fails_with_error_class(runner, env, loopback):
+def test_unknown_sid_fails_with_error_class(runner, env, loopback, signer_daemon):
     _, _, origin = loopback
     _bootstrap(runner, env)
     result = runner.invoke(
@@ -429,8 +512,6 @@ def test_unknown_sid_fails_with_error_class(runner, env, loopback):
             "access",
             "--session",
             "deadbeef",
-            "--state",
-            env["VCRKIT_SIGNER_STATE"],
         ],
         env=env,
     )

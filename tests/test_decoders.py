@@ -199,7 +199,7 @@ def test_canonical_round_trip(cls, seed):
 def _required(cls, mode):
     """The (attr, key) of each top-level field whose key must be present."""
     for f in cls.FIELDS:
-        if not (f.optional or f.omit_empty or f.flatten):
+        if not (f.omit_empty or f.flatten):
             yield f.attr, wire_key(f.name, mode)
 
 
