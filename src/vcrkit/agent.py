@@ -10,7 +10,6 @@ signing needs the trusted-device signer.
 from __future__ import annotations
 
 import gc
-import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -512,12 +511,6 @@ class StoreChange(Message):
     sessions: list[StoredSession] = field(default_factory=list)
     visit: tuple[int, str, str, int, str] | None = None
 
-    def to_wire_dict(self, mode: WireMode) -> dict:
-        data = super().to_wire_dict(mode)
-        if self.version:  # L even when empty: the reader before this layout needs it
-            data.setdefault(encoding.wire_key("sessions", mode), [])
-        return data
-
 
 @dataclass
 class VcrOutcome:
@@ -548,11 +541,6 @@ class Agent:
     def load(cls, store_path: str, http=None) -> "Agent":
         """The store's snapshot with the journal records after it replayed.
         Writes nothing."""
-        beside = store_path + ".journal"
-        if os.path.exists(beside):
-            # Records kept beside the store file are never read: refusing
-            # the store keeps its visits from being silently dropped.
-            raise CorruptStore(f"{beside} holds records this store no longer reads")
         try:
             snapshot, records, journal = files.Journal.read(store_path)
         except FileNotFoundError:
@@ -625,7 +613,11 @@ class Agent:
             body=body,
         )
         if exchange.status != 200:
-            raise NetworkError(f"wrapper endpoint answered {exchange.status}")
+            try:  # the server's refusal names its class: NoData, CookieAlreadyBound
+                code = encoding.json_object(exchange.body).get("error")
+            except MalformedMessage:
+                code = None
+            raise NetworkError(f"wrapper endpoint answered {exchange.status} {code}")
         try:
             wrapper = encoding.from_wire(Wrapper, exchange.body, WIRE_MODE)
         except MalformedMessage as exc:

@@ -101,6 +101,7 @@ WIRE_KEYS = {
     "visits": "A",
     "attributes": "B",
     "records": "D",
+    "unbound_cookies": "O",
 }
 
 

@@ -149,6 +149,10 @@ class NoData(VcrkitError):
     """No record exists for the verified client id."""
 
 
+class CookieAlreadyBound(VcrkitError):
+    """A wrapper was already issued for this cookie."""
+
+
 # --- client agent ----------------------------------------------------------
 
 class AlreadyProvisioned(VcrkitError):
@@ -191,10 +195,6 @@ class StateExists(VcrkitError):
 
 class StateMissing(VcrkitError):
     """No signer state file at the given path."""
-
-
-class Locked(VcrkitError):
-    """Signer state is not unlocked."""
 
 
 # --- bench -----------------------------------------------------------------

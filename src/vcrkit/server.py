@@ -2,9 +2,10 @@
 consumer-request verification and fulfillment.
 
 Collected data lives in memory keyed by the client-id cookie value, with an
-optional snapshot file for demos in the ACCESS body's layout. Page responses
-advertise the two protocol endpoints plus the server public key in response
-headers; the endpoints themselves are POST-only with OPTIMIZED JSON bodies.
+optional snapshot file for demos. Each cookie the server sets is bound by
+one wrapper, the first asked for. Page responses advertise the two protocol
+endpoints plus the server public key in response headers; the endpoints
+themselves are POST-only with OPTIMIZED JSON bodies.
 
 Verification failures answer 403 with the error class only — which
 signature or field failed is deliberately not revealed.
@@ -35,6 +36,7 @@ from .encoding import (
     wire_key,
 )
 from .errors import (
+    CookieAlreadyBound,
     InvalidPublicKey,
     MalformedBody,
     MalformedMessage,
@@ -112,6 +114,20 @@ class AccessResponse(Message):
     records: list[ClientDataRecord] = field(default_factory=list)
 
 
+@dataclass
+class ServerSnapshot(Message):
+    """The snapshot file: every record, then the cookies this server set
+    that no wrapper binds yet; without that list, every cookie is bound."""
+
+    FIELDS = (
+        Field("records", list_of(nested(ClientDataRecord), list)),
+        Field("unbound_cookies", list_of(STR, list), omit_empty=True),
+    )
+
+    records: list[ClientDataRecord] = field(default_factory=list)
+    unbound_cookies: list[str] = field(default_factory=list)
+
+
 @dataclass(frozen=True)
 class EndpointAdvertisement(Message):
     """What a page response tells the client about protocol support."""
@@ -149,7 +165,13 @@ class EndpointAdvertisement(Message):
 
 # Status of a refused request by the exact class of its error, so that a
 # MalformedMessage from verify_vcr (a version mismatch) stays a 403.
-_STATUS = {MalformedBody: 400, InvalidPublicKey: 400, NoData: 404, ModifyConflict: 409}
+_STATUS = {
+    MalformedBody: 400,
+    InvalidPublicKey: 400,
+    NoData: 404,
+    ModifyConflict: 409,
+    CookieAlreadyBound: 409,
+}
 
 
 def _refusal(exc: VcrkitError) -> tuple[int, dict]:
@@ -180,6 +202,7 @@ class VcrServer:
         self.snapshot_path = snapshot_path
         self.clock = clock
         self._records: dict[str, ClientDataRecord] = {}
+        self._unbound: set[str] = set()  # cookies set here that no wrapper binds
         self._lock = threading.Lock()
         if snapshot_path:
             self._load_snapshot()
@@ -225,6 +248,7 @@ class VcrServer:
                 self._records[cookie_value] = ClientDataRecord(
                     client_id=ClientId(COOKIE_NAME, cookie_value)
                 )
+                self._unbound.add(cookie_value)
             self._records[cookie_value].visits.append((now, path))
         return cookie_value, set_cookie
 
@@ -236,9 +260,21 @@ class VcrServer:
             req = self._decode_body(WrapperRequest, body)
             policy = MultiSigPolicy(req.vcr_pubkeys)
             wrapper = issue_wrapper(self.server_key, req.client_id, policy, now)
+            self._bind(req.client_id)
         except VcrkitError as exc:
             return _refusal(exc)
         return 200, wrapper.to_wire_dict(WIRE_MODE)
+
+    def _bind(self, client_id: ClientId) -> None:
+        """Bind a cookie this server set and holds a record for, once: the
+        check and the mark are one step, so one of two racing requests wins."""
+        with self._lock:
+            record = self._records.get(client_id.cookie_value)
+            if record is None or record.client_id != client_id:
+                raise NoData("no record for this client id")
+            if client_id.cookie_value not in self._unbound:
+                raise CookieAlreadyBound("this cookie is bound")
+            self._unbound.remove(client_id.cookie_value)
 
     # --- vcr endpoint ---------------------------------------------------------
 
@@ -312,6 +348,7 @@ class VcrServer:
         with self._lock:
             for value in cookie_values:
                 self._records.pop(value, None)
+                self._unbound.discard(value)
         return 200, {"ok": True}
 
     # --- snapshot -------------------------------------------------------------
@@ -320,7 +357,8 @@ class VcrServer:
         if not self.snapshot_path:
             return
         with self._lock:
-            data = encoding.to_wire(AccessResponse([*self._records.values()]), WIRE_MODE)
+            snapshot = ServerSnapshot([*self._records.values()], sorted(self._unbound))
+            data = encoding.to_wire(snapshot, WIRE_MODE)
         files.write_private(self.snapshot_path, data.encode())
 
     def _load_snapshot(self) -> None:
@@ -329,8 +367,9 @@ class VcrServer:
                 data = fh.read()
         except FileNotFoundError:
             return  # no snapshot yet
-        for record in encoding.from_wire(AccessResponse, data, WIRE_MODE).records:
-            self._records[record.client_id.cookie_value] = record
+        snapshot = encoding.from_wire(ServerSnapshot, data, WIRE_MODE)
+        self._records = {r.client_id.cookie_value: r for r in snapshot.records}
+        self._unbound = set(snapshot.unbound_cookies)
 
 
 class _Handler(BaseHTTPRequestHandler):

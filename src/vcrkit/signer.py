@@ -3,10 +3,11 @@
 The master private key never leaves this module. At rest it sits in a state
 file encrypted with AES-256-GCM under a scrypt-derived key; in memory it
 lives only inside an unlocked SignerState, next to at most KEY_CACHE_SIZE
-derived signing keys, all dropped by ``lock()``. The daemon speaks 4-byte
-little-endian length-prefixed JSON frames over a unix socket and serves one
-connection at a time; responses carry signatures and extended *public* keys,
-never private material.
+derived signing keys, for as long as the process that unlocked it. The
+daemon speaks 4-byte little-endian length-prefixed JSON frames over a unix
+socket and serves one connection at a time, one request frame and its
+answer each; responses carry signatures and extended *public* keys, never
+private material.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from . import curve, encoding, errors, files
 from .errors import (
     DeviceRetired,
-    Locked,
     MalformedMessage,
     QuietDisconnects,
     SignerRefused,
@@ -111,7 +111,7 @@ class SignerState:
         policy: ConfirmationPolicy = ConfirmationPolicy.AUTO_APPROVE,
         confirm_hook: ConfirmHook | None = None,
     ) -> None:
-        self._master: ExtendedPrivateKey | None = master
+        self._master = master
         self._keys: OrderedDict[DerivationPath, curve.PrivateKey] = OrderedDict()
         self._keys_lock = threading.Lock()
         self._retired = retired
@@ -169,10 +169,9 @@ class SignerState:
         return cls(master, retired, state_path, passphrase, policy, confirm_hook)
 
     def save(self) -> None:
-        master = self._require_unlocked()
         inner = json.dumps(
             {
-                "master": master.serialize().hex(),
+                "master": self._master.serialize().hex(),
                 "devices": {str(d): "retired" for d in sorted(self._retired)},
             }
         ).encode()
@@ -195,29 +194,16 @@ class SignerState:
         }
         files.write_private(self._state_path, json.dumps(envelope).encode())
 
-    def lock(self) -> None:
-        """Drop key material; every signing op afterwards raises Locked."""
-        with self._keys_lock:
-            self._master = None
-            self._keys.clear()
-
-    def _require_unlocked(self) -> ExtendedPrivateKey:
-        if self._master is None:
-            raise Locked("signer state is locked")
-        return self._master
-
     # --- operations ---------------------------------------------------------
 
     def issue_device_xpub(self, device_id: int) -> ExtendedPublicKey:
         DerivationPath((device_id,))  # an int in [0, 2^31), or raises
-        master = self._require_unlocked()
         if device_id in self._retired:
             raise DeviceRetired(f"device {device_id} is retired")
-        return neuter(derive_child_priv(master, device_id))
+        return neuter(derive_child_priv(self._master, device_id))
 
     def retire_device(self, device_id: int) -> None:
         DerivationPath((device_id,))  # an int in [0, 2^31), or raises
-        self._require_unlocked()
         if device_id not in self._retired:
             self._retired.add(device_id)
             self.save()
@@ -235,7 +221,6 @@ class SignerState:
     def sign_digest(
         self, path: DerivationPath, digest: bytes, summary: str | None = None
     ) -> bytes:
-        master = self._require_unlocked()
         if len(path) == 0:
             raise UnknownPath("signing under the bare master is not allowed")
         if len(digest) != 32:
@@ -244,22 +229,19 @@ class SignerState:
             raise DeviceRetired(f"device {path.segments[0]} is retired")
         if not self._confirm(path, summary):
             raise SignerRefused(str(path))
-        return curve.sign_digest(self._signing_key(master, path), digest)
+        return curve.sign_digest(self._signing_key(path), digest)
 
-    def _signing_key(
-        self, master: ExtendedPrivateKey, path: DerivationPath
-    ) -> curve.PrivateKey:
+    def _signing_key(self, path: DerivationPath) -> curve.PrivateKey:
         with self._keys_lock:
             key = self._keys.get(path)
             if key is not None:
                 self._keys.move_to_end(path)
                 return key
-        key = curve.private_key(derive_path(master, path).secret)
+        key = curve.private_key(derive_path(self._master, path).secret)
         with self._keys_lock:
-            if self._master is master:  # not locked meanwhile
-                self._keys[path] = key
-                if len(self._keys) > KEY_CACHE_SIZE:
-                    self._keys.popitem(last=False)
+            self._keys[path] = key
+            if len(self._keys) > KEY_CACHE_SIZE:
+                self._keys.popitem(last=False)
         return key
 
 
@@ -300,19 +282,17 @@ def _read_exact(sock: socket.socket, n: int) -> bytes | None:
 
 
 class _FrameHandler(socketserver.BaseRequestHandler):
-    """Answers frames on one connection until the peer closes it."""
+    """Answers one request frame; the connection then closes."""
 
     def handle(self) -> None:
-        while True:
-            try:
-                frame = read_frame(self.request)
-            except MalformedMessage as exc:
-                reply = {"ok": False, "err": exc.code, "message": str(exc)}
-                write_frame(self.request, reply)
-                return
+        try:
+            frame = read_frame(self.request)
             if frame is None:
                 return
-            write_frame(self.request, self.server._handle(frame))
+            reply = self.server._handle(frame)
+        except MalformedMessage as exc:
+            reply = {"ok": False, "err": exc.code, "message": str(exc)}
+        write_frame(self.request, reply)
 
 
 class SignerDaemon(QuietDisconnects, socketserver.UnixStreamServer):
@@ -365,14 +345,13 @@ class SignerDaemon(QuietDisconnects, socketserver.UnixStreamServer):
 @dataclass
 class SignerClient:
     """Client side of the framed protocol; satisfies the signing-oracle
-    interface that sign_vcr expects."""
+    interface that sign_vcr expects. It waits for each answer for as long
+    as the daemon's policy takes."""
 
     socket_path: str
-    timeout: float = 10.0
 
     def _request(self, payload: dict, decode=_TEXT):
         with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
-            sock.settimeout(self.timeout)
             sock.connect(self.socket_path)
             write_frame(sock, payload)
             response = read_frame(sock)

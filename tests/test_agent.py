@@ -46,7 +46,7 @@ from vcrkit import server as server_module
 from vcrkit.server import ACCESS_INFO, EndpointAdvertisement, VcrHttpServer, VcrServer
 from vcrkit.signer import ConfirmationPolicy, SignerState
 from vcrkit.vcr import ActionKind, SealedVcr, VcrAction, unseal_vcr
-from vcrkit.wrapper import ClientId, ServerKey
+from vcrkit.wrapper import ClientId, ServerKey, WrapperRequest
 
 OPT = WireMode.OPTIMIZED
 SEED = bytes(range(32))
@@ -197,6 +197,29 @@ def test_no_key_is_offered_twice_over_network_failures(loopback, tmp_path):
     assert agent.store.next_j == 6
     assert [p for p in outcomes if p] == ["m/0/0", "m/0/2", "m/0/4"]
     assert [str(s.path) for s in agent.store.sessions] == ["m/0/0", "m/0/2", "m/0/4"]
+
+
+def test_cookie_bound_first_by_a_stranger_adds_no_session(loopback, tmp_path):
+    """A stranger who binds the agent's fresh cookie first wins; the agent's
+    refusal names the server's error class, adds no session and keeps its
+    index spent."""
+    _, _, origin = loopback
+    stranger = derive_path(neuter(generate_master(SEED)), DerivationPath((9, 0)))
+
+    def raced(method, url, headers=None, body=b"", timeout=10.0):
+        if method == "POST":  # the stranger's key in the agent's request, first
+            request = encoding.from_wire(WrapperRequest, body, OPT)
+            stolen = replace(request, vcr_pubkeys=(stranger.public_point,))
+            body_of_stranger = encoding.to_wire(stolen, OPT).encode()
+            exchange = httpwire.request(method, url, headers=headers, body=body_of_stranger)
+            assert exchange.status == 200
+        return httpwire.request(method, url, headers=headers, body=body)
+
+    agent, _ = _fresh_agent(tmp_path, http=raced)
+    with pytest.raises(NetworkError, match="409 CookieAlreadyBound"):
+        agent.visit(origin + "/", _now())
+    assert agent.store.sessions == [] and agent.store.next_j == 1
+    assert Agent.load(agent.store_path).store.next_j == 1
 
 
 @pytest.mark.parametrize("reload", [False, True], ids=["same-agent", "after-load"])
@@ -1142,15 +1165,17 @@ def test_a_copy_of_the_store_file_alone_loads_every_visit(tmp_path):
     assert loaded.store.export() == agent.store.export()
 
 
-def test_a_journal_beside_the_store_is_refused(tmp_path):
-    """A store whose records sit in ``<store>.journal`` (the layout before
-    records followed the snapshot) would load without them: it is refused,
-    naming that file."""
+def test_a_stray_file_named_like_a_journal_beside_the_store_is_ignored(tmp_path):
+    """Only version 1 stores kept records in ``<store>.journal``, and those
+    are refused by their version: a version 2 store beside such a file
+    loads, and the file is left as it was."""
     agent = _journal_agent(tmp_path)
+    _visit_and_save(agent, 0, "/a")
     beside = tmp_path / "agent.store.journal"
     beside.write_bytes(b"records")
-    with pytest.raises(CorruptStore, match="agent.store.journal"):
-        _reload(agent)
+    loaded = _reload(agent)
+    assert loaded.store.export() == agent.store.export()
+    assert beside.read_bytes() == b"records"
 
 
 def test_a_visit_appends_the_same_bytes_at_any_store_size(tmp_path, monkeypatch):

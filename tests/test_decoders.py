@@ -39,6 +39,7 @@ from vcrkit.server import (
     AccessResponse,
     ClientDataRecord,
     EndpointAdvertisement,
+    ServerSnapshot,
 )
 from vcrkit.vcr import XPUB, ActionKind, UnifiedProof, VcrAction, VcrRequest
 from vcrkit.wrapper import ClientId, Wrapper, WrapperRequest
@@ -111,6 +112,10 @@ BUILDERS = {
     ClientDataRecord: random_data_record,
     AccessResponse: lambda rng: AccessResponse(
         [random_data_record(rng) for _ in range(rng.randint(0, 2))]
+    ),
+    ServerSnapshot: lambda rng: ServerSnapshot(
+        [random_data_record(rng) for _ in range(rng.randint(0, 2))],
+        [some_text(rng, 1, 64) for _ in range(rng.randint(0, 2))],
     ),
     StoredSession: random_stored_session,
     StoreHeader: _store,

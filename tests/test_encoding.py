@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -48,6 +49,20 @@ def test_key_dictionary_is_a_bijection():
     assert all(len(letter) == 1 for letter in letters)
     assert len(set(WIRE_KEYS)) == len(WIRE_KEYS)
     assert WIRE_KEYS["vcr_pubkeys"] == "v"
+
+
+def test_docs_key_dictionary_lists_exactly_the_wire_keys():
+    """The table under "JSON key dictionary" in docs/wire-format.md: rows of
+    (long name, key) pairs, three to a row, blank cells between them."""
+    doc = Path(__file__).resolve().parents[1] / "docs" / "wire-format.md"
+    table = doc.read_text().split("## JSON key dictionary", 1)[1].split("\n## ", 1)[0]
+    listed = []
+    for line in table.splitlines():
+        if not line.startswith("| ") or "long name" in line:
+            continue
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")] + [""]
+        listed += [(n, k) for n, k, _ in zip(*[iter(cells)] * 3) if n or k]
+    assert sorted(listed) == sorted(WIRE_KEYS.items())
 
 
 def test_canonical_roundtrip_bulk():

@@ -74,16 +74,20 @@ def _cookie_of(exchange):
     return ClientId(name, value)
 
 
-def _obtain_wrapper(origin, vcr_server, client_id, points):
+def _request_wrapper(origin, vcr_server, client_id, points):
     body = encoding.to_wire(
         WrapperRequest(client_id=client_id, vcr_pubkeys=tuple(points)), OPT
     )
-    exchange = _post_json(
+    return _post_json(
         origin,
         vcr_server.advertisement.wrapper_endpoint,
         body,
         cookie=f"{client_id.cookie_name}={client_id.cookie_value}",
     )
+
+
+def _obtain_wrapper(origin, vcr_server, client_id, points):
+    exchange = _request_wrapper(origin, vcr_server, client_id, points)
     assert exchange.status == 200, exchange.body
     return encoding.from_wire(Wrapper, exchange.body.decode(), OPT), exchange
 
@@ -350,13 +354,95 @@ def test_access_for_unknown_client_is_nodata(loopback, master, local_signer):
     ghost = ClientId("vcid", "never-visited-anything")
     path = DerivationPath((0, 5))
     point = derive_path(neuter(master), path).public_point
-    wrapper, _ = _obtain_wrapper(origin, vcr_server, ghost, [point])
+    # The wrapper endpoint refuses a cookie the server never set, so the
+    # wrapper is issued in process under the server's key.
+    policy = MultiSigPolicy((point,))
+    wrapper = issue_wrapper(vcr_server.server_key, ghost, policy, int(time.time()))
     request = _signed_request(
         vcr_server, wrapper, VcrAction(ActionKind.ACCESS), local_signer, path
     )
     exchange = _submit(origin, vcr_server, request)
     assert exchange.status == 404
     assert json.loads(exchange.body)["error"] == "NoData"
+
+
+def _refusal_of(exchange):
+    return exchange.status, json.loads(exchange.body)
+
+
+def test_strangers_wrapper_for_a_bound_cookie_is_refused(loopback, master, local_signer):
+    """Whoever reads a victim's cookie cannot bind a key of their own to it
+    once the victim has: the victim's record stays theirs alone."""
+    vcr_server, _, origin = loopback
+    victim = _cookie_of(_get(origin, "/"))
+    path = DerivationPath((0, 8))
+    point = derive_path(neuter(master), path).public_point
+    _obtain_wrapper(origin, vcr_server, victim, [point])
+    vcr_server.set_attribute(victim.cookie_value, "email", "victim@example.com")
+    before = encoding.to_wire(vcr_server.get_record(victim.cookie_value), OPT)
+    stranger = derive_path(neuter(master), DerivationPath((9, 0))).public_point
+    exchange = _request_wrapper(origin, vcr_server, victim, [stranger])
+    assert _refusal_of(exchange) == (409, {"error": "CookieAlreadyBound"})
+    assert encoding.to_wire(vcr_server.get_record(victim.cookie_value), OPT) == before
+
+
+@pytest.mark.parametrize("name", [COOKIE_NAME, "other"], ids=["never-set", "renamed"])
+def test_wrapper_for_a_cookie_the_server_never_set_is_nodata(loopback, master_pub, name):
+    """A cookie value the server never set, or a value it set under another
+    cookie name, has no record: 404, and the victim can still bind theirs."""
+    vcr_server, _, origin = loopback
+    victim = _cookie_of(_get(origin, "/"))
+    value = "never-set-by-this-server" if name == COOKIE_NAME else victim.cookie_value
+    point = derive_path(master_pub, DerivationPath((0, 1))).public_point
+    exchange = _request_wrapper(origin, vcr_server, ClientId(name, value), [point])
+    assert _refusal_of(exchange) == (404, {"error": "NoData"})
+    _obtain_wrapper(origin, vcr_server, victim, [point])
+
+
+def _bind_status(vcr_server, value, master_pub, j=0):
+    point = derive_path(master_pub, DerivationPath((0, j))).public_point
+    body = encoding.to_wire(WrapperRequest(ClientId(COOKIE_NAME, value), (point,)), OPT)
+    return vcr_server.handle_wrapper_request(body.encode())[0]
+
+
+def test_racing_wrapper_requests_for_one_cookie_bind_it_once(master_pub):
+    vcr_server = VcrServer()
+    value, _ = vcr_server.handle_page_request("/", None)
+    barrier = threading.Barrier(8)
+    statuses = []
+
+    def bind(j):
+        barrier.wait(timeout=10)
+        statuses.append(_bind_status(vcr_server, value, master_pub, j))
+
+    threads = [threading.Thread(target=bind, args=(j,)) for j in range(8)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert sorted(statuses) == [200] + [409] * 7
+
+
+def test_a_binding_survives_a_restart_on_the_snapshot(tmp_path, master_pub):
+    """The snapshot lists the cookies still open for binding: a bound one
+    stays bound after a restart, an open one stays open."""
+    snapshot, key = str(tmp_path / "snap.json"), ServerKey.generate()
+    first = VcrServer(server_key=key, snapshot_path=snapshot)
+    bound, _ = first.handle_page_request("/", None)
+    still_open, _ = first.handle_page_request("/", None)
+    assert _bind_status(first, bound, master_pub) == 200
+    first.save_snapshot()
+    assert json.loads((tmp_path / "snap.json").read_text())["O"] == [still_open]
+    restarted = VcrServer(server_key=key, snapshot_path=snapshot)
+    assert _bind_status(restarted, bound, master_pub, 1) == 409
+    assert _bind_status(restarted, still_open, master_pub, 2) == 200
+    assert _bind_status(restarted, still_open, master_pub, 3) == 409
+
+
+def test_every_cookie_of_a_snapshot_without_the_open_list_is_bound(tmp_path, master_pub):
+    snapshot = tmp_path / "snap.json"
+    snapshot.write_text(encoding.to_wire(AccessResponse([_record("abc")]), OPT))
+    assert _bind_status(VcrServer(snapshot_path=str(snapshot)), "abc", master_pub) == 409
 
 
 def test_modify_applies_and_conflicts(loopback, master, local_signer):

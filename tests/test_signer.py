@@ -15,7 +15,6 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from vcrkit import curve, signer
 from vcrkit.errors import (
     DeviceRetired,
-    Locked,
     MalformedMessage,
     SignerRefused,
     StateExists,
@@ -260,18 +259,6 @@ def test_prompt_policy_without_hook_refuses(state):
         state.sign_digest(DerivationPath((0, 0)), curve.sha256(b"x"))
 
 
-@pytest.mark.parametrize("signed_first", [False, True])
-def test_lock(state, signed_first):
-    if signed_first:
-        state.sign_digest(DerivationPath((0, 0)), curve.sha256(b"x"))
-    state.lock()
-    assert not state._keys
-    with pytest.raises(Locked):
-        state.issue_device_xpub(0)
-    with pytest.raises(Locked):
-        state.sign_digest(DerivationPath((0, 0)), curve.sha256(b"x"))
-
-
 def test_prompt_hook_asked_on_every_signature_of_a_kept_key(state):
     seen = []
     state.policy = ConfirmationPolicy.PROMPT
@@ -310,7 +297,7 @@ def test_kept_key_signs_like_a_fresh_derivation(state):
     assert list(state._keys) == [path]
 
 
-def test_concurrent_signing_keeps_the_cap_and_lock_drops_all(state, monkeypatch):
+def test_concurrent_signing_keeps_the_cap(state, monkeypatch):
     monkeypatch.setattr(signer, "KEY_CACHE_SIZE", 8)
     digest = curve.sha256(b"x")
     paths = [DerivationPath((0, j)) for j in range(20)]
@@ -321,31 +308,22 @@ def test_concurrent_signing_keeps_the_cap_and_lock_drops_all(state, monkeypatch)
             for i in range(rounds):
                 path = paths[(offset + i) % len(paths)]
                 signed.append((path, state.sign_digest(path, digest)))
-        except Locked:
-            pass
         except Exception as exc:  # reported by the assertion below
             failures.append(exc)
 
-    def run_threads(rounds, during=None):
-        threads = [threading.Thread(target=work, args=(3 * k, rounds)) for k in range(6)]
-        for thread in threads:
-            thread.start()
-        if during is not None:
-            during()
-        for thread in threads:
-            thread.join(timeout=60)
-        assert not any(thread.is_alive() for thread in threads)
-
+    threads = [threading.Thread(target=work, args=(3 * k, 30)) for k in range(6)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        run_threads(30)
-        assert len(state._keys) == 8
-        run_threads(30, during=state.lock)
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
     assert not failures
-    assert not state._keys
+    assert len(state._keys) == 8
     master = generate_master(SEED)
     expected = {}
     for path, signature in signed:
@@ -355,11 +333,12 @@ def test_concurrent_signing_keeps_the_cap_and_lock_drops_all(state, monkeypatch)
         assert signature == expected[path]
 
 
-def test_lock_unlock_roundtrip_preserves_derivations(state, tmp_path):
-    before = state.issue_device_xpub(1).serialize()
-    state.lock()
-    unlocked = SignerState.unlock(PASSPHRASE, str(tmp_path / "signer.state"))
-    assert unlocked.issue_device_xpub(1).serialize() == before
+def test_second_unlock_issues_the_same_device_xpub(state, tmp_path):
+    path = str(tmp_path / "signer.state")
+    first = SignerState.unlock(PASSPHRASE, path).issue_device_xpub(1)
+    second = SignerState.unlock(PASSPHRASE, path).issue_device_xpub(1)
+    assert second.serialize() == first.serialize()
+    assert first.serialize() == state.issue_device_xpub(1).serialize()
 
 
 # --- daemon -------------------------------------------------------------------
@@ -387,17 +366,62 @@ def test_daemon_error_mapping(client):
         client.sign_digest(DerivationPath((6, 0)), curve.sha256(b"x"))
 
 
-def test_daemon_multiple_frames_per_connection(daemon):
-    import socket as socketlib
-
-    from vcrkit.signer import read_frame, write_frame
-
+def test_daemon_answers_one_frame_per_connection(daemon, client):
+    """A second frame on a connection gets no answer: the daemon closes the
+    connection after the first answer, and serves the next connection."""
     with socketlib.socket(socketlib.AF_UNIX, socketlib.SOCK_STREAM) as sock:
         sock.connect(daemon.socket_path)
-        for _ in range(3):
+        write_frame(sock, {"op": "ping"})
+        assert read_frame(sock) == {"ok": True, "result": "pong"}
+        try:
             write_frame(sock, {"op": "ping"})
-            response = read_frame(sock)
-            assert response == {"ok": True, "result": "pong"}
+            second = read_frame(sock)
+        except ConnectionError:  # the daemon closed before or after the write
+            second = None
+        assert second is None
+    assert client.ping()
+
+
+def test_client_sets_no_deadline_on_its_socket(client, monkeypatch):
+    deadlines = []
+    original = socketlib.socket.settimeout
+
+    def spy(sock, value):
+        if threading.current_thread() is threading.main_thread():
+            deadlines.append(value)
+        original(sock, value)
+
+    monkeypatch.setattr(socketlib.socket, "settimeout", spy)
+    client.sign_digest(DerivationPath((0, 1)), curve.sha256(b"x"))
+    assert deadlines == []
+
+
+def test_prompt_answered_late_still_delivers_the_signature(
+    state, client, monkeypatch
+):
+    """The client waits for as long as the PROMPT hook takes. Any deadline
+    the client sets is cut a hundredfold, so a 10 s one would show here
+    as a 0.1 s one against the hook's half second."""
+    original = socketlib.socket.settimeout
+    monkeypatch.setattr(
+        socketlib.socket,
+        "settimeout",
+        lambda sock, value: original(sock, value and value / 100),
+    )
+    asked = []
+
+    def hook(path, summary):
+        asked.append((path, summary))
+        time.sleep(0.5)
+        return True
+
+    state.policy = ConfirmationPolicy.PROMPT
+    state.confirm_hook = hook
+    digest = curve.sha256(b"late")
+    signature = client.sign_digest(DerivationPath((0, 2)), digest, summary="pay")
+    pub = derive_path(neuter(generate_master(SEED)), DerivationPath((0, 2)))
+    assert curve.verify_digest(pub.public_point, digest, signature)
+    assert asked == [("m/0/2", "pay")]
 
 
 def test_daemon_responses_never_leak_private_material(daemon, client):
@@ -664,7 +688,7 @@ def test_reply_that_does_not_decode_is_malformed(state, tmp_path, reply, call):
     daemon = _CannedDaemon(state, str(tmp_path / "canned.sock"))
     daemon.reply = reply
     daemon.serve_in_thread()
-    client = SignerClient(daemon.socket_path, timeout=5)
+    client = SignerClient(daemon.socket_path)
     calls = {
         "ping": client.ping,
         "retire": lambda: client.retire_device(3),
@@ -680,11 +704,11 @@ def test_reply_that_does_not_decode_is_malformed(state, tmp_path, reply, call):
 
 def test_error_reply_naming_a_vcrkit_error_raises_it(state, tmp_path):
     daemon = _CannedDaemon(state, str(tmp_path / "canned.sock"))
-    daemon.reply = {"ok": False, "err": "Locked", "message": "locked"}
+    daemon.reply = {"ok": False, "err": "DeviceRetired", "message": "retired"}
     daemon.serve_in_thread()
     try:
-        with pytest.raises(Locked):
-            SignerClient(daemon.socket_path, timeout=5).ping()
+        with pytest.raises(DeviceRetired):
+            SignerClient(daemon.socket_path).ping()
     finally:
         daemon.shutdown()
 
