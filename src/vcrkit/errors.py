@@ -208,10 +208,13 @@ class BenchEnvironmentError(VcrkitError):
 class QuietDisconnects:
     """Serving base of both servers: the loop polls for shutdown every
     ``POLL_SECONDS`` and closes the listening socket when it ends; ``close()``
-    stops a started loop, then closes the socket. A peer gone mid-request
-    (reset, broken pipe) is dropped silently; other errors are printed."""
+    stops a started loop, then closes the socket. A request's bytes are
+    waited for at most ``READ_SECONDS``: the signer's whole request, and each
+    read of an HTTP one. A peer gone mid-request (reset, broken pipe) or out
+    of time is dropped silently; other errors are printed."""
 
     POLL_SECONDS = 0.05  # close() waits for the loop up to this long
+    READ_SECONDS = 5.0  # loopback clients send within microseconds of connect
     _serving = False  # set once a loop starts: shutdown() waits for one
 
     def serve_forever(self, poll_interval: float = POLL_SECONDS) -> None:
@@ -233,5 +236,5 @@ class QuietDisconnects:
         self.server_close()
 
     def handle_error(self, request, client_address) -> None:
-        if not isinstance(sys.exc_info()[1], ConnectionError):
+        if not isinstance(sys.exc_info()[1], (ConnectionError, TimeoutError)):
             super().handle_error(request, client_address)

@@ -381,6 +381,12 @@ class _Handler(BaseHTTPRequestHandler):
     def vcr(self) -> VcrServer:
         return self.server.vcr  # type: ignore[attr-defined]
 
+    @property
+    def timeout(self) -> float:
+        """Each read or write on the connection waits at most this long;
+        handle_one_request drops a connection that times out, quietly."""
+        return self.server.READ_SECONDS  # type: ignore[attr-defined]
+
     def log_message(self, *args) -> None:  # quiet by default
         pass
 

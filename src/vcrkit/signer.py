@@ -1,13 +1,13 @@
-"""Trusted-device signer: encrypted master key at rest, framed-JSON daemon.
+"""Trusted-device signer: encrypted master key at rest, JSON daemon.
 
 The master private key never leaves this module. At rest it sits in a state
 file encrypted with AES-256-GCM under a scrypt-derived key; in memory it
 lives only inside an unlocked SignerState, next to at most KEY_CACHE_SIZE
 derived signing keys, for as long as the process that unlocked it. The
-daemon speaks 4-byte little-endian length-prefixed JSON frames over a unix
-socket and serves one connection at a time, one request frame and its
-answer each; responses carry signatures and extended *public* keys, never
-private material.
+daemon serves one connection at a time over a unix socket: the client sends
+one JSON object and half-closes, the daemon answers one and closes.
+Responses carry signatures and extended *public* keys, never private
+material.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import os
 import socket
 import socketserver
 import threading
+import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
@@ -51,7 +52,7 @@ from .keyhier import (
 from .vcr import XPUB
 from .wrapper import SIGNATURE_BYTES
 
-MAX_FRAME_BYTES = 1 << 20
+MAX_MESSAGE_BYTES = 1 << 20  # a request or a reply
 
 # Derived signing keys an unlocked signer keeps, least recently used dropped
 # first. A miss costs a path derivation plus an OpenSSL key build, about three
@@ -62,7 +63,7 @@ _SCRYPT_N = 1 << 14
 _SCRYPT_R = 8
 _SCRYPT_P = 1
 
-# Frame values, read as VERBOSE JSON is: a number is no digest, a list no text.
+# Request values, read as VERBOSE JSON is: a number is no digest, a list no text.
 _TEXT = encoding.STR.decode[encoding.WireMode.VERBOSE]
 _DIGEST = encoding.fixed(32).decode[encoding.WireMode.VERBOSE]
 _SIGNATURE = encoding.fixed(SIGNATURE_BYTES).decode[encoding.WireMode.VERBOSE]
@@ -245,54 +246,48 @@ class SignerState:
         return key
 
 
-# --- framing -----------------------------------------------------------------
+# --- messages ----------------------------------------------------------------
+# One JSON object each way per connection, ended by its sender's half-close.
 
-def write_frame(sock: socket.socket, payload: dict) -> None:
+def send_message(sock: socket.socket, payload) -> None:
+    """Send ``payload`` as JSON, then half-close the socket."""
     data = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-    if len(data) > MAX_FRAME_BYTES:
-        raise MalformedMessage("frame too large")
-    sock.sendall(len(data).to_bytes(4, "little") + data)
+    if len(data) > MAX_MESSAGE_BYTES:
+        raise MalformedMessage("message too large")
+    sock.sendall(data)
+    sock.shutdown(socket.SHUT_WR)
 
 
-def read_frame(sock: socket.socket) -> dict | None:
-    """One frame, or None on clean EOF at a frame boundary."""
-    header = _read_exact(sock, 4)
-    if header is None:
-        return None
-    length = int.from_bytes(header, "little")
-    if length > MAX_FRAME_BYTES:
-        raise MalformedMessage("frame too large")
-    body = _read_exact(sock, length)
-    if body is None and length > 0:
-        raise MalformedMessage("connection closed mid-frame")
-    return encoding.json_object(body or b"")
-
-
-def _read_exact(sock: socket.socket, n: int) -> bytes | None:
-    """Exactly n bytes; None on EOF before any byte, error on partial read."""
-    chunks = b""
-    while len(chunks) < n:
-        chunk = sock.recv(n - len(chunks))
+def read_message(sock: socket.socket, deadline: float | None = None) -> dict:
+    """The JSON object in the bytes up to the peer's EOF. More than
+    MAX_MESSAGE_BYTES is MalformedMessage; bytes still missing at
+    ``deadline``, a ``time.monotonic()`` value, are TimeoutError."""
+    data = bytearray()
+    while True:
+        if deadline is not None:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise TimeoutError("message not read by its deadline")
+            sock.settimeout(remaining)
+        chunk = sock.recv(1 << 16)
         if not chunk:
-            if not chunks:
-                return None
-            raise MalformedMessage("connection closed mid-frame")
-        chunks += chunk
-    return chunks
+            return encoding.json_object(bytes(data))
+        data += chunk
+        if len(data) > MAX_MESSAGE_BYTES:
+            raise MalformedMessage("message too large")
 
 
-class _FrameHandler(socketserver.BaseRequestHandler):
-    """Answers one request frame; the connection then closes."""
+class _Handler(socketserver.BaseRequestHandler):
+    """Answers one request, read whole within READ_SECONDS of accept, as
+    one slow peer holds every later one; the connection then closes."""
 
     def handle(self) -> None:
+        deadline = time.monotonic() + self.server.READ_SECONDS
         try:
-            frame = read_frame(self.request)
-            if frame is None:
-                return
-            reply = self.server._handle(frame)
+            reply = self.server._handle(read_message(self.request, deadline))
         except MalformedMessage as exc:
             reply = {"ok": False, "err": exc.code, "message": str(exc)}
-        write_frame(self.request, reply)
+        send_message(self.request, reply)
 
 
 class SignerDaemon(QuietDisconnects, socketserver.UnixStreamServer):
@@ -304,7 +299,7 @@ class SignerDaemon(QuietDisconnects, socketserver.UnixStreamServer):
     def __init__(self, state: SignerState, socket_path: str) -> None:
         self.state = state
         self.socket_path = socket_path
-        super().__init__(socket_path, _FrameHandler)
+        super().__init__(socket_path, _Handler)
 
     def server_bind(self) -> None:
         if os.path.exists(self.socket_path):
@@ -318,21 +313,21 @@ class SignerDaemon(QuietDisconnects, socketserver.UnixStreamServer):
         with contextlib.suppress(FileNotFoundError):
             os.unlink(self.socket_path)
 
-    def _handle(self, frame: dict) -> dict:
-        op = frame.get("op")
+    def _handle(self, request: dict) -> dict:
+        op = request.get("op")
         try:
             if op == "ping":
                 return {"ok": True, "result": "pong"}
             if op == "device_xpub":
-                xpub = self.state.issue_device_xpub(frame["device_id"])
+                xpub = self.state.issue_device_xpub(request["device_id"])
                 return {"ok": True, "result": xpub.serialize().hex()}
             if op == "retire_device":
-                self.state.retire_device(frame["device_id"])
+                self.state.retire_device(request["device_id"])
                 return {"ok": True, "result": "retired"}
             if op == "sign":
-                path = DerivationPath.parse(_TEXT(frame["path"]))
-                digest = _DIGEST(frame["digest"])
-                summary = _TEXT(frame["summary"]) if "summary" in frame else None
+                path = DerivationPath.parse(_TEXT(request["path"]))
+                digest = _DIGEST(request["digest"])
+                summary = _TEXT(request["summary"]) if "summary" in request else None
                 signature = self.state.sign_digest(path, digest, summary)
                 return {"ok": True, "result": signature.hex()}
             return {"ok": False, "err": "UnknownOp", "message": f"no such op {op!r}"}
@@ -344,7 +339,7 @@ class SignerDaemon(QuietDisconnects, socketserver.UnixStreamServer):
 
 @dataclass
 class SignerClient:
-    """Client side of the framed protocol; satisfies the signing-oracle
+    """Client side of the daemon's protocol; satisfies the signing-oracle
     interface that sign_vcr expects. It waits for each answer for as long
     as the daemon's policy takes."""
 
@@ -353,10 +348,8 @@ class SignerClient:
     def _request(self, payload: dict, decode=_TEXT):
         with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
             sock.connect(self.socket_path)
-            write_frame(sock, payload)
-            response = read_frame(sock)
-        if response is None:
-            raise MalformedMessage("daemon closed the connection")
+            send_message(sock, payload)
+            response = read_message(sock)
         if response.get("ok"):
             try:
                 return decode(response["result"])

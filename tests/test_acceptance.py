@@ -652,7 +652,7 @@ def test_privacy_negative_checks(tmp_path):
     try:
         import socket as socketlib
 
-        from vcrkit.signer import read_frame, write_frame
+        from vcrkit.signer import read_message, send_message
 
         frames = [
             {"op": "ping"},
@@ -666,8 +666,8 @@ def test_privacy_negative_checks(tmp_path):
         for frame in frames:
             with socketlib.socket(socketlib.AF_UNIX, socketlib.SOCK_STREAM) as sock:
                 sock.connect(daemon.socket_path)
-                write_frame(sock, frame)
-                response = read_frame(sock)
+                send_message(sock, frame)
+                response = read_message(sock)
                 scan(json.dumps(response).encode(), f"daemon response to {frame}")
     finally:
         daemon.shutdown()

@@ -1179,7 +1179,9 @@ def test_a_stray_file_named_like_a_journal_beside_the_store_is_ignored(tmp_path)
 
 
 def test_a_visit_appends_the_same_bytes_at_any_store_size(tmp_path, monkeypatch):
-    """ROADMAP item 2: history_update stays flat. Bytes, not time."""
+    """A visit's save appends one record of the same size, under 100 bytes,
+    to a store of 100 or 5,000 sessions, and rewrites nothing. Bytes, not
+    time."""
 
     def refuse(*args):
         raise AssertionError("a visit's save rewrote the store")

@@ -771,6 +771,35 @@ def test_peer_reset_mid_body_is_quiet(capfd):
     assert capfd.readouterr().err == ""
 
 
+def test_stalled_body_is_closed_at_the_read_deadline(loopback, monkeypatch, capfd):
+    """A POST that declares 100 bytes and sends 10 is closed unanswered once
+    no byte has come for READ_SECONDS, and its handler thread exits. A page
+    request on another connection is served meanwhile."""
+    _, httpd, origin = loopback
+    monkeypatch.setattr(httpd, "READ_SECONDS", 0.3)
+    handlers = []
+    finish_request = httpd.finish_request
+
+    def recorded(request, client_address):  # runs on the handler's thread
+        handlers.append(threading.current_thread())
+        finish_request(request, client_address)
+
+    monkeypatch.setattr(httpd, "finish_request", recorded)
+    parts = urlsplit(origin)
+    head = (
+        f"POST {VCR_ENDPOINT} HTTP/1.1\r\nHost: {parts.netloc}\r\n"
+        "Content-Length: 100\r\n\r\n"
+    )
+    with socket.create_connection((parts.hostname, parts.port), timeout=5) as sock:
+        sock.sendall(head.encode("latin-1") + b"0123456789")
+        assert _get(origin, "/").status == 200
+        assert sock.recv(65536) == b""
+    for thread in handlers:
+        thread.join(timeout=2)
+    assert len(handlers) == 2 and not any(t.is_alive() for t in handlers)
+    assert capfd.readouterr().err == ""
+
+
 def test_sealed_body_with_mistyped_fields_is_malformed(loopback):
     vcr_server, _, origin = loopback
     exchange = _post_json(

@@ -1,4 +1,4 @@
-"""Signer state file, policies, retirement and the framed daemon."""
+"""Signer state file, policies, retirement and the daemon."""
 
 import json
 import os
@@ -35,8 +35,8 @@ from vcrkit.signer import (
     SignerClient,
     SignerDaemon,
     SignerState,
-    read_frame,
-    write_frame,
+    read_message,
+    send_message,
 )
 
 SEED = bytes(range(32))
@@ -366,19 +366,27 @@ def test_daemon_error_mapping(client):
         client.sign_digest(DerivationPath((6, 0)), curve.sha256(b"x"))
 
 
-def test_daemon_answers_one_frame_per_connection(daemon, client):
-    """A second frame on a connection gets no answer: the daemon closes the
-    connection after the first answer, and serves the next connection."""
+def test_daemon_answers_one_request_per_connection(daemon, client):
+    """A request ends at the client's half-close, and its answer at the
+    daemon's close. A second ping before the half-close gets no answer of
+    its own: the two make one request that is not one JSON object. The
+    daemon then serves the next connection."""
     with socketlib.socket(socketlib.AF_UNIX, socketlib.SOCK_STREAM) as sock:
         sock.connect(daemon.socket_path)
-        write_frame(sock, {"op": "ping"})
-        assert read_frame(sock) == {"ok": True, "result": "pong"}
-        try:
-            write_frame(sock, {"op": "ping"})
-            second = read_frame(sock)
-        except ConnectionError:  # the daemon closed before or after the write
-            second = None
-        assert second is None
+        sock.sendall(b'{"op":"ping"}')
+        sock.settimeout(0.2)
+        with pytest.raises(TimeoutError):  # nothing before the half-close
+            sock.recv(1)
+        sock.settimeout(None)
+        sock.shutdown(socketlib.SHUT_WR)
+        assert read_message(sock) == {"ok": True, "result": "pong"}
+        assert sock.recv(1) == b""  # closed after the one answer
+    with socketlib.socket(socketlib.AF_UNIX, socketlib.SOCK_STREAM) as sock:
+        sock.connect(daemon.socket_path)
+        sock.sendall(b'{"op":"ping"}{"op":"ping"}')
+        sock.shutdown(socketlib.SHUT_WR)
+        second = read_message(sock)
+    assert (second["ok"], second["err"]) == (False, "MalformedMessage")
     assert client.ping()
 
 
@@ -400,14 +408,17 @@ def test_prompt_answered_late_still_delivers_the_signature(
     state, client, monkeypatch
 ):
     """The client waits for as long as the PROMPT hook takes. Any deadline
-    the client sets is cut a hundredfold, so a 10 s one would show here
-    as a 0.1 s one against the hook's half second."""
+    the client (main) thread sets is cut a hundredfold, so a 10 s one would
+    show here as a 0.1 s one against the hook's half second. The daemon's
+    own read deadline is left as it is."""
     original = socketlib.socket.settimeout
-    monkeypatch.setattr(
-        socketlib.socket,
-        "settimeout",
-        lambda sock, value: original(sock, value and value / 100),
-    )
+
+    def cut(sock, value):
+        if threading.current_thread() is threading.main_thread():
+            value = value and value / 100
+        original(sock, value)
+
+    monkeypatch.setattr(socketlib.socket, "settimeout", cut)
     asked = []
 
     def hook(path, summary):
@@ -425,10 +436,10 @@ def test_prompt_answered_late_still_delivers_the_signature(
 
 
 def test_daemon_responses_never_leak_private_material(daemon, client):
-    """Fuzz the daemon and scan every response frame for key material."""
+    """Fuzz the daemon and scan every response for key material."""
     import socket as socketlib
 
-    from vcrkit.signer import read_frame, write_frame
+    from vcrkit.signer import read_message, send_message
 
     master = generate_master(SEED)
     forbidden = {
@@ -468,8 +479,8 @@ def test_daemon_responses_never_leak_private_material(daemon, client):
     for frame in frames:
         with socketlib.socket(socketlib.AF_UNIX, socketlib.SOCK_STREAM) as sock:
             sock.connect(daemon.socket_path)
-            write_frame(sock, frame)
-            response = read_frame(sock)
+            send_message(sock, frame)
+            response = read_message(sock)
             assert response is not None
             captured.append(json.dumps(response))
 
@@ -479,16 +490,13 @@ def test_daemon_responses_never_leak_private_material(daemon, client):
             assert secret not in lowered
 
 
-def test_daemon_answers_a_frame_that_is_not_an_object(daemon, client):
-    import socket as socketlib
-
-    from vcrkit.signer import read_frame
-
+def test_daemon_answers_a_request_that_is_not_an_object(daemon, client):
     for body in (b"[]", b'"ping"'):
         with socketlib.socket(socketlib.AF_UNIX, socketlib.SOCK_STREAM) as sock:
             sock.connect(daemon.socket_path)
-            sock.sendall(len(body).to_bytes(4, "little") + body)
-            response = read_frame(sock)
+            sock.sendall(body)
+            sock.shutdown(socketlib.SHUT_WR)
+            response = read_message(sock)
         assert response["ok"] is False
         assert response["err"] == "MalformedMessage"
     assert client.ping()
@@ -496,10 +504,10 @@ def test_daemon_answers_a_frame_that_is_not_an_object(daemon, client):
 
 def test_daemon_takes_only_a_json_integer_device_id_in_range(daemon, state, tmp_path):
     """A device id that is a bool, a float, a string, negative or 2^31 and
-    up gets an error frame and touches neither the ledger nor the file."""
+    up gets an error reply and touches neither the ledger nor the file."""
     import socket as socketlib
 
-    from vcrkit.signer import read_frame, write_frame
+    from vcrkit.signer import read_message, send_message
 
     state.issue_device_xpub(3)
     retired = set(state._retired)
@@ -509,8 +517,8 @@ def test_daemon_takes_only_a_json_integer_device_id_in_range(daemon, state, tmp_
         for device_id in bad_ids:
             with socketlib.socket(socketlib.AF_UNIX, socketlib.SOCK_STREAM) as sock:
                 sock.connect(daemon.socket_path)
-                write_frame(sock, {"op": op, "device_id": device_id})
-                response = read_frame(sock)
+                send_message(sock, {"op": op, "device_id": device_id})
+                response = read_message(sock)
             assert response["ok"] is False, (op, device_id)
             assert "result" not in response
     assert state._retired == retired
@@ -575,16 +583,71 @@ def test_daemon_bad_socket_path_raises_from_constructor(state, tmp_path):
         SignerDaemon(state, str(tmp_path / "no-such-dir" / "signer.sock"))
 
 
-def test_daemon_peer_gone_mid_frame_is_quiet(daemon, client, capfd):
-    import socket as socketlib
-
+def test_daemon_peer_gone_mid_request_is_quiet(daemon, client, capfd):
     with socketlib.socket(socketlib.AF_UNIX, socketlib.SOCK_STREAM) as sock:
         sock.connect(daemon.socket_path)
-        sock.sendall((100).to_bytes(4, "little") + b"{}")
+        sock.sendall(b'{"op":"pi')
     # One connection at a time: the ping is served only after the
     # abandoned connection has been dealt with.
     assert client.ping()
     assert capfd.readouterr().err == ""
+
+
+def test_idle_connection_holds_the_next_client_only_until_the_deadline(
+    daemon, client, monkeypatch, capfd
+):
+    """One connection at a time: a peer that connects and sends nothing is
+    dropped at READ_SECONDS. It reads EOF, and a ping queued behind it is
+    answered."""
+    monkeypatch.setattr(daemon, "READ_SECONDS", 0.3)
+    answers = []
+    with socketlib.socket(socketlib.AF_UNIX, socketlib.SOCK_STREAM) as idle:
+        idle.connect(daemon.socket_path)
+        idle.settimeout(5)
+        pinger = threading.Thread(
+            target=lambda: answers.append(client.ping()), daemon=True
+        )
+        pinger.start()
+        pinger.join(timeout=0.3 + 2)
+        assert answers == [True]
+        assert idle.recv(1) == b""
+    assert capfd.readouterr().err == ""
+
+
+def test_trickled_request_is_dropped_at_the_same_deadline(
+    daemon, client, monkeypatch, capfd
+):
+    """The deadline bounds the whole request, not each read: a peer that
+    sends a byte every quarter of it is held to it, then dropped."""
+    monkeypatch.setattr(daemon, "READ_SECONDS", 0.4)
+    with socketlib.socket(socketlib.AF_UNIX, socketlib.SOCK_STREAM) as peer:
+        peer.connect(daemon.socket_path)
+        started = time.monotonic()
+        with pytest.raises(ConnectionError):  # broken pipe once dropped
+            for _ in range(40):
+                peer.sendall(b" ")
+                time.sleep(0.1)
+        assert 0.3 < time.monotonic() - started < 0.4 + 2
+    assert client.ping()
+    assert capfd.readouterr().err == ""
+
+
+def test_request_over_the_size_limit_is_refused_and_the_next_is_served(
+    daemon, client
+):
+    """Refused once its bytes pass the limit, before any half-close."""
+    head, tail = b'{"op":"ping","pad":"', b'"}'
+    pad = b"x" * (signer.MAX_MESSAGE_BYTES + 1 - len(head) - len(tail))
+    with socketlib.socket(socketlib.AF_UNIX, socketlib.SOCK_STREAM) as sock:
+        sock.connect(daemon.socket_path)
+        sock.sendall(head + pad + tail)
+        response = read_message(sock)
+    assert response == {
+        "ok": False,
+        "err": "MalformedMessage",
+        "message": "message too large",
+    }
+    assert client.ping()
 
 
 # --- state files and replies that do not decode ------------------------------
@@ -658,11 +721,11 @@ def test_state_file_that_does_not_decode_is_malformed(tmp_path, data):
 
 
 class _CannedDaemon(SignerDaemon):
-    """Answers every frame with ``reply``, through the real framing."""
+    """Answers every request with ``reply``, through the real messages."""
 
     reply: dict = {}
 
-    def _handle(self, frame: dict) -> dict:
+    def _handle(self, request: dict) -> dict:
         return self.reply
 
 
@@ -771,8 +834,8 @@ def _mutated_frames():
 def _exchange(socket_path: str, frame) -> dict:
     with socketlib.socket(socketlib.AF_UNIX, socketlib.SOCK_STREAM) as sock:
         sock.connect(socket_path)
-        write_frame(sock, frame)
-        return read_frame(sock)
+        send_message(sock, frame)
+        return read_message(sock)
 
 
 @pytest.mark.parametrize("op", VALID_FRAMES)
