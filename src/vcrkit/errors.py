@@ -210,11 +210,14 @@ class QuietDisconnects:
     ``POLL_SECONDS`` and closes the listening socket when it ends; ``close()``
     stops a started loop, then closes the socket. A request's bytes are
     waited for at most ``READ_SECONDS``: the signer's whole request, and each
-    read of an HTTP one. A peer gone mid-request (reset, broken pipe) or out
-    of time is dropped silently; other errors are printed."""
+    read of an HTTP one. ``MAX_MESSAGE_BYTES`` bounds an HTTP request body and
+    each signer message, request or reply. A peer gone mid-request (reset,
+    broken pipe) or out of time is dropped silently; other errors are
+    printed."""
 
     POLL_SECONDS = 0.05  # close() waits for the loop up to this long
     READ_SECONDS = 5.0  # loopback clients send within microseconds of connect
+    MAX_MESSAGE_BYTES = 1 << 20
     _serving = False  # set once a loop starts: shutdown() waits for one
 
     def serve_forever(self, poll_interval: float = POLL_SECONDS) -> None:

@@ -36,6 +36,7 @@ from .encoding import (
     wire_key,
 )
 from .errors import (
+    ClockUnavailable,
     CookieAlreadyBound,
     InvalidPublicKey,
     MalformedBody,
@@ -80,11 +81,6 @@ ADVERTISEMENT_HEADERS = {
 }
 
 ACCESS_INFO = b"vcr-access-v1"
-
-# Largest POST body read; a longer declared Content-Length answers 413
-# (RFC 9110 §15.5.14) without reading it.
-MAX_BODY_BYTES = 1 << 20
-
 
 # One page visit: (unix time, URL path).
 VISIT = row(("visit_time", TIME), ("visit_url", STR))
@@ -255,12 +251,16 @@ class VcrServer:
     # --- wrapper endpoint -----------------------------------------------------
 
     def handle_wrapper_request(self, body: bytes) -> tuple[int, dict]:
+        """Decode, check the keys and the clock, bind, then sign, so that no
+        refusal costs a signature and a 400 or 403 leaves the cookie open."""
         now = int(self.clock())
         try:
             req = self._decode_body(WrapperRequest, body)
             policy = MultiSigPolicy(req.vcr_pubkeys)
-            wrapper = issue_wrapper(self.server_key, req.client_id, policy, now)
+            if now <= 0:
+                raise ClockUnavailable("issuance needs a positive unix time")
             self._bind(req.client_id)
+            wrapper = issue_wrapper(self.server_key, req.client_id, policy, now)
         except VcrkitError as exc:
             return _refusal(exc)
         return 200, wrapper.to_wire_dict(WIRE_MODE)
@@ -451,8 +451,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._refuse(400, MalformedBody("bad Content-Length").code)
             return
         length = int(raw_length)
-        if length > MAX_BODY_BYTES:
-            self._refuse(413, "BodyTooLarge")
+        if length > self.server.MAX_MESSAGE_BYTES:  # type: ignore[attr-defined]
+            self._refuse(413, "BodyTooLarge")  # RFC 9110 §15.5.14, body unread
             return
         body = self.rfile.read(length) if length else b""
         if path == WRAPPER_ENDPOINT:

@@ -52,8 +52,6 @@ from .keyhier import (
 from .vcr import XPUB
 from .wrapper import SIGNATURE_BYTES
 
-MAX_MESSAGE_BYTES = 1 << 20  # a request or a reply
-
 # Derived signing keys an unlocked signer keeps, least recently used dropped
 # first. A miss costs a path derivation plus an OpenSSL key build, about three
 # times a signature with a kept key; 512 kept keys take about 1 MB.
@@ -252,7 +250,7 @@ class SignerState:
 def send_message(sock: socket.socket, payload) -> None:
     """Send ``payload`` as JSON, then half-close the socket."""
     data = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-    if len(data) > MAX_MESSAGE_BYTES:
+    if len(data) > QuietDisconnects.MAX_MESSAGE_BYTES:
         raise MalformedMessage("message too large")
     sock.sendall(data)
     sock.shutdown(socket.SHUT_WR)
@@ -260,8 +258,8 @@ def send_message(sock: socket.socket, payload) -> None:
 
 def read_message(sock: socket.socket, deadline: float | None = None) -> dict:
     """The JSON object in the bytes up to the peer's EOF. More than
-    MAX_MESSAGE_BYTES is MalformedMessage; bytes still missing at
-    ``deadline``, a ``time.monotonic()`` value, are TimeoutError."""
+    QuietDisconnects.MAX_MESSAGE_BYTES is MalformedMessage; bytes still
+    missing at ``deadline``, a ``time.monotonic()`` value, are TimeoutError."""
     data = bytearray()
     while True:
         if deadline is not None:
@@ -273,20 +271,23 @@ def read_message(sock: socket.socket, deadline: float | None = None) -> dict:
         if not chunk:
             return encoding.json_object(bytes(data))
         data += chunk
-        if len(data) > MAX_MESSAGE_BYTES:
+        if len(data) > QuietDisconnects.MAX_MESSAGE_BYTES:
             raise MalformedMessage("message too large")
 
 
 class _Handler(socketserver.BaseRequestHandler):
     """Answers one request, read whole within READ_SECONDS of accept, as
-    one slow peer holds every later one; the connection then closes."""
+    one slow peer holds every later one; the connection then closes. A
+    refusal names its error class and nothing else, as the HTTP server's
+    do: none quotes the request, so none outgrows the message limit."""
 
     def handle(self) -> None:
         deadline = time.monotonic() + self.server.READ_SECONDS
         try:
             reply = self.server._handle(read_message(self.request, deadline))
-        except MalformedMessage as exc:
-            reply = {"ok": False, "err": exc.code, "message": str(exc)}
+        except encoding.DECODE_ERRORS as exc:
+            known = isinstance(exc, errors.VcrkitError)
+            reply = {"ok": False, "err": exc.code if known else "MalformedMessage"}
         send_message(self.request, reply)
 
 
@@ -314,27 +315,24 @@ class SignerDaemon(QuietDisconnects, socketserver.UnixStreamServer):
             os.unlink(self.socket_path)
 
     def _handle(self, request: dict) -> dict:
+        """The ok reply to ``request``; anything else raises."""
         op = request.get("op")
-        try:
-            if op == "ping":
-                return {"ok": True, "result": "pong"}
-            if op == "device_xpub":
-                xpub = self.state.issue_device_xpub(request["device_id"])
-                return {"ok": True, "result": xpub.serialize().hex()}
-            if op == "retire_device":
-                self.state.retire_device(request["device_id"])
-                return {"ok": True, "result": "retired"}
-            if op == "sign":
-                path = DerivationPath.parse(_TEXT(request["path"]))
-                digest = _DIGEST(request["digest"])
-                summary = _TEXT(request["summary"]) if "summary" in request else None
-                signature = self.state.sign_digest(path, digest, summary)
-                return {"ok": True, "result": signature.hex()}
-            return {"ok": False, "err": "UnknownOp", "message": f"no such op {op!r}"}
-        except errors.VcrkitError as exc:
-            return {"ok": False, "err": exc.code, "message": str(exc)}
-        except encoding.DECODE_ERRORS as exc:  # the rest of the one tuple
-            return {"ok": False, "err": "MalformedMessage", "message": str(exc)}
+        if op == "ping":
+            result = "pong"
+        elif op == "device_xpub":
+            xpub = self.state.issue_device_xpub(request["device_id"])
+            result = xpub.serialize().hex()
+        elif op == "retire_device":
+            self.state.retire_device(request["device_id"])
+            result = "retired"
+        elif op == "sign":
+            path = DerivationPath.parse(_TEXT(request["path"]))
+            digest = _DIGEST(request["digest"])
+            summary = _TEXT(request["summary"]) if "summary" in request else None
+            result = self.state.sign_digest(path, digest, summary).hex()
+        else:
+            raise MalformedMessage("no such op")
+        return {"ok": True, "result": result}
 
 
 @dataclass
@@ -355,12 +353,12 @@ class SignerClient:
                 return decode(response["result"])
             except encoding.DECODE_ERRORS as exc:
                 raise MalformedMessage(f"bad signer reply: {exc!r}") from None
+        # The reply names the class alone; the message tells what was asked.
+        asked = {k: payload[k] for k in ("op", "device_id", "path") if k in payload}
         err_cls = getattr(errors, str(response.get("err")), None)
         if isinstance(err_cls, type) and issubclass(err_cls, errors.VcrkitError):
-            raise err_cls(response.get("message", ""))
-        raise MalformedMessage(
-            f"{response.get('err')}: {response.get('message', '')}"
-        )
+            raise err_cls(f"signer refused {asked}")
+        raise MalformedMessage(f"signer reply to {asked} names no error class")
 
     def ping(self) -> bool:
         return self._request({"op": "ping"}) == "pong"

@@ -10,20 +10,20 @@ from urllib.parse import urlsplit
 
 import pytest
 
-from vcrkit import curve, encoding, httpwire
+from vcrkit import curve, encoding, httpwire, server
 from vcrkit.encoding import WireMode, wire_key
 from vcrkit.errors import (
     DecryptFailed,
     DegenerateKey,
     InvalidPublicKey,
     MalformedMessage,
+    QuietDisconnects,
 )
 from vcrkit.keyhier import DerivationPath, derive_child_pub, derive_path, neuter
 from vcrkit.sealing import HybridCiphertext, hybrid_decrypt
 from vcrkit.server import (
     ACCESS_INFO,
     COOKIE_NAME,
-    MAX_BODY_BYTES,
     VCR_ENDPOINT,
     WRAPPER_ENDPOINT,
     AccessResponse,
@@ -405,6 +405,44 @@ def _bind_status(vcr_server, value, master_pub, j=0):
     return vcr_server.handle_wrapper_request(body.encode())[0]
 
 
+@pytest.fixture()
+def signatures(monkeypatch):
+    """Client ids of every wrapper the server signs from here on."""
+    signed = []
+    original = server.issue_wrapper
+
+    def spy(server_key, client_id, keys, now):
+        signed.append(client_id)
+        return original(server_key, client_id, keys, now)
+
+    monkeypatch.setattr(server, "issue_wrapper", spy)
+    return signed
+
+
+def test_a_cookie_never_set_costs_no_signature(signatures, master_pub):
+    assert _bind_status(VcrServer(), "never-set", master_pub) == 404
+    assert signatures == []
+
+
+def test_a_second_wrapper_costs_no_signature(signatures, master_pub):
+    vcr_server = VcrServer()
+    value, _ = vcr_server.handle_page_request("/", None)
+    assert _bind_status(vcr_server, value, master_pub) == 200
+    assert _bind_status(vcr_server, value, master_pub, 1) == 409
+    assert signatures == [ClientId(COOKIE_NAME, value)]
+
+
+def test_a_refused_key_leaves_the_cookie_open(master_pub):
+    """A 400 for a key off the curve binds nothing: the next valid request
+    for the same cookie gets its wrapper."""
+    vcr_server = VcrServer()
+    value, _ = vcr_server.handle_page_request("/", None)
+    request = WrapperRequest(ClientId(COOKIE_NAME, value), (_off_curve_point(),))
+    body = encoding.to_wire(request, OPT).encode()
+    assert vcr_server.handle_wrapper_request(body) == (400, {"error": "InvalidPublicKey"})
+    assert _bind_status(vcr_server, value, master_pub) == 200
+
+
 def test_racing_wrapper_requests_for_one_cookie_bind_it_once(master_pub):
     vcr_server = VcrServer()
     value, _ = vcr_server.handle_page_request("/", None)
@@ -715,7 +753,7 @@ def test_negative_content_length_is_malformed(loopback):
 def test_oversized_content_length_is_refused_unread(loopback):
     vcr_server, _, origin = loopback
     path = vcr_server.advertisement.wrapper_endpoint
-    status = _post_declaring_length(origin, path, MAX_BODY_BYTES + 1)
+    status = _post_declaring_length(origin, path, QuietDisconnects.MAX_MESSAGE_BYTES + 1)
     assert status == (413, "BodyTooLarge")
     # Still serving afterwards.
     assert _get(origin, "/").status == 200

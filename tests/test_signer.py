@@ -12,10 +12,11 @@ import time
 import pytest
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from vcrkit import curve, signer
+from vcrkit import curve, errors, signer
 from vcrkit.errors import (
     DeviceRetired,
     MalformedMessage,
+    QuietDisconnects,
     SignerRefused,
     StateExists,
     StateMissing,
@@ -637,17 +638,58 @@ def test_request_over_the_size_limit_is_refused_and_the_next_is_served(
 ):
     """Refused once its bytes pass the limit, before any half-close."""
     head, tail = b'{"op":"ping","pad":"', b'"}'
-    pad = b"x" * (signer.MAX_MESSAGE_BYTES + 1 - len(head) - len(tail))
+    pad = b"x" * (QuietDisconnects.MAX_MESSAGE_BYTES + 1 - len(head) - len(tail))
     with socketlib.socket(socketlib.AF_UNIX, socketlib.SOCK_STREAM) as sock:
         sock.connect(daemon.socket_path)
         sock.sendall(head + pad + tail)
         response = read_message(sock)
-    assert response == {
-        "ok": False,
-        "err": "MalformedMessage",
-        "message": "message too large",
-    }
+    assert response == {"ok": False, "err": "MalformedMessage"}
     assert client.ping()
+
+
+def _raw_exchange(socket_path: str, request: bytes) -> bytes:
+    with socketlib.socket(socketlib.AF_UNIX, socketlib.SOCK_STREAM) as sock:
+        sock.connect(socket_path)
+        sock.sendall(request)
+        sock.shutdown(socketlib.SHUT_WR)
+        reply = bytearray()
+        while chunk := sock.recv(1 << 16):
+            reply += chunk
+    return bytes(reply)
+
+
+def _near_limit(pad: str, **fields) -> bytes:
+    """``fields`` as UTF-8 JSON, with ``pad`` repeated into the value of the
+    field that is None, up to the message limit."""
+    [name] = [k for k, v in fields.items() if v is None]
+    room = QuietDisconnects.MAX_MESSAGE_BYTES - len(
+        json.dumps({**fields, name: ""}, ensure_ascii=False).encode()
+    )
+    fields[name] = pad * (room // len(pad.encode()))
+    return json.dumps(fields, ensure_ascii=False).encode()
+
+
+@pytest.mark.parametrize(
+    "request_, err",
+    [
+        (_near_limit("x", op=None), "MalformedMessage"),
+        (_near_limit("\u00e9", op="sign", path=None, digest="11" * 32), "MalformedPath"),
+        (_near_limit("\u00e9", op="device_xpub", device_id=None), "MalformedPath"),
+        (_near_limit("1A", op="sign", path="m/0/1", digest=None), "MalformedMessage"),
+    ],
+    ids=["unknown-op", "sign-path", "device-id", "uppercase-digest"],
+)
+def test_a_refusal_quotes_nothing_of_a_request_near_the_limit(
+    daemon, client, capfd, request_, err
+):
+    """A request just under the limit whose text an error would quote,
+    escaped or whole, gets a short reply naming the class alone."""
+    assert len(request_) > QuietDisconnects.MAX_MESSAGE_BYTES - 8
+    reply = _raw_exchange(daemon.socket_path, request_)
+    assert len(reply) <= 64
+    assert json.loads(reply) == {"ok": False, "err": err}
+    assert client.ping()
+    assert capfd.readouterr().err == ""
 
 
 # --- state files and replies that do not decode ------------------------------
@@ -840,7 +882,14 @@ def _exchange(socket_path: str, frame) -> dict:
 
 @pytest.mark.parametrize("op", VALID_FRAMES)
 def test_each_valid_frame_is_answered_ok(daemon, op):
-    assert _exchange(daemon.socket_path, VALID_FRAMES[op])["ok"] is True
+    response = _exchange(daemon.socket_path, VALID_FRAMES[op])
+    assert response["ok"] is True
+    assert set(response) == {"ok", "result"}
+
+
+def _names_an_error_class(err) -> bool:
+    cls = getattr(errors, err, None) if isinstance(err, str) else None
+    return isinstance(cls, type) and issubclass(cls, errors.VcrkitError)
 
 
 @pytest.mark.parametrize("frame", _mutated_frames())
@@ -848,8 +897,12 @@ def test_mutated_frame_gets_an_error_frame_and_the_daemon_serves_on(
     daemon, client, frame
 ):
     """A frame with a key dropped or a value of another JSON type is refused,
-    not coerced: a number is no digest and an object no summary."""
+    not coerced: a number is no digest and an object no summary. The refusal
+    follows the HTTP server's rule: the error's class and nothing else, so
+    nothing of the request comes back."""
     response = _exchange(daemon.socket_path, frame)
     assert response["ok"] is False, response
     assert "result" not in response
+    assert response == {"ok": False, "err": response["err"]}
+    assert _names_an_error_class(response["err"]), response
     assert client.ping()
