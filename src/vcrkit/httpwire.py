@@ -2,18 +2,61 @@
 
 The storage and bandwidth tables count header and payload bytes separately,
 which off-the-shelf clients cannot report faithfully — so the agent and the
-bench harness share this deliberately small client. One request per
-connection (Connection: close), Content-Length bodies only; it only ever
-talks to the reference server.
+bench harness share this deliberately small client. Content-Length bodies
+only; it only ever talks to the reference server.
+
+Each thread holds at most one open connection, to the (host, port) it asked
+last; a request elsewhere closes it first. A response with a Content-Length
+and no ``Connection: close`` leaves its connection held for the thread's
+next request; any other response is read to EOF and its connection closed.
+A request is sent twice only when a held connection fails while sending, or
+ends or resets before the first byte of the answer. The server closes an
+idle connection only while it waits for a request line, so that request was
+never read. Nothing is resent after a timeout, after an answer has begun, or
+when a new connection fails.
 """
 
 from __future__ import annotations
 
 import socket
+import threading
 from dataclasses import dataclass
 from urllib.parse import urlsplit
 
 from .errors import NetworkError
+
+
+class _HeldConnection:
+    """The one connection a thread holds open. The thread's local slot is
+    its only reference, so the socket closes when the thread ends."""
+
+    def __init__(self) -> None:
+        self.origin: tuple[str, int] | None = None
+        self.sock: socket.socket | None = None
+
+    def take(self, origin: tuple[str, int]) -> socket.socket | None:
+        """The connection held to ``origin``, now the caller's to hold again
+        or close; a connection held to another origin is closed."""
+        sock, self.sock = self.sock, None
+        if sock is not None and self.origin != origin:
+            sock.close()
+            return None
+        return sock
+
+    def hold(self, origin: tuple[str, int], sock: socket.socket) -> None:
+        self.origin, self.sock = origin, sock
+
+    def __del__(self) -> None:
+        if self.sock is not None:
+            self.sock.close()
+
+
+class _PerThread(threading.local):
+    def __init__(self) -> None:  # runs once in each thread that uses it
+        self.held = _HeldConnection()
+
+
+_local = _PerThread()
 
 
 @dataclass
@@ -57,44 +100,42 @@ def request(
         lines.append(f"{name}: {value}")
     if body or method in ("POST", "PUT"):
         lines.append(f"Content-Length: {len(body)}")
-    lines.append("Connection: close")
     raw_request_header = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
 
+    message, origin, held = raw_request_header + body, (host, port), _local.held
+    sock = held.take(origin)
     try:
-        with socket.create_connection((host, port), timeout=timeout) as sock:
-            sock.sendall(raw_request_header + body)
-            raw = _read_all(sock)
+        try:
+            raw = _send_held(sock, message, timeout) if sock is not None else b""
+            if not raw:  # nothing held, or it closed unanswered: send on a new one
+                if sock is not None:
+                    sock.close()
+                sock = socket.create_connection(origin, timeout=timeout)
+                sock.sendall(message)
+                raw = sock.recv(65536)
+            while (header_end := raw.find(b"\r\n\r\n")) < 0:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    raise ConnectionError("truncated response")
+                raw += chunk
+            header_block = raw[: header_end + 4]
+            status, parsed_headers, set_cookies = _parse_head(header_block)
+            declared = parsed_headers.get("content-length", "")
+            digits = declared.isascii() and declared.isdigit()
+            length = int(declared) if digits else None
+            closing = parsed_headers.get("connection", "").lower() == "close"
+            if length is None or closing:
+                payload = _read_all(sock, raw[header_end + 4 :])[:length]
+                sock.close()
+            else:
+                payload = _read_exactly(sock, raw[header_end + 4 :], length)
+                held.hold(origin, sock)
+        except BaseException:
+            if sock is not None:
+                sock.close()
+            raise
     except OSError as exc:
         raise NetworkError(f"{method} {url}: {exc}") from None
-
-    header_end = raw.find(b"\r\n\r\n")
-    if header_end < 0:
-        raise NetworkError(f"{method} {url}: truncated response")
-    header_block = raw[: header_end + 4]
-    payload = raw[header_end + 4 :]
-
-    header_lines = header_block.decode("latin-1").split("\r\n")
-    status_parts = header_lines[0].split(" ", 2)
-    if len(status_parts) < 2 or not status_parts[1].isdigit():
-        raise NetworkError(f"bad status line {header_lines[0]!r}")
-    status = int(status_parts[1])
-
-    parsed_headers: dict[str, str] = {}
-    set_cookies: list[str] = []
-    for line in header_lines[1:]:
-        if not line or ":" not in line:
-            continue
-        name, _, value = line.partition(":")
-        name = name.strip().lower()
-        value = value.strip()
-        if name == "set-cookie":
-            set_cookies.append(value)
-        else:
-            parsed_headers[name] = value
-
-    length = parsed_headers.get("content-length")
-    if length is not None and length.isdigit():
-        payload = payload[: int(length)]
 
     return HttpExchange(
         status=status,
@@ -108,8 +149,53 @@ def request(
     )
 
 
-def _read_all(sock: socket.socket) -> bytes:
-    chunks = []
+def _send_held(sock: socket.socket, message: bytes, timeout: float) -> bytes:
+    """Send ``message`` on a held connection and return the first bytes of
+    the answer: b"" when the connection fails sending, or ends or resets
+    before any byte comes back."""
+    sock.settimeout(timeout)
+    try:
+        sock.sendall(message)
+        return sock.recv(65536)
+    except ConnectionError:  # reset or broken pipe; a timeout is not one
+        return b""
+
+
+def _parse_head(header_block: bytes) -> tuple[int, dict[str, str], list[str]]:
+    header_lines = header_block.decode("latin-1").split("\r\n")
+    status_parts = header_lines[0].split(" ", 2)
+    if len(status_parts) < 2 or not status_parts[1].isdigit():
+        raise NetworkError(f"bad status line {header_lines[0]!r}")
+    headers: dict[str, str] = {}
+    set_cookies: list[str] = []
+    for line in header_lines[1:]:
+        if not line or ":" not in line:
+            continue
+        name, _, value = line.partition(":")
+        name = name.strip().lower()
+        value = value.strip()
+        if name == "set-cookie":
+            set_cookies.append(value)
+        else:
+            headers[name] = value
+    return int(status_parts[1]), headers, set_cookies
+
+
+def _read_exactly(sock: socket.socket, start: bytes, length: int) -> bytes:
+    chunks, received = [start], len(start)
+    while received < length:
+        chunk = sock.recv(65536)
+        if not chunk:
+            raise ConnectionError("truncated response")
+        chunks.append(chunk)
+        received += len(chunk)
+    if received > length:  # bytes past the body: no answer to any request
+        raise ConnectionError("bytes after the response body")
+    return b"".join(chunks)
+
+
+def _read_all(sock: socket.socket, start: bytes) -> bytes:
+    chunks = [start]
     while True:
         chunk = sock.recv(65536)
         if not chunk:

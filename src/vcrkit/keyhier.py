@@ -63,13 +63,10 @@ class DerivationPath:
     segments: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.segments) > MAX_PATH_SEGMENTS:
-            raise MalformedPath(f"path deeper than {MAX_PATH_SEGMENTS} segments")
         for seg in self.segments:
             if isinstance(seg, bool) or not isinstance(seg, int) or seg < 0:
                 raise MalformedPath(f"bad path segment {seg!r}")
-            if seg >= HARDENED:
-                raise HardenedIndexRejected(f"segment {seg} is hardened")
+        _check_bounds(self.segments)
 
     @classmethod
     def parse(cls, text: str) -> "DerivationPath":
@@ -79,13 +76,26 @@ class DerivationPath:
             if any(part.endswith(("'", "h", "H")) for part in text.split("/")[1:]):
                 raise HardenedIndexRejected(f"hardened segment in {text!r}")
             raise MalformedPath(f"path not written as m/<index>/...: {text!r}")
-        return cls(tuple(map(int, text.split("/")[1:])))
+        segments = tuple(map(int, text.split("/")[1:]))
+        _check_bounds(segments)
+        # The match admits non-negative ints only: skip __post_init__'s checks.
+        path = object.__new__(cls)
+        object.__setattr__(path, "segments", segments)
+        return path
 
     def __str__(self) -> str:
         return "/".join(["m"] + [str(s) for s in self.segments])
 
     def __len__(self) -> int:
         return len(self.segments)
+
+
+def _check_bounds(segments: tuple[int, ...]) -> None:
+    if len(segments) > MAX_PATH_SEGMENTS:
+        raise MalformedPath(f"path deeper than {MAX_PATH_SEGMENTS} segments")
+    for seg in segments:
+        if seg >= HARDENED:
+            raise HardenedIndexRejected(f"segment {seg} is hardened")
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ signature or field failed is deliberately not revealed.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from dataclasses import dataclass, field
@@ -376,6 +377,12 @@ class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "vcrkit-ref"
     sys_version = ""
+    # Each response leaves in one write: headers and body are buffered until
+    # handle_one_request flushes them, and Nagle is off for a body longer
+    # than the buffer. A second small write on a kept-alive connection would
+    # otherwise wait for the client's delayed ACK.
+    wbufsize = -1
+    disable_nagle_algorithm = True
 
     @property
     def vcr(self) -> VcrServer:
@@ -465,9 +472,37 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class VcrHttpServer(QuietDisconnects, ThreadingHTTPServer):
+    """Clients keep connections open between requests. Closing the server
+    ends every open connection at its next read and waits for the handlers,
+    so no request is answered after the snapshot is saved."""
+
+    daemon_threads = False  # server_close joins every handler thread
+
     def __init__(self, address: tuple[str, int], vcr: VcrServer) -> None:
         super().__init__(address, _Handler)
         self.vcr = vcr
+        self._open: set[socket.socket] = set()
+        # Held around each close too, so server_close never shuts a closed fd.
+        self._open_lock = threading.Lock()
+
+    def process_request(self, request, client_address) -> None:
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._open_lock:
+            self._open.discard(request)
+            super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        with self._open_lock:
+            for conn in self._open:
+                try:
+                    conn.shutdown(socket.SHUT_RD)  # a blocked read returns EOF
+                except OSError:  # the peer already reset it
+                    pass
+        super().server_close()
 
     @property
     def origin(self) -> str:

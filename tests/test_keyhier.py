@@ -21,6 +21,7 @@ from vcrkit.errors import (
     RecoveryMismatch,
 )
 from vcrkit.keyhier import (
+    HARDENED,
     DerivationPath,
     ExtendedPublicKey,
     derive_child_priv,
@@ -243,6 +244,30 @@ def test_path_parsing_and_bounds():
         DerivationPath.parse("m/abc")
     with pytest.raises(MalformedPath):
         DerivationPath((0, 1, 2, 3, 4))
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("m/0/0/0/0/0", MalformedPath),
+        ("m/2147483648", HardenedIndexRejected),
+        ("m/0/4294967295", HardenedIndexRejected),
+        ("m/00/1", MalformedPath),
+        ("m/0/\u0663", MalformedPath),
+        ("m/-1", MalformedPath),
+        ("m/0/", MalformedPath),
+    ],
+)
+def test_parse_refuses_what_the_constructor_refuses(text, error):
+    with pytest.raises(error):
+        DerivationPath.parse(text)
+
+
+def test_a_parsed_path_equals_the_built_one():
+    parsed = DerivationPath.parse(f"m/0/{HARDENED - 1}/2/3")
+    built = DerivationPath((0, HARDENED - 1, 2, 3))
+    assert parsed == built and hash(parsed) == hash(built)
+    assert str(parsed) == f"m/0/{HARDENED - 1}/2/3"
 
 
 def test_derive_path_identity_and_composition(master):
