@@ -29,6 +29,7 @@ from .encoding import (
     list_of,
     map_of,
     maybe,
+    message_row,
     nested,
     row,
 )
@@ -73,7 +74,7 @@ from .wrapper import (
     verify_wrapper,
 )
 
-STORE_VERSION = 2
+STORE_VERSION = 3
 
 
 def _store_version(version: int) -> int:
@@ -141,8 +142,10 @@ class SessionRecord:
 class StoredSession(Message):
     """A session as the store file holds it: the index of its (origin,
     advertisement) entry in the store's server table, then what is its own.
-    Its cookie is the one its wrapper binds. History entries are URL paths
-    in both modes; the origin is the table entry's."""
+    Its cookie is the one its wrapper binds. A store record writes it as one
+    row (``message_row``), the wrapper's and its cookie's fields inlined.
+    History entries are URL paths in both modes; the origin is the table
+    entry's."""
 
     FIELDS = (
         Field("server", integer(32)),
@@ -157,6 +160,10 @@ class StoredSession(Message):
     wrapper: Wrapper
     created_at: int
     history: list[tuple[int, str]]
+
+
+# A stored session as a store record holds it: one row of its columns.
+SESSION_ROW = message_row(StoredSession)
 
 
 class AgentStore:
@@ -385,7 +392,7 @@ class AgentStore:
         snapshot = self.device_id is None  # no header read yet
         if (change.version is not None) != snapshot:
             raise MalformedMessage("the store version is the snapshot's and no other record's")
-        if change == StoreChange() or snapshot and change.header is None:
+        if change.header is None and (snapshot or not change.sessions and change.visit is None):
             raise MalformedMessage("record changes nothing, or snapshot has no header")
         if change.header is not None:
             header = change.header
@@ -489,7 +496,7 @@ class StoreChange(Message):
     FIELDS = (
         Field("version", converted(integer(), _store_version, int), omit_empty=True),
         Field("header", maybe(STORE_HEADER), flatten="device_id"),
-        Field("sessions", list_of(nested(StoredSession), list), omit_empty=True),
+        Field("sessions", list_of(SESSION_ROW, list), omit_empty=True),
         Field(
             "visits",
             maybe(

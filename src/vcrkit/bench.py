@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, replace
 
 from . import curve, encoding, httpwire
-from .agent import Agent, AgentStore, SessionRecord
+from .agent import SESSION_ROW, Agent, AgentStore, SessionRecord
 from .encoding import WireMode
 from .errors import BenchEnvironmentError
 from .keyhier import derive_child_pub
@@ -245,19 +245,24 @@ def _run_phases(runs, workdir, device_xpub, signer, vcr_server, httpd) -> BenchR
     if outcome.status != 200:
         raise BenchEnvironmentError("vcr flow failed during bandwidth run")
 
-    # A session as the store file holds it, with no history and with 100 visits.
+    # A session as a store record holds it, one row, with no history and
+    # with 100 visits.
     baseline = agent.store.stored(replace(session, history=[]))
     hundred = replace(
         baseline, history=[(session.created_at + i, "/some/page") for i in range(100)]
     )
+
+    def row_size(stored, mode: WireMode) -> int:
+        return encoding.json_size(SESSION_ROW.encode[mode](stored))
+
     return BenchReport(
         runs=runs,
         latency_ms=latency,
         bandwidth={"obtain_wrapper": wrapper_exchange, "verify_vcr": outcome.exchange},
         storage_bytes={
-            "baseline_optimized": encoding.byte_size(baseline, WireMode.OPTIMIZED),
-            "baseline_verbose": encoding.byte_size(baseline, WireMode.VERBOSE),
-            "history100_optimized": encoding.byte_size(hundred, WireMode.OPTIMIZED),
-            "history100_verbose": encoding.byte_size(hundred, WireMode.VERBOSE),
+            "baseline_optimized": row_size(baseline, WireMode.OPTIMIZED),
+            "baseline_verbose": row_size(baseline, WireMode.VERBOSE),
+            "history100_optimized": row_size(hundred, WireMode.OPTIMIZED),
+            "history100_verbose": row_size(hundred, WireMode.VERBOSE),
         },
     )

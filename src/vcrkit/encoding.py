@@ -21,6 +21,8 @@ modes and the canonical writer and reader are derived from that list. Each
 class's JSON encoder and decoder are generated once per mode, on first use:
 two straight-line functions written in one pass over the field table, the
 way ``dataclasses`` writes ``__init__``, built only from the table itself.
+``message_row`` writes a message as one row instead, its nested messages'
+fields inlined, from the same tables.
 A JSON value is decoded only from its own JSON type: a string field takes a
 string, an integer field an integer (not a bool), and so on, and a text
 value (base64, hex, a time) only in the one spelling its encoder writes.
@@ -31,6 +33,7 @@ from __future__ import annotations
 import binascii
 import dataclasses
 import inspect
+import itertools
 import json
 import keyword
 from dataclasses import KW_ONLY, dataclass
@@ -222,15 +225,22 @@ def _lift(table: dict, make) -> dict:
 class Kind:
     """How one field value is written: ``write(w, value)`` and ``read(r)``
     for the canonical form (None for kinds that have none), and per JSON
-    mode ``encode[mode](value)`` and ``decode[mode](raw)``. A ``row`` also
-    keeps its ``columns``, so that a list of rows decodes in one loop."""
+    mode ``encode[mode](value)`` and ``decode[mode](raw)``. A row also
+    keeps ``unpack(raw, names)``, the source that decodes one OPTIMIZED row
+    in line (see ``_unpack_row``), and its ``label``, so that a list of
+    rows decodes in one loop. A nested message's kind keeps its
+    ``message`` class."""
 
-    def __init__(self, write=None, read=None, encode=None, decode=None, columns=()) -> None:
+    def __init__(
+        self, write=None, read=None, encode=None, decode=None, *, unpack=None, label="", message=None
+    ) -> None:
         self.write = write
         self.read = read
         self.encode = _modes(_same) if encode is None else encode
         self.decode = _modes(_same) if decode is None else decode
-        self.columns = columns
+        self.unpack = unpack
+        self.label = label
+        self.message = message
 
 
 # --- generated codecs --------------------------------------------------------
@@ -295,6 +305,22 @@ def _b64_decode(text: str) -> bytes:
     if len(data) != len(text) * 3 // 4 or tail and text[-1] not in _LAST_CHARS[tail]:
         raise ValueError(f"{text!r} is not unpadded urlsafe base64 as written")
     return data
+
+
+def _b64_sized(size: int):
+    """``_b64_decode`` of a value of ``size`` bytes, the size checked in the
+    same call: the text has the one length such a value is written in, and
+    a skipped character shows as a short result."""
+    chars = -(-size * 4 // 3)
+    padding, last = _PADDING[chars % 4], _LAST_CHARS[chars % 4]
+
+    def decode(text: str) -> bytes:
+        data = binascii.a2b_base64(text.encode("ascii").translate(_FROM_URLSAFE) + padding)
+        if len(data) != size or len(text) != chars or last and text[-1] not in last:
+            raise ValueError(f"{text!r} is not {size} bytes of unpadded urlsafe base64")
+        return data
+
+    return decode
 
 
 def _hex_decode(text: str) -> bytes:
@@ -366,20 +392,17 @@ def fixed(size: int) -> Kind:
     """Bytes of one size. JSON is as for ``BIN``; a JSON read of another
     size raises ValueError, as the canonical reader's would fail."""
 
-    def sized(decode):
-        def read(raw) -> bytes:
-            data = decode(raw)
-            if len(data) != size:
-                raise ValueError(f"expected {size} bytes, got {len(data)}")
-            return data
-
-        return read
+    def read(raw) -> bytes:
+        data = _hex_decode(raw)
+        if len(data) != size:
+            raise ValueError(f"expected {size} bytes, got {len(data)}")
+        return data
 
     return Kind(
         lambda w, value: w.fixed(value, size),
         lambda r: r.fixed(size),
         BIN.encode,
-        _lift(BIN.decode, sized),
+        _modes(_b64_sized(size), read),
     )
 
 
@@ -432,13 +455,13 @@ def list_of(kind: Kind, container=tuple) -> Kind:
     decode = _lift(
         kind.decode, lambda decode: lambda raw: container(map(decode, _LIST(raw)))
     )
-    if kind.columns:
+    if kind.unpack:
         # A list of rows is read straight through, with no call per row.
         names = {"container": container}
-        lines, value = _unpack_row(kind.columns, "item", names)
+        lines, value = kind.unpack("item", names)
         decode[WireMode.OPTIMIZED] = _compile(
             "decode",
-            f"list_of(row({', '.join(name for name, _ in kind.columns)})) optimized",
+            f"list_of({kind.label}) optimized",
             "raw",
             [
                 "out = []",
@@ -481,50 +504,104 @@ def map_of(kind: Kind, key=str) -> Kind:
 def row(*columns: tuple[str, Kind]) -> Kind:
     """A fixed tuple of named columns: a JSON array in OPTIMIZED, an object
     keyed by the column names in VERBOSE."""
-    names = [name for name, _ in columns]
     kinds = [kind for _, kind in columns]
 
     def write(w: CanonicalWriter, value) -> None:
         for kind, item in zip(kinds, value):
             kind.write(w, item)
 
-    optimized, verbose = WireMode.OPTIMIZED, WireMode.VERBOSE
-    to_array = [kind.encode[optimized] for kind in kinds]
-    to_object = [kind.encode[verbose] for kind in kinds]
-    from_items: dict = {}
-    lines, value = _unpack_row(columns, "raw", from_items)
-    from_array = _compile(
-        "decode",
-        f"row({', '.join(names)}) optimized",
-        "raw",
-        [*lines, f"return {value}"],
-        from_items,
-    )
-    from_object = _compile(
-        "decode",
-        f"row({', '.join(names)}) verbose",
-        "raw",
-        ["return " + _tuple(f"d{i}(raw[{n!r}])" for i, n in enumerate(names))],
-        {f"d{i}": kind.decode[verbose] for i, kind in enumerate(kinds)},
-    )
-    return Kind(
+    return _row(
+        f"row({', '.join(name for name, _ in columns)})",
+        columns,
+        [f"m[{i}]" for i in range(len(columns))],
+        lambda values, names: ([], _tuple(values)),
         write,
         lambda r: tuple([kind.read(r) for kind in kinds]),
-        _modes(
-            lambda value: [e(item) for e, item in zip(to_array, value)],
-            lambda value: {n: e(item) for n, e, item in zip(names, to_object, value)},
-        ),
-        _modes(from_array, from_object),
-        columns=columns,
     )
 
 
-def _unpack_row(columns, raw: str, names: dict) -> tuple[list[str], str]:
+def message_row(cls: type["Message"]) -> Kind:
+    """``cls`` as one row: its fields in table order, each nested message's
+    fields inlined in their own table order. Decoding builds each message
+    as its own decoder does (``_built``), inner ones first. Every field on
+    the way must be required, as a row has no optional column; the
+    canonical form is the message's own."""
+    columns, getters = [], []
+
+    def inline(message, at: str) -> None:
+        default = message._from_fields.__func__ is Message._from_fields.__func__
+        for f in message.FIELDS:
+            if f.omit_empty or f.flatten or not default:
+                raise TypeError(f"{message.__name__}.{f.attr} cannot be a row's column")
+            if f.kind.message:
+                inline(f.kind.message, f"{at}.{f.attr}")
+            else:
+                columns.append((f.name, f.kind))
+                getters.append(f"{at}.{f.attr}")
+
+    def build(values, names):
+        values, lines, tags = iter(values), [], itertools.count()
+
+        def construct(message) -> str:
+            args = [
+                (f.attr, construct(f.kind.message) if f.kind.message else next(values))
+                for f in message.FIELDS
+            ]
+            more, value = _built(message, args, names, str(next(tags)))
+            lines.extend(more)
+            return value
+
+        value = construct(cls)
+        return lines, value
+
+    inline(cls, "m")
+    whole = nested(cls)
+    return _row(f"row({cls.__name__})", columns, getters, build, whole.write, whole.read)
+
+
+def _row(label: str, columns, getters, build, write, read) -> Kind:
+    """A row of ``columns`` (name, kind): a JSON array in OPTIMIZED, an
+    object keyed by the column names in VERBOSE. ``getters`` are the
+    expressions of each column's value in the value ``m`` encoded, and
+    ``build(values, names)`` gives the source lines that build a decoded
+    value from its columns' expressions, and the expression of that value.
+    Every encoder and decoder is generated here."""
+    if len({name for name, _ in columns}) < len(columns):
+        raise TypeError(f"{label} names a column twice")
+
+    def unpack(raw: str, names: dict) -> tuple[list[str], str]:
+        lines, values = _unpack_row(columns, raw, names)
+        built, value = build(values, names)
+        return [*lines, *built], value
+
+    encode, decode = {}, {}
+    for mode in WireMode:
+        items = [f"e{i}({getter})" for i, getter in enumerate(getters)]
+        if mode is WireMode.VERBOSE:
+            out = "{" + ", ".join(f"{n!r}: {e}" for (n, _), e in zip(columns, items)) + "}"
+        else:
+            out = "[" + ", ".join(items) + "]"
+        names = {f"e{i}": kind.encode[mode] for i, (_, kind) in enumerate(columns)}
+        encode[mode] = _compile("encode", f"{label} {mode.value}", "m", [f"return {out}"], names)
+    names = {}
+    lines, value = unpack("raw", names)
+    decode[WireMode.OPTIMIZED] = _compile(
+        "decode", f"{label} optimized", "raw", [*lines, f"return {value}"], names
+    )
+    names = {f"d{i}": kind.decode[WireMode.VERBOSE] for i, (_, kind) in enumerate(columns)}
+    lines, value = build([f"d{i}(raw[{name!r}])" for i, (name, _) in enumerate(columns)], names)
+    decode[WireMode.VERBOSE] = _compile(
+        "decode", f"{label} verbose", "raw", [*lines, f"return {value}"], names
+    )
+    return Kind(write, read, encode, decode, unpack=unpack, label=label)
+
+
+def _unpack_row(columns, raw: str, names: dict) -> tuple[list[str], list[str]]:
     """Source lines that check the OPTIMIZED array named ``raw`` and unpack
-    it, which refuses an array of another length, and the expression of its
-    decoded columns as a tuple. A column whose decoder only checks its JSON
-    type is checked in line; that decoder is called only to raise its
-    error. Binds the names the lines use in ``names``."""
+    it, which refuses an array of another length, and the expression of
+    each decoded column. A column whose decoder only checks its JSON type
+    is checked in line; that decoder is called only to raise its error.
+    Binds the names the lines use in ``names``."""
     names["array"] = _LIST
     items = [f"a{i}" for i in range(len(columns))]
     lines = [f"if type({raw}) is not list:", f"    array({raw})"]
@@ -539,7 +616,7 @@ def _unpack_row(columns, raw: str, names: dict) -> tuple[list[str], str]:
         names[f"t{i}"] = json_type
         lines += [f"if type(a{i}) is not t{i}:", f"    d{i}(a{i})"]
         values.append(f"a{i}")
-    return lines, _tuple(values)
+    return lines, values
 
 
 def nested(cls: type["Message"]) -> Kind:
@@ -549,6 +626,7 @@ def nested(cls: type["Message"]) -> Kind:
         cls._read_canonical,
         cls._wire_out,
         cls._wire_in,
+        message=cls,
     )
 
 
@@ -595,10 +673,9 @@ def _json_codec(cls, mode: WireMode):
     under ``if <key> in data:``; every other key is required. A flattened
     field's keys are merged into the object, and read back from it when its
     marker key is set. With the default ``_from_fields`` and only plain
-    required fields, the decoder is one ``cls(attr=d0(data[key]), ...)``
-    call, or for a frozen dataclass the object built in place
-    (``_built_in_place``); otherwise it fills a dict of attributes for
-    ``_from_fields``. A KeyError with a required key absent
+    required fields, the decoder builds the message from
+    ``d0(data[key]), ...`` as ``_built`` writes it; otherwise it fills a
+    dict of attributes for ``_from_fields``. A KeyError with a required key absent
     is that key's MalformedMessage; any other (an unknown word inside a
     field) goes on as it is."""
     names = {"cls": cls, "build": cls._from_fields, "missing": _missing}
@@ -621,19 +698,9 @@ def _json_codec(cls, mode: WireMode):
             args.append((attr, decoded))
     encode.append("return out")
     default = cls._from_fields.__func__ is Message._from_fields.__func__
-    plain = default and len(args) == len(cls.FIELDS)
-    if plain and _built_in_place(cls):
-        # Each attribute set in the new object's __dict__, then the checks.
-        names["new"] = object.__new__
-        decode = ["m = new(cls)", "attrs = m.__dict__"]
-        decode += [f"attrs[{attr!r}] = {decoded}" for attr, decoded in args]
-        if hasattr(cls, "__post_init__"):
-            names["post_init"] = cls.__post_init__
-            decode.append("post_init(m)")
-        decode.append("return m")
-    elif plain:
-        # Attributes are identifiers: __init_subclass__ checked them.
-        decode = [f"return cls({', '.join(f'{a}={d}' for a, d in args)})"]
+    if default and len(args) == len(cls.FIELDS):
+        lines, value = _built(cls, args, names)
+        decode = [*lines, f"return {value}"]
     else:
         decode.append("return cls(**values)" if default else "return build(values)")
     if required:
@@ -660,6 +727,30 @@ class _Compiled(dict):
         cls = self.cls
         cls._wire_out[mode], cls._wire_in[mode] = _json_codec(cls, mode)
         return self[mode]
+
+
+def _built(cls, args, names: dict, tag: str = "") -> tuple[list[str], str]:
+    """Source lines that build ``cls`` from ``args``, its (attribute,
+    expression) pairs, and the expression of the message built. When
+    ``_built_in_place`` allows, each attribute is set in the new object's
+    ``__dict__`` and then ``__post_init__`` checks it; otherwise ``cls`` is
+    called. ``tag`` tells apart the names of the messages one function
+    builds."""
+    names[f"cls{tag}"] = cls
+    if not _built_in_place(cls):
+        # Positional when the table lists __init__'s parameters in order, a
+        # call that matches no keywords; attributes are identifiers either
+        # way: __init_subclass__ checked them.
+        if [attr for attr, _ in args] == list(inspect.signature(cls).parameters):
+            return [], f"cls{tag}({', '.join(value for _, value in args)})"
+        return [], f"cls{tag}({', '.join(f'{a}={v}' for a, v in args)})"
+    names["new"] = object.__new__
+    lines = [f"m{tag} = new(cls{tag})", f"attrs = m{tag}.__dict__"]
+    lines += [f"attrs[{attr!r}] = {value}" for attr, value in args]
+    if hasattr(cls, "__post_init__"):
+        names[f"post_init{tag}"] = cls.__post_init__
+        lines.append(f"post_init{tag}(m{tag})")
+    return lines, f"m{tag}"
 
 
 def _built_in_place(cls) -> bool:
@@ -766,9 +857,11 @@ class Message:
 
 def to_wire(message, mode: WireMode) -> str:
     """Compact JSON text of any message exposing to_wire_dict()."""
-    return json.dumps(
-        message.to_wire_dict(mode), separators=(",", ":"), sort_keys=False
-    )
+    return _compact(message.to_wire_dict(mode))
+
+
+def _compact(value) -> str:
+    return json.dumps(value, separators=(",", ":"), sort_keys=False)
 
 
 def json_object(data: bytes | str) -> dict:
@@ -792,4 +885,10 @@ def from_wire(cls, data: bytes | str, mode: WireMode):
 
 def byte_size(message, mode: WireMode) -> int:
     """Wire size in bytes; the quantity the storage tables measure."""
-    return len(to_wire(message, mode).encode("utf-8"))
+    return json_size(message.to_wire_dict(mode))
+
+
+def json_size(value) -> int:
+    """Bytes of the compact JSON text of ``value``, a wire form a kind's
+    encoder made (a session row, say)."""
+    return len(_compact(value).encode("utf-8"))

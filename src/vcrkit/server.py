@@ -376,7 +376,6 @@ class VcrServer:
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "vcrkit-ref"
-    sys_version = ""
     # Each response leaves in one write: headers and body are buffered until
     # handle_one_request flushes them, and Nagle is off for a body longer
     # than the buffer. A second small write on a kept-alive connection would
@@ -396,6 +395,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     def log_message(self, *args) -> None:  # quiet by default
         pass
+
+    def version_string(self) -> str:
+        """The ``Server`` header: the name alone, no Python version after it."""
+        return self.server_version
 
     def _cookie_value(self) -> str | None:
         raw = self.headers.get("Cookie", "")
@@ -462,6 +465,9 @@ class _Handler(BaseHTTPRequestHandler):
             self._refuse(413, "BodyTooLarge")  # RFC 9110 §15.5.14, body unread
             return
         body = self.rfile.read(length) if length else b""
+        if len(body) < length:  # RFC 9112 §8: an incomplete message gets no answer
+            self.close_connection = True
+            return
         if path == WRAPPER_ENDPOINT:
             status, payload = self.vcr.handle_wrapper_request(body)
         elif path == VCR_ENDPOINT:

@@ -127,11 +127,26 @@ def random_stored_session(rng: random.Random) -> StoredSession:
     )
 
 
+def version_2_layout(export: bytes) -> bytes:
+    """An OPTIMIZED export rewritten in the layout of store version 2: each
+    session is an object, its wrapper an object inside it, and its cookie
+    an object inside that."""
+    data = json.loads(export)
+    sessions = []
+    for row in data.get("L", []):
+        server, path, version, name, value, keys, issued, key_id, signature, created, history = row
+        cookie = {"n": name, "c": value}
+        wrapper = {"V": version, "y": cookie, "v": keys, "i": issued, "d": key_id, "g": signature}
+        sessions.append({"F": server, "q": path, "x": wrapper, "b": created, "H": history})
+    data.update(V=2, L=sessions)
+    return json.dumps(data).encode()
+
+
 def version_1_layout(export: bytes) -> bytes:
     """An OPTIMIZED export rewritten in the layout of store version 1: each
     session carries its origin, its advertisement and its cookie, and there
     is no server table."""
-    data = json.loads(export)
+    data = json.loads(version_2_layout(export))
     table = data.pop("G")
     for session in data["L"]:
         session["O"], session["P"] = table[session.pop("F")]

@@ -17,9 +17,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from builders import random_session_record, version_1_layout, with_client_id
+from builders import random_session_record, version_1_layout, version_2_layout, with_client_id
 from vcrkit import curve, encoding, files, httpwire
-from vcrkit.agent import Agent, AgentStore, StoredSession, StoreHeader
+from vcrkit.agent import (
+    STORE_VERSION,
+    Agent,
+    AgentStore,
+    SessionRecord,
+    StoreChange,
+    StoredSession,
+    StoreHeader,
+)
 from vcrkit.encoding import WireMode, byte_size, wire_key
 from vcrkit.errors import (
     AlreadyProvisioned,
@@ -46,7 +54,7 @@ from vcrkit import server as server_module
 from vcrkit.server import ACCESS_INFO, EndpointAdvertisement, VcrHttpServer, VcrServer
 from vcrkit.signer import ConfirmationPolicy, SignerState
 from vcrkit.vcr import ActionKind, SealedVcr, VcrAction, unseal_vcr
-from vcrkit.wrapper import ClientId, ServerKey, WrapperRequest
+from vcrkit.wrapper import ClientId, MultiSigPolicy, ServerKey, WrapperRequest, issue_wrapper
 
 OPT = WireMode.OPTIMIZED
 SEED = bytes(range(32))
@@ -592,13 +600,13 @@ _TABLE = [[_SERVED.server_origin, _SERVED.endpoints.to_wire_dict(OPT)]]
 
 def _session_with_path(text, server=0):
     """_SERVED as a store file holds it, naming table entry ``server``,
-    with ``text`` as its path."""
+    with ``text`` as its path: the row's second column."""
     stored = StoredSession(
         server, _SERVED.path, _SERVED.wrapper, _SERVED.created_at, _SERVED.history
     )
-    raw = stored.to_wire_dict(OPT)
-    raw[wire_key("derivation_path", OPT)] = text
-    return raw
+    (row,) = StoreChange(sessions=[stored]).to_wire_dict(OPT)["L"]
+    row[1] = text
+    return row
 
 
 def test_a_stored_session_of_the_table_imports(tmp_path):
@@ -641,7 +649,8 @@ _DROPPED = object()  # the key is left out
         ("L", [_session_with_path("M/0/1")]),
         ("L", [_session_with_path("m/0/\u0663")]),
         ("V", 1),
-        ("V", 3),
+        ("V", 2),
+        ("V", 4),
         ("L", [_session_with_path("m/0/1", server=-1)]),
         ("G", _TABLE * 2),
         ("V", _DROPPED),
@@ -855,14 +864,14 @@ def test_a_version_1_store_is_refused_at_load_and_at_import(loopback, tmp_path):
     agent, _ = _fresh_agent(tmp_path)
     agent.visit(origin + "/", _now())
     old = version_1_layout(agent.store.export())
-    with pytest.raises(CorruptStore, match="store version 1 is not 2"):
+    with pytest.raises(CorruptStore, match="store version 1 is not 3"):
         AgentStore.import_(old)
     verbose = json.loads(agent.store.export(WireMode.VERBOSE))
     verbose["version"] = 1
-    with pytest.raises(CorruptStore, match="store version 1 is not 2"):
+    with pytest.raises(CorruptStore, match="store version 1 is not 3"):
         AgentStore.import_(json.dumps(verbose).encode())
     files.compact(agent.store_path, old)
-    with pytest.raises(CorruptStore, match="store version 1 is not 2"):
+    with pytest.raises(CorruptStore, match="store version 1 is not 3"):
         Agent.load(agent.store_path)
 
 
@@ -1258,10 +1267,11 @@ def test_any_interleaving_reloads_to_the_same_store(steps):
 
 
 
-# A store file in the key order stores were written in before the snapshot
-# became a record (L before Q): its snapshot, then the header, session and
-# visit records of a visit that started a session.
-_PARENT_ORDER_FILE = (
+# A store file of version 2, each session an object holding its wrapper's
+# object, in the key order of the snapshot before it became a record (L
+# before Q): its snapshot, then the header, session and visit records of a
+# visit that started a session.
+_VERSION_2_FILE = (
     (
         b'{"V":2,"I":0,"X":"EQEAAAAArM-3saOOTjdMgMZJmL5VZJ5BEkc0qxY8dLNRHsYQOB0DS05DjatMXjCgEq'
         b'_MKPfnXGe-lxF7Q9rry6BfyT5f5PM","J":1,"S":{"0":1},"Y":{"http://shop.example":0},"G":['
@@ -1293,17 +1303,126 @@ _PARENT_ORDER_FILE = (
 )
 
 
-def test_a_store_file_in_the_earlier_key_order_loads(tmp_path):
-    """Key order is not read: the file above loads to the store the reader
-    before this layout loaded from it, written back with Q before L."""
-    snapshot, *records = _PARENT_ORDER_FILE
+def test_a_version_2_store_is_refused_at_load_and_at_import(tmp_path):
+    """The file above, its snapshot as an export, an export rewritten in
+    version 2's layout and a VERBOSE export of version 2: each is
+    CorruptStore naming its version, read before any session is."""
+    snapshot, *records = _VERSION_2_FILE
     path = str(tmp_path / "agent.store")
     assert files.compact(path, snapshot).append(records)
-    data = json.loads(Agent.load(path).store.export())
-    snapshot, header, session, visit = map(json.loads, _PARENT_ORDER_FILE)
-    visited = {**session["L"][0], "H": [visit["A"][3:]]}
-    assert data == {**snapshot, **header, "L": [*snapshot["L"], visited]}
-    assert list(data) == ["V", "I", "X", "J", "S", "Y", "G", "Q", "L"]
+    with pytest.raises(CorruptStore, match="store version 2 is not 3"):
+        Agent.load(path)
+    agent = _journal_agent(tmp_path)
+    verbose = json.loads(agent.store.export(WireMode.VERBOSE))
+    verbose["version"] = 2
+    for export in (snapshot, version_2_layout(agent.store.export()), json.dumps(verbose).encode()):
+        with pytest.raises(CorruptStore, match="store version 2 is not 3"):
+            AgentStore.import_(export)
+
+
+def test_a_store_file_with_its_keys_in_another_order_loads(tmp_path):
+    """Key order is not read: a snapshot and header, session and visit
+    records whose keys are written in reverse load to the same store."""
+    agent = _journal_agent(tmp_path)
+    template, cookie = agent.store.sessions[0], ClientId("vcid", "00000003")
+    path = agent.store.claim_path("http://h", unified=False)
+    agent.store.add_session(replace(with_client_id(template, cookie), path=path, history=[]))
+    _visit_and_save(agent, 3, "/x")
+    expected = agent.store.export()
+    snapshot, records, _ = files.Journal.read(agent.store_path)
+    assert len(records) == 3
+
+    def reversed_keys(record: bytes) -> bytes:
+        return json.dumps(dict(reversed(json.loads(record).items()))).encode()
+
+    assert reversed_keys(snapshot) != snapshot
+    files.compact(agent.store_path, reversed_keys(snapshot)).append(
+        [reversed_keys(record) for record in records]
+    )
+    assert Agent.load(agent.store_path).store.export() == expected
+
+
+def _golden_store() -> AgentStore:
+    """One session at http://shop.example with one visit, every value
+    fixed: the wrapper is signed (RFC 6979) by a fixed server key."""
+    origin, cookie = "http://shop.example", ClientId("vcid", "c0")
+    store = AgentStore()
+    device = neuter(derive_path(generate_master(SEED), DerivationPath((0,))))
+    store.provision_device(device, 0)
+    key = ServerKey(secret=0x5EED)
+    store.pinned_server_keys[origin] = key.public_point
+    path = store.claim_path(origin, unified=False)
+    policy = MultiSigPolicy((derive_path(device, DerivationPath(path.segments[1:])).public_point,))
+    wrapper = issue_wrapper(key, cookie, policy, 1754650000)
+    endpoints = EndpointAdvertisement("/vcr/wrapper", "/vcr/submit", key.public_point, key.key_id)
+    store.add_session(SessionRecord(origin, endpoints, cookie, path, wrapper, 1754650000))
+    store.record_visit([("vcid", "c0")], origin + "/inbox", 1754650060)
+    return store
+
+
+# _golden_store's export in each mode: each session one row of its columns,
+# an array in OPTIMIZED and an object keyed by the column names in VERBOSE.
+_GOLDEN_EXPORTS = {
+    WireMode.OPTIMIZED: (
+        b'{"V":3,"I":0,"X":"EQEAAAAArM-3saOOTjdMgMZJmL5VZJ5BEkc0qxY8dLNRHsYQOB0DS05DjatMXjCgEq'
+        b'_MKPfnXGe-lxF7Q9rry6BfyT5f5PM","J":1,"S":{},"Y":{},"G":[["http://shop.example",{"W":'
+        b'"/vcr/wrapper","R":"/vcr/submit","K":"AsymZJQkExMA8f8mVD4nt_HiD3Jo1wfhEhDqU6ABcdGY","'
+        b'd":"NSbuCrPJpMk"}]],"Q":{"http://shop.example":"AsymZJQkExMA8f8mVD4nt_HiD3Jo1wfhEhDq'
+        b'U6ABcdGY"},"L":[[0,"m/0/0",1,"vcid","c0",["Aq5HIfBaJvWc-rronNiY_lFARbAAotbIkXVxg983n'
+        b'x3s"],1754650000,"NSbuCrPJpMk","Ud9_VXiFuMbIyQ9z5zxjIa8oYqBm-xBy2z4by25L_HBpJhFm3Dfe'
+        b'K-0xtBXzPnu5VkWGB8Ep_45O9_grrjEKXQ",1754650000,[[1754650060,"/inbox"]]]]}'
+    ),
+    WireMode.VERBOSE: (
+        b'{"version":3,"device_id":0,"device_xpub":"110100000000accfb7b1a38e4e374c80c64998be556'
+        b'49e41124734ab163c74b3511ec610381d034b4e438dab4c5e30a012afcc28f7e75c67be97117b43daebc'
+        b'ba05fc93e5fe4f3","next_session":1,"server_counters":{},"server_ids":{},"servers":[{"'
+        b'server_origin":"http://shop.example","endpoints":{"wrapper_endpoint":"/vcr/wrapper","'
+        b'vcr_endpoint":"/vcr/submit","server_pubkey":"02cca6649424131300f1ff26543e27b7f1e20f72'
+        b'68d707e11210ea53a00171d198","server_key_id":"3526ee0ab3c9a4c9"}}],"pinned_keys":{"ht'
+        b'tp://shop.example":"02cca6649424131300f1ff26543e27b7f1e20f7268d707e11210ea53a00171d1'
+        b'98"},"sessions":[{"server":0,"derivation_path":"m/0/0","version":1,"cookie_name":"vc'
+        b'id","cookie_value":"c0","vcr_pubkeys":["02ae4721f05a26f59cfabae89cd898fe514045b000a2'
+        b'd6c891757183df379f1dec"],"issued_at":"2025-08-08T10:46:40Z","server_key_id":"3526ee0'
+        b'ab3c9a4c9","signature":"51df7f557885b8c6c8c90f73e73c6321af2862a066fb1072db3e1bcb6e4b'
+        b'fc7069261166dc37de2bed31b415f33e7bb956458607c129ff8e4ef7f82bae310a5d","created_at":"'
+        b'2025-08-08T10:46:40Z","history":[{"visit_time":"2025-08-08T10:47:40Z","visit_url":"/'
+        b'inbox"}]}]}'
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", list(_GOLDEN_EXPORTS), ids=lambda m: m.value)
+def test_a_store_exports_its_sessions_as_rows(mode):
+    """The export bytes, and export -> import -> export gives them back."""
+    export = _golden_store().export(mode)
+    assert export == _GOLDEN_EXPORTS[mode]
+    imported = AgentStore.import_(export)
+    assert imported.export(mode) == export
+    (session,) = imported.sessions
+    assert session == _golden_store().sessions[0]
+
+
+def test_a_nearly_full_journal_reloads_equal_to_its_compaction(tmp_path):
+    """Visits are journaled until the next save compacts. The file just
+    before that, its journal just below its snapshot's size, loads to the
+    store the agent held then, every visit included, as does the snapshot
+    that store compacts to."""
+    agent = _journal_agent(tmp_path)
+    visits = 0
+    while True:
+        before, held = _store(agent).read_bytes(), agent.store.export()
+        _visit_and_save(agent, visits % 3, f"/p{visits}", now=1754650000 + visits)
+        if not _records(agent):  # this save compacted
+            break
+        visits += 1
+    snapshot, _, records = before.partition(b"\n")
+    assert visits > 10 and len(snapshot) - 100 < len(records) < len(snapshot)
+    _store(agent).write_bytes(before)
+    loaded = _reload(agent).store
+    assert loaded.export() == held
+    assert sum(len(s.history) for s in loaded.sessions) == visits
+    files.compact(agent.store_path, held)
+    assert _reload(agent).store.export() == held
 
 
 def test_a_load_applies_the_snapshot_and_each_record_through_one_rule(tmp_path, monkeypatch):
@@ -1320,7 +1439,7 @@ def test_a_load_applies_the_snapshot_and_each_record_through_one_rule(tmp_path, 
     monkeypatch.setattr(AgentStore, "_apply", spy)
     _reload(agent)
     assert len(records) == 3
-    assert applied == [2] + [None] * len(records)
+    assert applied == [STORE_VERSION] + [None] * len(records)
 
 
 @pytest.mark.parametrize(

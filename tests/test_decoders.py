@@ -480,15 +480,15 @@ def _mutated_records(kind, store):
     for key in needed:
         yield f"without {key}", {k: v for k, v in wire.items() if k != key}
     if kind == "session":
-        for _, key in _required(StoredSession, OPT):
-            session = {k: v for k, v in wire["L"][0].items() if k != key}
-            yield f"session without {key}", {"L": [session]}
+        (session,) = wire["L"]
+        yield "session row one column short", {"L": [session[:-1]]}
+        yield "session row one column long", {"L": [[*session, session[-1]]]}
     for container, index in _positions(wire):
         original = container[index]
         container[index] = _retyped(original)
         yield f"{index} = {container[index]!r}", json.loads(json.dumps(wire))
         container[index] = original
-    yield "record carrying the store version", {"V": 2, **wire}
+    yield "record carrying the store version", {"V": STORE_VERSION, **wire}
     if kind == "header":
         table = wire["G"]
         yield "header without a held server", {**wire, "G": table[:1]}

@@ -65,6 +65,23 @@ def test_docs_key_dictionary_lists_exactly_the_wire_keys():
     assert sorted(listed) == sorted(WIRE_KEYS.items())
 
 
+def test_docs_session_row_columns_are_the_codec_columns():
+    """The column table of a session row in docs/wire-format.md's store
+    section: (key, long name) in the order the codec writes them, which a
+    VERBOSE row's keys give."""
+    doc = Path(__file__).resolve().parents[1] / "docs" / "wire-format.md"
+    table = doc.read_text().split("| column | key | long name | of |", 1)[1]
+    listed = []
+    for line in table.splitlines()[2:]:
+        if not line.strip().startswith("| "):
+            break
+        number, key, name, _ = (cell.strip() for cell in line.strip().strip("|").split("|"))
+        listed.append((int(number), key, name))
+    session = random_stored_session(random.Random(3))
+    (row,) = StoreChange(sessions=[session]).to_wire_dict(WireMode.VERBOSE)["sessions"]
+    assert listed == [(i, WIRE_KEYS[name], name) for i, name in enumerate(row, 1)]
+
+
 def test_canonical_roundtrip_bulk():
     # Heavy randomized sweep. decode(encode(x)) == x for every x also
     # gives injectivity: equal bytes decode to equal messages.
@@ -541,8 +558,8 @@ GOLDEN_DIGESTS = {
         "verbose": "9f1d5c0a4a0e5a10be75889caaabf6f9",
     },
     "agent_store": {
-        "optimized": "ace93ae9ea48ab95f9d933ca5d7620eb",
-        "verbose": "43f2e47e49757c800715ea42654448ea",
+        "optimized": "c867df269a63a9a1bbb99621e94860f5",
+        "verbose": "86bf3ab9db3f68610a145b29ee018377",
     },
 }
 

@@ -838,6 +838,50 @@ def test_stalled_body_is_closed_at_the_read_deadline(loopback, monkeypatch, capf
     assert capfd.readouterr().err == ""
 
 
+def test_a_body_that_ends_early_gets_no_answer(loopback, capfd):
+    """A POST that declares 100 bytes, sends 7 and half-closes is closed
+    unanswered and quietly (RFC 9112 §8); a new connection is served."""
+    _, _, origin = loopback
+    parts = urlsplit(origin)
+    head = (
+        f"POST {VCR_ENDPOINT} HTTP/1.1\r\nHost: {parts.netloc}\r\n"
+        "Content-Length: 100\r\n\r\n"
+    )
+    with socket.create_connection((parts.hostname, parts.port), timeout=5) as sock:
+        sock.sendall(head.encode("latin-1") + b'{"a":1}')
+        sock.shutdown(socket.SHUT_WR)
+        assert sock.recv(65536) == b""
+    assert _get(origin, "/").status == 200
+    assert capfd.readouterr().err == ""
+
+
+def _raw_response(origin, request: bytes) -> bytes:
+    """The bytes a server sends for ``request`` until it closes."""
+    parts = urlsplit(origin)
+    with socket.create_connection((parts.hostname, parts.port), timeout=5) as sock:
+        sock.sendall(request)
+        raw = b""
+        while chunk := sock.recv(65536):
+            raw += chunk
+    return raw
+
+
+@pytest.mark.parametrize(
+    "request_line, status",
+    [(b"GET / HTTP/1.1", b"200"), (b"POST /vcr/submit HTTP/1.1", b"400")],
+    ids=["200", "400"],
+)
+def test_the_server_header_is_the_name_alone(loopback, request_line, status):
+    """No trailing space after the name: one byte less in every response."""
+    _, _, origin = loopback
+    host = urlsplit(origin).netloc.encode()
+    request = request_line + b"\r\nHost: " + host + b"\r\nConnection: close\r\n"
+    request += b"Content-Length: 2\r\n\r\n{}" if request_line.startswith(b"POST") else b"\r\n"
+    header = _raw_response(origin, request).partition(b"\r\n\r\n")[0].split(b"\r\n")
+    assert header[0].split(b" ")[1] == status
+    assert b"Server: vcrkit-ref" in header
+
+
 def test_sealed_body_with_mistyped_fields_is_malformed(loopback):
     vcr_server, _, origin = loopback
     exchange = _post_json(
