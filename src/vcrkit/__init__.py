@@ -16,7 +16,6 @@ from .keyhier import (
     derive_path,
     generate_master,
     neuter,
-    recover_parent_priv,
 )
 from .vcr import (
     ActionKind,
@@ -71,7 +70,6 @@ __all__ = [
     "generate_master",
     "issue_wrapper",
     "neuter",
-    "recover_parent_priv",
     "seal_vcr",
     "sign_vcr",
     "to_wire",

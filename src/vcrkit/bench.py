@@ -227,7 +227,8 @@ def _run_phases(runs, workdir, device_xpub, signer, vcr_server, httpd) -> BenchR
         signer,
         sign_path,
     )
-    # Fresh cache per run so the replay guard never rejects the probe.
+    # Fresh replay cache per run so the replay guard never rejects the probe,
+    # and no memo, so each run checks the wrapper as a first use does.
     latency["vcr_verification"] = _average(
         lambda: verify_vcr(
             vcr_server.server_key.public_point, signed, now, ReplayCache()

@@ -37,10 +37,6 @@ class DegenerateChild(VcrkitError):
     """Child derivation hit the scheme's skip case; retry with the next index."""
 
 
-class RecoveryMismatch(VcrkitError):
-    """Recovered parent scalar does not match the claimed parent public key."""
-
-
 class MalformedPath(VcrkitError):
     """Derivation path string or segment list is not valid here."""
 

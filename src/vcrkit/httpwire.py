@@ -14,16 +14,31 @@ ends or resets before the first byte of the answer. The server closes an
 idle connection only while it waits for a request line, so that request was
 never read. Nothing is resent after a timeout, after an answer has begun, or
 when a new connection fails.
+
+A response may hold at most MAX_HEADER_BYTES of header block and
+MAX_BODY_BYTES of body; a longer one is refused and its connection closed.
+``timeout`` is a deadline for the whole exchange, connecting included: each
+read waits only for the time left, so a server that trickles its answer
+cannot hold the caller longer.
 """
 
 from __future__ import annotations
 
 import socket
 import threading
+import time
 from dataclasses import dataclass
 from urllib.parse import urlsplit
 
 from .errors import NetworkError
+
+# The reference server's header blocks are a few hundred bytes.
+MAX_HEADER_BYTES = 64 * 1024
+# Its largest body is an ACCESS answer, which holds every visit of every
+# session a unified request names. A 1 MiB request names about 4,000
+# sessions; with 100 visits of 64-byte paths each, the sealed answer is
+# about 42 MiB.
+MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
 class _HeldConnection:
@@ -103,32 +118,30 @@ def request(
     raw_request_header = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
 
     message, origin, held = raw_request_header + body, (host, port), _local.held
+    deadline = time.monotonic() + timeout
     sock = held.take(origin)
     try:
         try:
-            raw = _send_held(sock, message, timeout) if sock is not None else b""
+            raw = _send_held(sock, message, deadline) if sock is not None else b""
             if not raw:  # nothing held, or it closed unanswered: send on a new one
                 if sock is not None:
                     sock.close()
-                sock = socket.create_connection(origin, timeout=timeout)
+                sock = socket.create_connection(origin, timeout=_time_left(deadline))
                 sock.sendall(message)
-                raw = sock.recv(65536)
-            while (header_end := raw.find(b"\r\n\r\n")) < 0:
-                chunk = sock.recv(65536)
-                if not chunk:
-                    raise ConnectionError("truncated response")
-                raw += chunk
-            header_block = raw[: header_end + 4]
+                raw = _recv(sock, deadline)
+            header_block, rest = _read_head(sock, raw, deadline)
             status, parsed_headers, set_cookies = _parse_head(header_block)
             declared = parsed_headers.get("content-length", "")
             digits = declared.isascii() and declared.isdigit()
             length = int(declared) if digits else None
+            if length is not None and length > MAX_BODY_BYTES:
+                raise ConnectionError(f"body of {length} bytes over the limit")
             closing = parsed_headers.get("connection", "").lower() == "close"
             if length is None or closing:
-                payload = _read_all(sock, raw[header_end + 4 :])[:length]
+                payload = _read_all(sock, rest, deadline)[:length]
                 sock.close()
             else:
-                payload = _read_exactly(sock, raw[header_end + 4 :], length)
+                payload = _read_exactly(sock, rest, length, deadline)
                 held.hold(origin, sock)
         except BaseException:
             if sock is not None:
@@ -149,16 +162,51 @@ def request(
     )
 
 
-def _send_held(sock: socket.socket, message: bytes, timeout: float) -> bytes:
+def _time_left(deadline: float) -> float:
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise TimeoutError("timed out")
+    return left
+
+
+def _recv(sock: socket.socket, deadline: float) -> bytes:
+    sock.settimeout(_time_left(deadline))
+    return sock.recv(65536)
+
+
+def _send_held(sock: socket.socket, message: bytes, deadline: float) -> bytes:
     """Send ``message`` on a held connection and return the first bytes of
     the answer: b"" when the connection fails sending, or ends or resets
     before any byte comes back."""
-    sock.settimeout(timeout)
     try:
+        sock.settimeout(_time_left(deadline))
         sock.sendall(message)
-        return sock.recv(65536)
+        return _recv(sock, deadline)
     except ConnectionError:  # reset or broken pipe; a timeout is not one
         return b""
+
+
+def _read_head(
+    sock: socket.socket, raw: bytes, deadline: float
+) -> tuple[bytes, bytes]:
+    """The header block, its blank line included, and the bytes after it.
+    Each search covers only the bytes new since the last one."""
+    header_end = raw.find(b"\r\n\r\n")
+    if header_end < 0:
+        buffer = bytearray(raw)
+        while header_end < 0:
+            if len(buffer) >= MAX_HEADER_BYTES:
+                raise ConnectionError("header block over the limit")
+            chunk = _recv(sock, deadline)
+            if not chunk:
+                raise ConnectionError("truncated response")
+            searched = max(len(buffer) - 3, 0)
+            buffer += chunk
+            header_end = buffer.find(b"\r\n\r\n", searched)
+        raw = bytes(buffer)
+    if header_end + 4 > MAX_HEADER_BYTES:
+        raise ConnectionError("header block over the limit")
+    return raw[: header_end + 4], raw[header_end + 4 :]
 
 
 def _parse_head(header_block: bytes) -> tuple[int, dict[str, str], list[str]]:
@@ -181,10 +229,12 @@ def _parse_head(header_block: bytes) -> tuple[int, dict[str, str], list[str]]:
     return int(status_parts[1]), headers, set_cookies
 
 
-def _read_exactly(sock: socket.socket, start: bytes, length: int) -> bytes:
+def _read_exactly(
+    sock: socket.socket, start: bytes, length: int, deadline: float
+) -> bytes:
     chunks, received = [start], len(start)
     while received < length:
-        chunk = sock.recv(65536)
+        chunk = _recv(sock, deadline)
         if not chunk:
             raise ConnectionError("truncated response")
         chunks.append(chunk)
@@ -194,11 +244,12 @@ def _read_exactly(sock: socket.socket, start: bytes, length: int) -> bytes:
     return b"".join(chunks)
 
 
-def _read_all(sock: socket.socket, start: bytes) -> bytes:
-    chunks = [start]
-    while True:
-        chunk = sock.recv(65536)
+def _read_all(sock: socket.socket, start: bytes, deadline: float) -> bytes:
+    chunks, received = [start], len(start)
+    while received <= MAX_BODY_BYTES:
+        chunk = _recv(sock, deadline)
         if not chunk:
-            break
+            return b"".join(chunks)
         chunks.append(chunk)
-    return b"".join(chunks)
+        received += len(chunk)
+    raise ConnectionError("body over the limit")

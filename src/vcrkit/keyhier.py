@@ -31,7 +31,6 @@ from .errors import (
     HardenedIndexRejected,
     InvalidSeedLength,
     MalformedPath,
-    RecoveryMismatch,
 )
 
 HARDENED = 0x80000000
@@ -254,22 +253,6 @@ def derive_path(root, path: DerivationPath):
     for index in path.segments:
         key = step(key, index)
     return key
-
-
-def recover_parent_priv(
-    parent: ExtendedPublicKey, child_secret: int, index: int
-) -> int:
-    """Recover the parent secret from one non-hardened child secret.
-
-    This is the scheme's documented leakage: the tweak between parent and
-    child is computable from public data alone, so child_secret - tweak
-    reveals the parent. Kept as a test oracle for that property.
-    """
-    tweak, _ = _tweak(parent, index)
-    recovered = (child_secret - tweak) % curve.N
-    if recovered == 0 or curve.pubkey_bytes(recovered) != parent.public_point:
-        raise RecoveryMismatch("recovered scalar does not match parent key")
-    return recovered
 
 
 def _base58check(payload: bytes) -> str:

@@ -54,6 +54,7 @@ from .vcr import (
     ReplayCache,
     SealedVcr,
     VcrRequest,
+    VerifiedMemo,
     unseal_vcr,
     verify_vcr,
 )
@@ -196,6 +197,7 @@ class VcrServer:
     ) -> None:
         self.server_key = server_key or ServerKey.generate()
         self.cache = ReplayCache(tolerance)
+        self.memo = VerifiedMemo()  # wrappers and session keys already checked
         self.snapshot_path = snapshot_path
         self.clock = clock
         self._records: dict[str, ClientDataRecord] = {}
@@ -283,7 +285,9 @@ class VcrServer:
         now = int(self.clock())
         try:
             request = self._decode_body(VcrRequest, body)
-            verified = verify_vcr(self.server_key.public_point, request, now, self.cache)
+            verified = verify_vcr(
+                self.server_key.public_point, request, now, self.cache, self.memo
+            )
             action = verified.action
             cookie_values = [cid.cookie_value for cid in verified.client_ids]
             if action.kind is ActionKind.ACCESS:

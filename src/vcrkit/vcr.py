@@ -2,16 +2,19 @@
 
 A request carries one or more wrappers, an action (ACCESS / MODIFY /
 DELETE), a timestamp and one signature per required signer. The server
-verifies its own wrapper signature first, then the request signatures under
-the wrapper-bound keys, then freshness and replay. The unified variant
-covers many sessions with a single signature under a server-scoped parent
-key from which every session key is re-derived by the verifier.
+checks each wrapper's signature, its own, the first time it sees that
+wrapper, and remembers the success in a ``VerifiedMemo``. It then checks
+freshness and every request signature under the wrapper-bound keys, on
+every request, and last admits the request against replay. The unified
+variant covers many sessions with a single signature under a server-scoped
+parent key from which every session key is re-derived by the verifier,
+again once per (parent key, index) while the memo holds it.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, replace
 from enum import IntEnum
 
@@ -46,6 +49,7 @@ from .errors import (
     ReplayDetected,
     SessionKeyMismatch,
     StaleTimestamp,
+    UnencodableField,
     UnknownServerKey,
 )
 from .keyhier import DerivationPath, ExtendedPublicKey, derive_child_pub
@@ -229,6 +233,46 @@ class ReplayCache:
             self._order.append(digest)
 
 
+class VerifiedMemo:
+    """Outcomes of checks that passed, so that the same inputs are not
+    checked twice, like Bitcoin Core's signature cache.
+
+    Each key covers every input its check reads: a wrapper's entry is the
+    SHA-256 of the server key, the wrapper signature and the signed payload;
+    a session key's entry maps (serialized parent key, index) to the child
+    point that a wrapper was found to bind. Only successes are recorded, so
+    a refused input is checked again on its next arrival. At most
+    ``MAX_ENTRIES`` are kept, the oldest recorded dropped first. The memo is
+    memory only and starts empty.
+    """
+
+    MAX_ENTRIES = 65_536
+
+    def __init__(self) -> None:
+        self._entries: OrderedDict[object, object] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key):
+        """The recorded outcome, or None."""
+        with self._lock:
+            return self._entries.get(key)
+
+    def add(self, key, outcome) -> None:
+        with self._lock:
+            self._entries[key] = outcome
+            if len(self._entries) > self.MAX_ENTRIES:
+                self._entries.popitem(last=False)
+
+
+def _wrapper_memo_key(server_pubkey: bytes, wrapper: Wrapper) -> bytes:
+    """Digest of everything ``verify_wrapper`` reads. The key and the
+    signature have fixed sizes, so the concatenation is unambiguous."""
+    return curve.sha256(server_pubkey + wrapper.signature + wrapper.signed_payload())
+
+
 def build_vcr(
     wrappers, action: VcrAction, now: int, unified: UnifiedProof | None = None
 ) -> VcrRequest:
@@ -295,21 +339,35 @@ def required_signer_keys(request: VcrRequest) -> tuple[bytes, ...]:
     return tuple(keys)
 
 
-def _check_session_keys(wrappers, server_xpub, session_indices) -> None:
+def _check_session_keys(
+    wrappers, server_xpub, session_indices, memo: VerifiedMemo | None = None
+) -> None:
     """One session index per wrapper, and each wrapper binds exactly child j
-    of the server-scoped key."""
+    of the server-scoped key. A child that matched is kept in ``memo``."""
     if len(session_indices) != len(wrappers):
         raise SessionKeyMismatch("one session index per wrapper required")
+    memo = VerifiedMemo() if memo is None else memo
+    xpub = server_xpub.serialize()
     for wrapper, j in zip(wrappers, session_indices):
-        expected = derive_child_pub(server_xpub, j).public_point
+        key = (xpub, j)
+        expected = memo.get(key) or derive_child_pub(server_xpub, j).public_point
         if wrapper.vcr_pubkeys != (expected,):
             raise SessionKeyMismatch(f"wrapper key is not session child {j}")
+        memo.add(key, expected)
 
 
 def verify_vcr(
-    server_pubkey: bytes, request: VcrRequest, now: int, cache: ReplayCache
+    server_pubkey: bytes,
+    request: VcrRequest,
+    now: int,
+    cache: ReplayCache,
+    memo: VerifiedMemo | None = None,
 ) -> VerifiedRequest:
-    """Full server-side verification; admits the digest on success."""
+    """Full server-side verification; admits the digest on success.
+
+    Wrapper signatures and session-key derivations found in ``memo`` are not
+    checked again; without a memo every check runs."""
+    memo = VerifiedMemo() if memo is None else memo
     if request.version != VCR_VERSION:
         raise MalformedMessage(f"unsupported request version {request.version}")
     if not request.wrappers:
@@ -320,8 +378,16 @@ def verify_vcr(
     expected_key_id = key_id(server_pubkey)
     for wrapper in request.wrappers:
         try:
-            verify_wrapper(server_pubkey, wrapper, expected_key_id=expected_key_id)
-        except (BadSignature, MalformedWrapper, UnknownServerKey) as exc:
+            key = _wrapper_memo_key(server_pubkey, wrapper)
+            if memo.get(key) is None:
+                verify_wrapper(server_pubkey, wrapper, expected_key_id=expected_key_id)
+                memo.add(key, True)
+        except (
+            BadSignature,
+            MalformedWrapper,
+            UnencodableField,
+            UnknownServerKey,
+        ) as exc:
             raise BadWrapper(str(exc)) from None
 
     if request.timestamp <= 0:
@@ -333,7 +399,9 @@ def verify_vcr(
 
     proof = request.unified
     if proof is not None:
-        _check_session_keys(request.wrappers, proof.server_xpub, proof.session_indices)
+        _check_session_keys(
+            request.wrappers, proof.server_xpub, proof.session_indices, memo
+        )
 
     required = required_signer_keys(request)
     if len(request.signatures) < len(required):

@@ -15,13 +15,13 @@ from dataclasses import replace
 import pytest
 
 import reference_hd as oracle
+from hd_leakage import RecoveryMismatch, recover_parent_priv
 from vcrkit import curve, encoding, httpwire
 from vcrkit.agent import Agent, AgentStore
 from vcrkit.bench import run_bench
 from vcrkit.encoding import WireMode, byte_size
 from vcrkit.errors import (
     MissingSignature,
-    RecoveryMismatch,
     ReplayDetected,
     SessionKeyMismatch,
     StaleTimestamp,
@@ -35,7 +35,6 @@ from vcrkit.keyhier import (
     derive_path,
     generate_master,
     neuter,
-    recover_parent_priv,
 )
 from vcrkit.signer import ConfirmationPolicy, SignerDaemon, SignerState
 from vcrkit.vcr import (

@@ -6,14 +6,29 @@ import time
 
 import pytest
 
-from vcrkit import encoding, httpwire
+from vcrkit import curve, encoding, httpwire
 from vcrkit.encoding import WireMode
-from vcrkit.errors import NetworkError
-from vcrkit.keyhier import DerivationPath, derive_path
-from vcrkit.server import COOKIE_NAME, WRAPPER_ENDPOINT, VcrHttpServer, VcrServer
-from vcrkit.wrapper import ClientId, WrapperRequest
+from vcrkit.errors import NetworkError, QuietDisconnects
+from vcrkit.keyhier import DerivationPath, derive_path, generate_master, neuter
+from vcrkit.server import (
+    COOKIE_NAME,
+    WRAPPER_ENDPOINT,
+    ClientDataRecord,
+    VcrHttpServer,
+    VcrServer,
+    encrypt_access_response,
+)
+from vcrkit.vcr import ActionKind, UnifiedProof, VcrAction, VcrRequest
+from vcrkit.wrapper import (
+    ClientId,
+    MultiSigPolicy,
+    WrapperRequest,
+    fresh_cookie_value,
+    issue_wrapper,
+)
 
 OK = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+_SCOPED = neuter(generate_master(b"httpwire-test-scoped-key"))
 
 
 class CountedServer(VcrHttpServer):
@@ -37,8 +52,9 @@ def counted():
 class RawServer:
     """A loopback listener that reads request heads (no bodies) and sends
     ``answers[n]`` for the n-th request it reads: None reads the request and
-    never answers, and an answer without a Content-Length closes its
-    connection after it is sent."""
+    never answers, a callable is called with the connection to answer on,
+    and an answer without a Content-Length closes its connection after it
+    is sent."""
 
     def __init__(self, answers):
         self.answers = answers
@@ -71,7 +87,9 @@ class RawServer:
                 head, _, buffered = buffered.partition(b"\r\n\r\n")
                 self.requests.append(head)
                 answer = self.answers[len(self.requests) - 1]
-                if answer is not None:
+                if callable(answer):
+                    answer(conn)
+                elif answer is not None:
                     conn.sendall(answer)
                     if b"Content-Length" not in answer:
                         return
@@ -204,3 +222,143 @@ def test_a_closed_server_answers_no_held_connection(counted):
     with pytest.raises(NetworkError, match="refused"):
         _page(counted.origin)
     assert counted.vcr.record_count() == 1
+
+
+def test_a_body_over_the_limit_is_refused_and_not_held(raw_servers, monkeypatch):
+    monkeypatch.setattr(httpwire, "MAX_BODY_BYTES", 16)
+    long_body = b"HTTP/1.1 200 OK\r\nContent-Length: 17\r\n\r\n" + b"x" * 17
+    raw = raw_servers([long_body, OK])
+    with pytest.raises(NetworkError, match="over the limit"):
+        httpwire.request("GET", raw.origin + "/")
+    assert raw.eof.wait(2)
+    assert httpwire.request("GET", raw.origin + "/").body == b"ok"
+    assert raw.accepts == 2
+
+
+def test_a_body_read_to_eof_over_the_limit_is_refused(raw_servers, monkeypatch):
+    monkeypatch.setattr(httpwire, "MAX_BODY_BYTES", 16)
+    raw = raw_servers([b"HTTP/1.1 200 OK\r\n\r\n" + b"x" * 17])
+    with pytest.raises(NetworkError, match="over the limit"):
+        httpwire.request("GET", raw.origin + "/")
+
+
+def test_a_header_block_over_the_limit_is_refused(raw_servers, monkeypatch):
+    monkeypatch.setattr(httpwire, "MAX_HEADER_BYTES", 64)
+    padded = OK.replace(b"\r\n", b"\r\nX-Pad: " + b"p" * 64 + b"\r\n", 1)
+    raw = raw_servers([padded, OK])
+    with pytest.raises(NetworkError, match="header block over the limit"):
+        httpwire.request("GET", raw.origin + "/")
+    assert raw.eof.wait(2)
+
+
+def test_a_header_block_in_many_reads_is_found(raw_servers):
+    """The blank line that ends the head may straddle two reads."""
+
+    def in_pieces(conn):
+        for piece in (b"HTTP/1.1 200 OK\r\nContent-Length: 2\r", b"\n\r", b"\nok"):
+            conn.sendall(piece)
+            time.sleep(0.05)
+
+    raw = raw_servers([in_pieces])
+    exchange = httpwire.request("GET", raw.origin + "/")
+    assert (exchange.status, exchange.body) == (200, b"ok")
+    assert exchange.response_header_bytes == len(
+        b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n"
+    )
+
+
+def test_a_trickling_server_meets_the_deadline(raw_servers):
+    """Each byte arrives well within ``timeout``, the whole answer does not."""
+
+    def trickle(conn):
+        conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 20\r\n\r\n")
+        for _ in range(20):
+            time.sleep(0.1)
+            try:
+                conn.sendall(b"x")
+            except OSError:  # the client gave up
+                return
+
+    raw = raw_servers([trickle])
+    started = time.perf_counter()
+    with pytest.raises(NetworkError, match="timed out"):
+        httpwire.request("GET", raw.origin + "/", timeout=0.5)
+    assert time.perf_counter() - started < 1.0
+
+
+def test_a_held_connection_with_a_reply_over_the_limit_is_not_held_again(
+    raw_servers, monkeypatch
+):
+    monkeypatch.setattr(httpwire, "MAX_BODY_BYTES", 16)
+    too_long = b"HTTP/1.1 200 OK\r\nContent-Length: 17\r\n\r\n" + b"x" * 17
+    raw = raw_servers([OK, too_long, OK])
+    assert httpwire.request("GET", raw.origin + "/a").body == b"ok"
+    with pytest.raises(NetworkError, match="over the limit"):
+        httpwire.request("GET", raw.origin + "/b")
+    assert raw.eof.wait(2)  # closed, not held ...
+    assert httpwire.request("GET", raw.origin + "/c").body == b"ok"
+    assert [head.split(b" ")[1] for head in raw.requests] == [b"/a", b"/b", b"/c"]
+    assert raw.accepts == 2  # ... and /b was not sent again
+
+
+def test_a_unified_access_answer_fits_the_body_limit(
+    loopback, provisioned_agent, local_signer
+):
+    """The reference server's largest answer is an ACCESS over a unified
+    request; one of several MiB arrives whole under the default limits."""
+    vcr_server, _, origin = loopback
+    now = int(time.time())
+    sessions = [
+        provisioned_agent.visit(origin + "/", now, unified=True, fresh=True)[0]
+        for _ in range(3)
+    ]
+    history = [(1_754_650_000 + i, "/" + "p" * 63) for i in range(20_000)]
+    for session in sessions:
+        record = vcr_server.get_record(session.wrapper.client_id.cookie_value)
+        record.visits.extend(history)
+    access = VcrAction(ActionKind.ACCESS)
+    outcome = provisioned_agent.submit_request(
+        sessions, access, local_signer, now, unified=True
+    )
+    assert outcome.status == 200
+    assert outcome.exchange.response_body_bytes > 4 * 1024 * 1024
+    assert [len(r["A"]) for r in outcome.payload["D"]] == [20_001] * 3
+
+
+def test_the_largest_unified_access_answer_fits_the_body_limit(server_key):
+    """A unified request of at most MAX_MESSAGE_BYTES names about 4,000
+    sessions; with 100 visits of 64-byte paths each, their sealed ACCESS
+    answer is still under MAX_BODY_BYTES."""
+    response_key = curve.pubkey_bytes(curve.generate_secret())
+    history = [(1_754_650_000 + i, "/" + "p" * 63) for i in range(100)]
+
+    def sizes(count):
+        wrappers = [
+            issue_wrapper(
+                server_key,
+                ClientId(COOKIE_NAME, fresh_cookie_value()),
+                MultiSigPolicy((response_key,)),
+                1_754_650_000,
+            )
+            for _ in range(count)
+        ]
+        request = VcrRequest(
+            1,
+            tuple(wrappers),
+            VcrAction(ActionKind.ACCESS, response_pubkey=response_key),
+            1_754_650_000,
+            UnifiedProof(_SCOPED, tuple(range(count))),
+            (b"\x00" * 64,),
+        )
+        records = [ClientDataRecord(w.client_id, list(history)) for w in wrappers]
+        answer = encrypt_access_response(records, response_key)
+        return len(encoding.to_wire(request, WireMode.OPTIMIZED)), len(
+            encoding.to_wire(answer, WireMode.OPTIMIZED)
+        )
+
+    (request_1, answer_1), (request_2, answer_2) = sizes(1), sizes(2)
+    limit = QuietDisconnects.MAX_MESSAGE_BYTES
+    sessions = (limit - request_1) // (request_2 - request_1) + 1
+    assert sessions > 4_000
+    largest = answer_1 + (sessions - 1) * (answer_2 - answer_1)
+    assert largest + 4 < httpwire.MAX_BODY_BYTES  # 4: base64 rounding

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_hd as oracle
+from hd_leakage import RecoveryMismatch, recover_parent_priv
 from vcrkit import curve
 from vcrkit.errors import (
     DegenerateChild,
@@ -18,7 +19,6 @@ from vcrkit.errors import (
     InvalidPublicKey,
     InvalidSeedLength,
     MalformedPath,
-    RecoveryMismatch,
 )
 from vcrkit.keyhier import (
     HARDENED,
@@ -31,7 +31,6 @@ from vcrkit.keyhier import (
     display,
     generate_master,
     neuter,
-    recover_parent_priv,
 )
 from vcrkit import keyhier
 

@@ -10,9 +10,10 @@ from urllib.parse import urlsplit
 
 import pytest
 
-from vcrkit import curve, encoding, httpwire, server
+from vcrkit import curve, encoding, httpwire, server, vcr
 from vcrkit.encoding import WireMode, wire_key
 from vcrkit.errors import (
+    BadWrapper,
     DecryptFailed,
     DegenerateKey,
     InvalidPublicKey,
@@ -35,11 +36,15 @@ from vcrkit.server import (
 )
 from vcrkit.vcr import (
     ActionKind,
+    ReplayCache,
+    UnifiedProof,
     VcrAction,
+    VerifiedMemo,
     build_unified_vcr,
     build_vcr,
     seal_vcr,
     sign_vcr,
+    verify_vcr,
 )
 from vcrkit.wrapper import (
     WRAPPER_VERSION,
@@ -1187,3 +1192,197 @@ def test_close_of_a_serving_server_returns_promptly():
 def test_server_key_outside_the_group_is_refused_when_built(secret):
     with pytest.raises(DegenerateKey):
         ServerKey(secret=secret)
+
+
+# --- the memo of checks that passed ---------------------------------------------
+
+
+MEMO_NOW = 1_754_650_000
+
+
+def _stopped_clock_server(server_key=None):
+    """Requests stamped ``MEMO_NOW - age`` differ for each age, whatever
+    second the test runs in."""
+    return VcrServer(server_key, clock=lambda: MEMO_NOW)
+
+
+@pytest.fixture()
+def wrapper_checks(monkeypatch):
+    """Client ids of every wrapper whose signature is checked from here on."""
+    checked = []
+    original = vcr.verify_wrapper
+
+    def spy(server_pubkey, wrapper, expected_key_id=None):
+        checked.append(wrapper.client_id)
+        return original(server_pubkey, wrapper, expected_key_id)
+
+    monkeypatch.setattr(vcr, "verify_wrapper", spy)
+    return checked
+
+
+def _accepted(vcr_server, master, local_signer, j):
+    """A wrapper for session m/0/j, remembered after one accepted ACCESS."""
+    path = DerivationPath((0, j))
+    wrapper = _issued(vcr_server, [derive_path(neuter(master), path).public_point])
+    assert _resend(vcr_server, wrapper, local_signer, path, 0)[0] == 200
+    return wrapper, path
+
+
+def _resend(vcr_server, wrapper, local_signer, path, age):
+    """handle_vcr of an ACCESS over ``wrapper``, stamped ``age`` seconds ago
+    so that each is a new request."""
+    request = _signed_request(
+        vcr_server,
+        wrapper,
+        VcrAction(ActionKind.ACCESS),
+        local_signer,
+        path,
+        now=MEMO_NOW - age,
+    )
+    return vcr_server.handle_vcr(_body(request))
+
+
+def test_a_remembered_wrapper_skips_only_its_own_check(
+    monkeypatch, wrapper_checks, master, local_signer
+):
+    vcr_server = _stopped_clock_server()
+    wrapper, path = _accepted(vcr_server, master, local_signer, 40)
+    verifications = []
+    verify_digest = curve.verify_digest
+    monkeypatch.setattr(
+        curve,
+        "verify_digest",
+        lambda *args: verifications.append(args) or verify_digest(*args),
+    )
+    assert _resend(vcr_server, wrapper, local_signer, path, 1)[0] == 200
+    assert wrapper_checks == [wrapper.client_id]  # the first use only
+    assert len(verifications) == 1  # the request signature, every time
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda w: replace(w, signature=bytes([w.signature[0] ^ 1]) + w.signature[1:]),
+        lambda w: replace(w, issued_at=w.issued_at + 1),
+    ],
+    ids=["signature-byte", "payload-byte"],
+)
+def test_a_remembered_wrapper_changed_in_one_byte_is_refused(
+    tamper, master, local_signer
+):
+    vcr_server = _stopped_clock_server()
+    wrapper, path = _accepted(vcr_server, master, local_signer, 41)
+    status, payload = _resend(vcr_server, tamper(wrapper), local_signer, path, 1)
+    assert (status, payload) == (403, {"error": "BadWrapper"})
+
+
+def test_a_wrapper_remembered_under_one_key_is_refused_under_another(
+    master, local_signer
+):
+    first = _stopped_clock_server()
+    wrapper, path = _accepted(first, master, local_signer, 42)
+    second = _stopped_clock_server(ServerKey.generate())
+    second.memo = first.memo
+    status, payload = _resend(second, wrapper, local_signer, path, 1)
+    assert (status, payload) == (403, {"error": "BadWrapper"})
+    request = _signed_request(
+        second, wrapper, VcrAction(ActionKind.ACCESS), local_signer, path, MEMO_NOW
+    )
+    with pytest.raises(BadWrapper):
+        verify_vcr(
+            second.server_key.public_point,
+            request,
+            MEMO_NOW,
+            ReplayCache(),
+            first.memo,
+        )
+
+
+def test_the_memo_keeps_its_bound_and_drops_the_oldest(
+    monkeypatch, wrapper_checks, master, local_signer
+):
+    monkeypatch.setattr(VerifiedMemo, "MAX_ENTRIES", 2)
+    vcr_server = _stopped_clock_server()
+    accepted = []
+    for j in range(43, 46):
+        accepted.append(_accepted(vcr_server, master, local_signer, j))
+        assert len(vcr_server.memo) <= 2
+    wrapper_checks.clear()
+    (oldest, oldest_path), _, (newest, newest_path) = accepted
+    assert _resend(vcr_server, newest, local_signer, newest_path, 1)[0] == 200
+    assert wrapper_checks == []
+    assert _resend(vcr_server, oldest, local_signer, oldest_path, 1)[0] == 200
+    assert wrapper_checks == [oldest.client_id]  # evicted, so checked again
+    assert len(vcr_server.memo) == 2
+
+
+def test_a_refused_wrapper_is_checked_on_each_arrival(
+    monkeypatch, master, local_signer
+):
+    vcr_server = _stopped_clock_server()
+    wrapper, path = _accepted(vcr_server, master, local_signer, 46)
+    forged = replace(wrapper, signature=bytes(64))
+    verifications = []
+    verify_digest = curve.verify_digest
+    monkeypatch.setattr(
+        curve,
+        "verify_digest",
+        lambda *args: verifications.append(args) or verify_digest(*args),
+    )
+    for age in (1, 2):
+        status, payload = _resend(vcr_server, forged, local_signer, path, age)
+        assert (status, payload) == (403, {"error": "BadWrapper"})
+    assert len(verifications) == 2
+    assert len(vcr_server.memo) == 1
+
+
+def test_a_wrong_session_index_is_refused_after_a_good_one_was_remembered(
+    monkeypatch, master
+):
+    vcr_server = _stopped_clock_server()
+    scoped = derive_path(master, DerivationPath((0, 6)))
+    scoped_key = curve.private_key(scoped.secret)
+    wrappers = [
+        _issued(vcr_server, [derive_child_pub(neuter(scoped), j).public_point])
+        for j in range(3)
+    ]
+    derivations = []
+    derive = vcr.derive_child_pub
+    monkeypatch.setattr(
+        vcr,
+        "derive_child_pub",
+        lambda xpub, j: derivations.append(j) or derive(xpub, j),
+    )
+
+    def unified(indices, age):
+        proof = UnifiedProof(neuter(scoped), tuple(indices))
+        action = VcrAction(ActionKind.ACCESS)
+        request = build_vcr(wrappers, action, MEMO_NOW - age, proof)
+        signature = curve.sign_digest(scoped_key, request.digest())
+        return vcr_server.handle_vcr(_body(replace(request, signatures=(signature,))))
+
+    assert unified([0, 1, 2], 0)[0] == 200
+    assert unified([0, 1, 2], 1)[0] == 200
+    assert derivations == [0, 1, 2]  # once each, by the first request
+    for age, indices in enumerate(([1, 0, 2], [0, 1, 5]), start=2):
+        assert unified(indices, age) == (403, {"error": "SessionKeyMismatch"})
+
+
+def test_threads_sending_one_wrapper_at_once_are_all_answered(master, local_signer):
+    vcr_server = _stopped_clock_server()
+    path = DerivationPath((0, 47))
+    wrapper = _issued(vcr_server, [derive_path(neuter(master), path).public_point])
+    barrier = threading.Barrier(8)
+    statuses = []
+
+    def send(age):
+        barrier.wait(timeout=10)
+        statuses.append(_resend(vcr_server, wrapper, local_signer, path, age)[0])
+
+    threads = [threading.Thread(target=send, args=(age,)) for age in range(8)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert statuses == [200] * 8
+    assert len(vcr_server.memo) == 1
